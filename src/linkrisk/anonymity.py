@@ -47,10 +47,10 @@ class DistanceMatrix:
 
     @classmethod
     def build(cls, models: Mapping[str, object], workers: int | None = None) -> "DistanceMatrix":
-        """Compute the matrix for a key->model mapping (models or distributions)."""
+        """Compute the matrix for a key->model mapping; `workers` has no effect."""
         keys = sorted(models)
         dists = [_as_distribution(models[k]) for k in keys]
-        return cls(keys=keys, values=metric.pairwise_distances(dists, workers=workers))
+        return cls(keys=keys, values=metric.pairwise_distances(dists))
 
     def index_of(self, key: str) -> int:
         try:

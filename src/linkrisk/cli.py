@@ -4,29 +4,20 @@ Subcommands: ingest, build-models, top-unigrams, distances, anonymity,
 bound, eval, synth, framework.  Exit codes: 0 success, 1 runtime error,
 2 usage error.  Every subcommand that writes files also writes a
 manifest.json describing its inputs and outputs.  Options may come from a
-line-oriented key=value file via --config; explicit flags win.  Worker
-count resolves flag > LINKRISK_WORKERS > number of cores.
+line-oriented key=value file via --config; explicit flags win.  `--workers`
+is accepted for compatibility and has no effect: distance matrices are
+computed by one single-threaded vectorized kernel.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
 
 from . import anonymity, corpus, evaluation, framework, lm
-
-WORKERS_ENV = "LINKRISK_WORKERS"
-
-
-def _resolve_workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
 
 
 def _write_manifest(outdir: str, command: str, inputs: dict, params: dict, outputs: dict) -> None:
@@ -166,7 +157,7 @@ def _community_models(models_path: str, community: str):
 
 def _cmd_distances(args) -> int:
     selected = _community_models(args.models, args.community)
-    matrix = anonymity.DistanceMatrix.build(selected, workers=_resolve_workers(args))
+    matrix = anonymity.DistanceMatrix.build(selected)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.community}.dmat")
     matrix.save(out_path)
@@ -187,9 +178,7 @@ def _cmd_anonymity(args) -> int:
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")
-        matrix = anonymity.DistanceMatrix.build(
-            _community_models(args.models, args.community), workers=_resolve_workers(args)
-        )
+        matrix = anonymity.DistanceMatrix.build(_community_models(args.models, args.community))
     result = anonymity.convergent_subset(matrix, args.subject, args.d)
     report = {
         "subject": result.subject,
@@ -227,10 +216,11 @@ def _cmd_synth(args) -> int:
             fh.write(evaluation.comments_to_jsonl(comments))
         paths[name] = path
     links_path = os.path.join(args.out, "links.csv")
-    with open(links_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("source,target,same_user\n")
+    with open(links_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["source", "target", "same_user"])
         for link in corp.links:
-            fh.write(f"{link.source},{link.target},{int(link.same_user)}\n")
+            writer.writerow([link.source, link.target, int(link.same_user)])
     _write_manifest(
         args.out,
         "synth",
@@ -262,7 +252,6 @@ def _cmd_eval(args) -> int:
         models_a,
         models_b,
         ks=ks,
-        workers=_resolve_workers(args),
         community_a=args.community_a,
         community_b=args.community_b,
     )
@@ -304,7 +293,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         description="Linkability and identity-disclosure risk analytics for pseudonymous text profiles.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=None, help="worker threads (default: all cores)")
+    common.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
     common.add_argument("--config", default=None, help="key=value option file; flags win")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

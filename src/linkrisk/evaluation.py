@@ -9,6 +9,7 @@ of the source's anonymous neighborhood at the matching distance.
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -91,18 +92,16 @@ def _distributions(models: Mapping[str, object], keys: Sequence[str]):
 
 
 class _CrossContext:
-    """Shared precomputation: sorted keys and the source-by-target distance grid."""
+    """Shared precomputation: sorted keys, their distributions and the distance grid."""
 
-    def __init__(self, models_a, models_b, workers=None):
+    def __init__(self, models_a, models_b):
         self.keys_a = sorted(models_a)
         self.keys_b = sorted(models_b)
         self.index_a = {k: i for i, k in enumerate(self.keys_a)}
         self.index_b = {k: i for i, k in enumerate(self.keys_b)}
-        self.cross = metric.cross_distances(
-            _distributions(models_a, self.keys_a),
-            _distributions(models_b, self.keys_b),
-            workers=workers,
-        )
+        self.dists_a = _distributions(models_a, self.keys_a)
+        self.dists_b = _distributions(models_b, self.keys_b)
+        self.cross = metric.cross_distances(self.dists_a, self.dists_b)
         self.keys_b_arr = np.array(self.keys_b)
 
     def rank_of(self, source: str, target: str) -> int:
@@ -123,18 +122,18 @@ def cross_distance_stats(
     """Min, max, and mean pairwise distance.
 
     With one mapping: all unordered pairs within it, self-pairs excluded.
-    With two mappings: every (a, b) pair across them.
+    With two mappings: every (a, b) pair across them.  `workers` has no effect.
     """
     if models_b is None:
         keys = sorted(models_a)
         if len(keys) < 2:
             raise ValueError("need at least 2 profiles for within-community statistics")
-        values = metric.pairwise_distances(_distributions(models_a, keys), workers=workers)
+        values = metric.pairwise_distances(_distributions(models_a, keys))
         pairs = values[np.triu_indices(len(keys), k=1)]
     else:
         if not models_a or not models_b:
             raise ValueError("need at least one profile on each side")
-        ctx = _CrossContext(models_a, models_b, workers=workers)
+        ctx = _CrossContext(models_a, models_b)
         pairs = ctx.cross.ravel()
     return {"min": float(pairs.min()), "max": float(pairs.max()), "mean": float(pairs.mean())}
 
@@ -150,10 +149,9 @@ def rank_candidates(
     )
     if not getattr(source_dist, "probs", source_dist):
         raise ValueError("source model is empty")
-    ranked = [
-        (key, metric.distance(source_dist, _distributions(target_models, [key])[0]))
-        for key in sorted(target_models)
-    ]
+    keys = sorted(target_models)
+    row = metric.cross_distances([source_dist], _distributions(target_models, keys))[0]
+    ranked = [(key, float(d)) for key, d in zip(keys, row)]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
 
@@ -178,7 +176,7 @@ def precision_at_k(
         raise ValueError("k must be >= 1")
     if not links:
         raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b, workers=workers)
+    ctx = _CrossContext(models_a, models_b)
     _check_links(links, ctx)
     hits = sum(1 for link in links if ctx.rank_of(link.source, link.target) < k)
     return hits / len(links)
@@ -237,10 +235,9 @@ def anon_vs_precision(
     """
     if not links:
         raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b, workers=workers)
+    ctx = _CrossContext(models_a, models_b)
     _check_links(links, ctx)
-    keys = sorted(models_a)
-    within_a = metric.pairwise_distances(_distributions(models_a, keys), workers=workers)
+    within_a = metric.pairwise_distances(ctx.dists_a)
     sizes = _anon_sizes(links, within_a, ctx)
     return _precision_bins(links, sizes, ctx, k)
 
@@ -254,7 +251,7 @@ def matched_vs_average_scatter(
     """Per link: mean distance to the non-matching targets vs the matching one."""
     if not links:
         raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b, workers=workers)
+    ctx = _CrossContext(models_a, models_b)
     _check_links(links, ctx)
     if len(ctx.keys_b) < 2:
         raise ValueError("target community needs at least 2 profiles")
@@ -401,9 +398,12 @@ def run_experiment(
     """Full linkability experiment between two communities.
 
     When `links` is omitted, authors present in both communities are paired
-    by shared pseudonym.  Matrices are computed once and reused across all
-    reports.
+    by shared pseudonym.  Each model is turned into a distribution once, and
+    the matrices are computed once and reused across all reports.  `workers`
+    has no effect.
     """
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
     if links is None:
         shared = sorted(set(models_a) & set(models_b))
         links = [GroundTruthLink(source=a, target=a) for a in shared]
@@ -411,14 +411,10 @@ def run_experiment(
     if not links:
         raise ValueError("no ground-truth links between the two communities")
 
-    ctx = _CrossContext(models_a, models_b, workers=workers)
+    ctx = _CrossContext(models_a, models_b)
     _check_links(links, ctx)
-    within_a = metric.pairwise_distances(
-        _distributions(models_a, ctx.keys_a), workers=workers
-    )
-    within_b = metric.pairwise_distances(
-        _distributions(models_b, ctx.keys_b), workers=workers
-    )
+    within_a = metric.pairwise_distances(ctx.dists_a)
+    within_b = metric.pairwise_distances(ctx.dists_b)
 
     def stats_of(values: np.ndarray) -> Dict[str, float]:
         return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
@@ -463,6 +459,7 @@ def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[d
     """Write stats/scatter/precision CSVs plus a JSON metadata sidecar.
 
     Floats are rendered with repr so identical results are identical bytes.
+    Profile ids in `scatter.csv` are quoted by the `csv` module where needed.
     """
     import os
 
@@ -483,12 +480,14 @@ def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[d
         ):
             fh.write(f"{scope},{stats['min']!r},{stats['max']!r},{stats['mean']!r}\n")
 
-    with open(out("scatter.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("source,target,avg_nonmatching_distance,matching_distance,below_diagonal\n")
+    with open(out("scatter.csv"), "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(
+            ["source", "target", "avg_nonmatching_distance", "matching_distance", "below_diagonal"]
+        )
         for r in result.scatter.rows:
-            fh.write(
-                f"{r.source},{r.target},{r.avg_nonmatching!r},{r.matching!r},"
-                f"{int(r.below_diagonal)}\n"
+            writer.writerow(
+                [r.source, r.target, repr(r.avg_nonmatching), repr(r.matching), int(r.below_diagonal)]
             )
 
     with open(out("precision_overall.csv"), "w", encoding="utf-8", newline="\n") as fh:

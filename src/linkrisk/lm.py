@@ -149,6 +149,8 @@ def load_models(path):
             if not line:
                 continue
             rec = json.loads(line)
+            if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
+                raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
             counts = {str(t): int(c) for t, c in rec["counts"].items()}
             model = UnigramModel(counts=counts, total=sum(counts.values()))
             kind = rec.get("kind")

@@ -2,19 +2,19 @@
 
 All logarithms are base 2, so the Jensen-Shannon divergence of two
 distributions lies in [0, 1] and its square root is a metric on the same
-range (1 is reached exactly when the supports are disjoint).
+range (1 is reached exactly when the supports are disjoint); see Endres and
+Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 
-Two computation paths are provided: scalar functions over token->probability
-mappings (`kl`, `js`, `distance`), and an array path used for pairwise
-matrices (`SparseDistribution`, `pairwise_distances`, `cross_distances`).
-Both iterate supports in sorted token order so results are bit-stable across
-runs, thread counts, and argument order.
+The scalar `kl`, `js` and `distance` over token->probability mappings are
+the reference definition.  `pairwise_distances` and `cross_distances` share
+one vectorized row kernel whose memory is O(vocabulary + support entries);
+each pair is summed in a fixed token order, so matrices are exactly
+symmetric and bit-stable.  Their `workers` argument has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,7 +23,6 @@ __all__ = [
     "kl",
     "js",
     "distance",
-    "SparseDistribution",
     "pairwise_distances",
     "cross_distances",
 ]
@@ -83,28 +82,6 @@ def distance(p, q) -> float:
     return math.sqrt(js(p, q))
 
 
-class SparseDistribution:
-    """A distribution projected onto integer token ids, sorted by id.
-
-    Used by the matrix builders: merging two sorted id arrays is much
-    cheaper than repeated dict lookups when computing n^2/2 pairs.
-    """
-
-    __slots__ = ("ids", "probs")
-
-    def __init__(self, ids: np.ndarray, probs: np.ndarray):
-        self.ids = ids
-        self.probs = probs
-
-    @classmethod
-    def from_mapping(cls, dist, vocab_index: Mapping[str, int]) -> "SparseDistribution":
-        pp = _probs(dist)
-        pairs = sorted((vocab_index[t], v) for t, v in pp.items() if v > 0.0)
-        ids = np.fromiter((i for i, _ in pairs), dtype=np.int64, count=len(pairs))
-        probs = np.fromiter((v for _, v in pairs), dtype=np.float64, count=len(pairs))
-        return cls(ids, probs)
-
-
 def build_vocab_index(dists: Iterable) -> Dict[str, int]:
     """Map every token appearing in `dists` to a stable id (sorted order)."""
     vocab = set()
@@ -113,89 +90,105 @@ def build_vocab_index(dists: Iterable) -> Dict[str, int]:
     return {tok: i for i, tok in enumerate(sorted(vocab))}
 
 
-def sparse_js(a: SparseDistribution, b: SparseDistribution) -> float:
-    """Jensen-Shannon divergence on the array representation.
+class _CSR:
+    """Positive probabilities of several distributions in compressed-row form.
 
-    Identical in value (to the last bit, up to the final clamp) with `js`;
-    decomposes the sum into the shared support plus the one-sided mass,
-    where each one-sided token contributes half its probability.
+    Row r holds `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the
+    matching `probs`; `sums` holds each row's mass.
     """
-    ids_a, pa = a.ids, a.probs
-    ids_b, pb = b.ids, b.probs
-    if len(ids_a) == 0 or len(ids_b) == 0:
-        total = 0.5 * (float(pa.sum()) + float(pb.sum()))
-        return min(1.0, max(0.0, total))
-    pos = np.searchsorted(ids_b, ids_a)
-    hit = pos < len(ids_b)
-    hit[hit] = ids_b[pos[hit]] == ids_a[hit]
-    p = pa[hit]
-    q = pb[pos[hit]]
-    only_a = float(pa.sum()) - float(p.sum())
-    only_b = float(pb.sum()) - float(q.sum())
-    if len(p):
+
+    def __init__(self, dists: Sequence, index: Mapping[str, int]):
+        maps = [_probs(d) for d in dists]
+        n = len(maps)
+        capacity = sum(len(pm) for pm in maps)
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        ids = np.empty(capacity, dtype=np.int64)
+        probs = np.empty(capacity, dtype=np.float64)
+        pos = 0
+        for r, pm in enumerate(maps):
+            row_ids = np.fromiter(map(index.__getitem__, pm), dtype=np.int64, count=len(pm))
+            row_p = np.fromiter(pm.values(), dtype=np.float64, count=len(pm))
+            keep = row_p > 0.0
+            row_ids, row_p = row_ids[keep], row_p[keep]
+            order = np.argsort(row_ids)
+            end = pos + len(order)
+            ids[pos:end] = row_ids[order]
+            probs[pos:end] = row_p[order]
+            pos = self.indptr[r + 1] = end
+        self.ids = ids[:pos]
+        self.probs = probs[:pos]
+        self.sums = _segment_sums(self.probs, self.indptr[:-1], np.diff(self.indptr))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+
+def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Pairwise sum of each consecutive run `values[starts[k]:starts[k] + lengths[k]]`.
+
+    The order depends only on the run itself; empty runs give 0.
+    """
+    out = np.zeros(len(lengths), dtype=np.float64)
+    nonempty = np.flatnonzero(lengths)
+    if len(nonempty):
+        out[nonempty] = np.add.reduceat(values, starts[nonempty])
+    return out
+
+
+def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairwise: bool) -> None:
+    """Fill `out` with sqrt-JS distances from each row of `src` to rows of `dst`.
+
+    Each source row is scattered into dense buffers of length `vocab_size`
+    (a presence mask and the probabilities; `buf` is read only where the
+    mask is set, so it is never cleared), and the mask is gathered at the
+    target entries.  Only shared tokens need the log terms; everything else
+    enters through the row masses.  With `pairwise`, row i is compared with
+    target rows j > i only.  The shared entries of a target row are summed
+    as one run in ascending token id, so a pair's value depends on that pair
+    alone and is exactly symmetric.
+    """
+    present = np.zeros(vocab_size, dtype=bool)
+    buf = np.empty(vocab_size, dtype=np.float64)
+    for i in range(len(src)):
+        first = i + 1 if pairwise else 0
+        width = len(dst) - first
+        if width <= 0:
+            break
+        lo, hi = src.indptr[i], src.indptr[i + 1]
+        src_ids = src.ids[lo:hi]
+        buf[src_ids] = src.probs[lo:hi]
+        present[src_ids] = True
+        t_lo = dst.indptr[first]
+        targets = dst.ids[t_lo:]
+        hit = np.flatnonzero(present[targets])
+        p = buf[targets[hit]]
+        q = dst.probs[t_lo:][hit]
+        # hits are ascending, so each target row's hits form one run
+        bounds = np.searchsorted(hit, dst.indptr[first:] - t_lo)
+        starts, lengths = bounds[:-1], np.diff(bounds)
         m2 = p + q
-        shared = float(np.sum(p * np.log2(2.0 * p / m2) + q * np.log2(2.0 * q / m2)))
-    else:
-        shared = 0.0
-    total = 0.5 * (only_a + only_b + shared)
-    return min(1.0, max(0.0, total))
-
-
-def sparse_distance(a: SparseDistribution, b: SparseDistribution) -> float:
-    return math.sqrt(sparse_js(a, b))
-
-
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        return 1
-    return max(1, int(workers))
+        terms = p * np.log2(2.0 * p / m2) + q * np.log2(2.0 * q / m2)
+        shared = _segment_sums(terms, starts, lengths)
+        shared_p = _segment_sums(p, starts, lengths)
+        shared_q = _segment_sums(q, starts, lengths)
+        total = 0.5 * ((src.sums[i] - shared_p) + (dst.sums[first:] - shared_q) + shared)
+        out[i, first:] = np.sqrt(np.clip(total, 0.0, 1.0))
+        present[src_ids] = False
 
 
 def pairwise_distances(dists: Sequence, workers: int | None = None) -> np.ndarray:
-    """Symmetric matrix of sqrt-JS distances over a list of distributions.
-
-    Rows are computed independently (optionally across `workers` threads)
-    and written by index, so the result does not depend on scheduling.
-    """
+    """Symmetric matrix of sqrt-JS distances over a list of distributions."""
     index = build_vocab_index(dists)
-    sparse = [SparseDistribution.from_mapping(d, index) for d in dists]
-    n = len(sparse)
+    csr = _CSR(dists, index)
+    n = len(csr)
     out = np.zeros((n, n), dtype=np.float64)
-
-    def fill_row(i: int) -> None:
-        si = sparse[i]
-        for j in range(i + 1, n):
-            out[i, j] = sparse_distance(si, sparse[j])
-
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or n < 4:
-        for i in range(n):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(fill_row, range(n)))
-    upper = np.triu_indices(n, k=1)
-    out[(upper[1], upper[0])] = out[upper]
-    return out
+    _distance_rows(csr, csr, len(index), out, pairwise=True)
+    return out + out.T  # the lower triangle is still zero, so this mirrors exactly
 
 
 def cross_distances(dists_a: Sequence, dists_b: Sequence, workers: int | None = None) -> np.ndarray:
     """len(a) x len(b) matrix of sqrt-JS distances between two collections."""
     index = build_vocab_index(list(dists_a) + list(dists_b))
-    sa = [SparseDistribution.from_mapping(d, index) for d in dists_a]
-    sb = [SparseDistribution.from_mapping(d, index) for d in dists_b]
-    out = np.zeros((len(sa), len(sb)), dtype=np.float64)
-
-    def fill_row(i: int) -> None:
-        si = sa[i]
-        for j in range(len(sb)):
-            out[i, j] = sparse_distance(si, sb[j])
-
-    nworkers = _resolve_workers(workers)
-    if nworkers == 1 or len(sa) < 4:
-        for i in range(len(sa)):
-            fill_row(i)
-    else:
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            list(pool.map(fill_row, range(len(sa))))
+    out = np.zeros((len(dists_a), len(dists_b)), dtype=np.float64)
+    _distance_rows(_CSR(dists_a, index), _CSR(dists_b, index), len(index), out, pairwise=False)
     return out

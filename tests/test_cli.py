@@ -204,3 +204,41 @@ def test_synth_invalid_sizes_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--users", "1", "--topics", "3", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "n_users" in err
+
+
+def test_top_unigrams_record_without_key_exits_one(tmp_path, capsys):
+    path = tmp_path / "models.jsonl"
+    path.write_text('{"kind":"profile","counts":{"a":1}}\n', encoding="utf-8")
+    code, _, err = run(capsys, "top-unigrams", "--models", str(path), "--key", "c")
+    assert code == 1
+    assert err.startswith("error: line 1: ")
+    assert err.count("\n") == 1
+
+
+def test_eval_k_zero_exits_one(tmp_path, capsys):
+    path = tmp_path / "profiles.jsonl"
+    lines = [
+        {"author": author, "community": community, "n_comments": 1, "tokens": tokens}
+        for author, tokens in (("u0", ["x", "y"]), ("u1", ["y", "z"]))
+        for community in ("alpha", "beta")
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, _, err = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "beta", "--k", "0", "--out", str(tmp_path / "report"),
+    )
+    assert code == 1
+    assert err == "error: k must be >= 1\n"
+    assert not (tmp_path / "report").exists()
+
+
+def test_synth_links_csv_reads_back(tmp_path, capsys):
+    import csv
+
+    code, _, _ = run(capsys, "synth", "--users", "3", "--topics", "2", "--comments", "8",
+                     "--out", str(tmp_path))
+    assert code == 0
+    raw = (tmp_path / "links.csv").read_bytes()
+    assert raw == b"source,target,same_user\nu0,u0,1\nu1,u1,1\nu2,u2,1\n"
+    with open(tmp_path / "links.csv", newline="", encoding="utf-8") as fh:
+        assert list(csv.reader(fh))[1:] == [[f"u{i}", f"u{i}", "1"] for i in range(3)]

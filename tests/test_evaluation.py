@@ -292,3 +292,55 @@ def test_run_experiment_worker_determinism(tmp_path):
     evaluation.write_experiment_csvs(r2, tmp_path / "w3")
     for name in ("stats.csv", "scatter.csv", "precision_overall.csv", "precision_bins.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w3" / name).read_bytes()
+
+
+def test_rank_matches_scalar_reference_with_ties():
+    rng = np.random.default_rng(62)
+    pool = [f"tok{i}" for i in range(10)]
+    source = random_distribution(rng, pool, max_support=8)
+    targets = {f"t{i}": random_distribution(rng, pool, max_support=8) for i in range(12)}
+    targets.update({"copy_b": dict(source), "copy_a": dict(source)})
+    targets.update({"far_b": {"zz": 1.0}, "far_a": {"yy": 0.5, "zz": 0.5}})
+    ranked = evaluation.rank_candidates(source, targets)
+    reference = sorted(
+        ((key, metric.distance(source, target)) for key, target in targets.items()),
+        key=lambda kv: (kv[1], kv[0]),
+    )
+    keys = [key for key, _ in ranked]
+    assert keys == [key for key, _ in reference]
+    assert keys[:2] == ["copy_a", "copy_b"]
+    assert keys.index("far_a") + 1 == keys.index("far_b")
+    for (_, got), (_, want) in zip(ranked, reference):
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_run_experiment_rejects_k_below_one():
+    rng = np.random.default_rng(63)
+    ma, mb, _ = _paired_models(4, rng)
+    for ks in ([0], [1, -1]):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluation.run_experiment(ma, mb, ks=ks)
+
+
+def test_scatter_csv_quotes_ids_with_delimiters(tmp_path):
+    import csv
+
+    rng = np.random.default_rng(64)
+    ids = ["a,b", 'say "hi"', "plain"]
+    ma = {key: random_distribution(rng) for key in ids}
+    mb = {key: random_distribution(rng) for key in ids}
+    result = evaluation.run_experiment(ma, mb, ks=(1,))
+    evaluation.write_experiment_csvs(result, tmp_path)
+    with open(tmp_path / "scatter.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["source", "target", "avg_nonmatching_distance", "matching_distance",
+                       "below_diagonal"]
+    assert all(len(row) == 5 for row in rows)
+    assert sorted(row[0] for row in rows[1:]) == sorted(ids)
+    by_source = {r.source: r for r in result.scatter.rows}
+    for source, target, avg, match, below in rows[1:]:
+        assert target == source
+        assert float(avg) == by_source[source].avg_nonmatching
+        assert float(match) == by_source[source].matching
+        assert below == str(int(by_source[source].below_diagonal))
+    assert (tmp_path / "scatter.csv").read_bytes().count(b"\r") == 0

@@ -117,3 +117,20 @@ def test_distribution_validate_rejects_bad_mass():
         lm.Distribution({"a": 1.5}).validate()
     with pytest.raises(ValueError):
         lm.Distribution({"a": 0.0, "b": 1.0}).validate()
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"kind":"profile","counts":{"a":1}}',
+        '{"kind":"community","key":"c"}',
+        '{"kind":"global","key":null,"counts":[1]}',
+        "[1, 2]",
+    ],
+)
+def test_load_models_rejects_record_without_key_or_counts(tmp_path, record):
+    path = tmp_path / "models.jsonl"
+    path.write_text('{"kind":"global","key":null,"counts":{"a":1}}\n' + record + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 2: "):
+        lm.load_models(path)

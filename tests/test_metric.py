@@ -138,3 +138,68 @@ def test_distribution_object_accepted():
 def test_js_point_masses_at_same_token():
     assert metric.js({"a": 1.0}, {"a": 1.0}) == 0.0
     assert math.isclose(metric.distance({"a": 1.0}, {"a": 1.0}), 0.0)
+
+
+# --- matrix kernel ---------------------------------------------------------------
+
+
+def test_matrices_match_50_digit_oracle():
+    from test_acceptance import _js_oracle_50_digits
+
+    rng = np.random.default_rng(15)
+    pool = [f"tok{i}" for i in range(30)]
+    left = [random_distribution(rng, pool, max_support=20) for _ in range(8)]
+    right = [random_distribution(rng, pool, max_support=20) for _ in range(6)]
+    grid = metric.cross_distances(left, right)
+    within = metric.pairwise_distances(left)
+    for i, p in enumerate(left):
+        for j, q in enumerate(right):
+            assert grid[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-9)
+        for j, q in enumerate(left):
+            assert within[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-9)
+
+
+def test_matrices_disjoint_supports_are_exactly_one():
+    # dyadic masses sum to exactly 1, so nothing is left for rounding; a
+    # zero entry is no support
+    left = [{"a": 1.0, "x": 0.0}, {"a": 0.5, "b": 0.25, "c": 0.25}]
+    right = [{"x": 0.125, "y": 0.875}, {"z": 1.0}]
+    assert np.all(metric.cross_distances(left, right) == 1.0)
+    within = metric.pairwise_distances(left + right)
+    assert np.all(within[:2, 2:] == 1.0)
+    assert within[2, 3] == 1.0
+
+
+def test_matrices_identical_profiles_are_exactly_zero():
+    rng = np.random.default_rng(16)
+    pool = [f"tok{i}" for i in range(200)]
+    for _ in range(20):
+        p = random_distribution(rng, pool, max_support=150)
+        q = random_distribution(rng, pool, max_support=150)
+        within = metric.pairwise_distances([p, q, dict(reversed(list(p.items())))])
+        assert within[0, 2] == 0.0 and within[2, 0] == 0.0
+        assert np.all(np.diag(within) == 0.0)
+        assert metric.cross_distances([p], [dict(p), q])[0, 0] == 0.0
+
+
+def test_matrix_shapes_for_single_and_empty_sides():
+    rng = np.random.default_rng(17)
+    p, q, r = (random_distribution(rng) for _ in range(3))
+    assert np.array_equal(metric.pairwise_distances([p]), np.zeros((1, 1)))
+    assert metric.pairwise_distances([]).shape == (0, 0)
+    assert metric.cross_distances([p], [q]).shape == (1, 1)
+    assert metric.cross_distances([], [p, q, r]).shape == (0, 3)
+    assert metric.cross_distances([p, q, r], []).shape == (3, 0)
+
+
+def test_cross_rows_do_not_depend_on_the_split():
+    rng = np.random.default_rng(18)
+    pool = [f"tok{i}" for i in range(40)]
+    left = [random_distribution(rng, pool, max_support=25) for _ in range(7)]
+    right = [random_distribution(rng, pool, max_support=25) for _ in range(9)]
+    grid = metric.cross_distances(left, right)
+    assert np.array_equal(grid, metric.cross_distances(right, left).T)
+    for i, p in enumerate(left):
+        assert np.array_equal(metric.cross_distances([p], right)[0], grid[i])
+    within = metric.pairwise_distances(left + right)
+    assert np.array_equal(within[:7, 7:], grid)
