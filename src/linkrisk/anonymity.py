@@ -62,19 +62,19 @@ class DistanceMatrix:
         return float(self.values[self.index_of(a), self.index_of(b)])
 
     def save(self, path) -> None:
-        """Write a JSON header line plus the little-endian float32 upper triangle."""
+        """Write a JSON header line plus the little-endian float64 upper triangle."""
         n = len(self.keys)
         iu = np.triu_indices(n, k=1)
-        payload = self.values[iu].astype("<f4").tobytes()
+        payload = self.values[iu].astype("<f8").tobytes()
         header = {
             "format": "linkrisk-dmat",
-            "version": 1,
+            "version": 2,
             "n": n,
             "keys": self.keys,
             "ordering": "row-major-upper",
-            "dtype": "<f4",
-            "checksum": "sha256:" + hashlib.sha256(payload).hexdigest(),
+            "dtype": "<f8",
         }
+        header["checksum"] = _dmat_checksum(header, payload)
         with open(path, "wb") as fh:
             fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
             fh.write(b"\n")
@@ -82,21 +82,61 @@ class DistanceMatrix:
 
     @classmethod
     def load(cls, path) -> "DistanceMatrix":
+        """Read a `.dmat` file of version 2 (float64) or version 1 (float32).
+
+        Any inconsistency between header and payload raises a one-line
+        ValueError naming the file.
+        """
         with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode("utf-8"))
+            first = fh.readline()
             payload = fh.read()
-        if header.get("format") != "linkrisk-dmat":
+        try:
+            header = json.loads(first.decode("utf-8"))
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
             raise ValueError(f"{path}: not a linkrisk distance matrix")
-        digest = "sha256:" + hashlib.sha256(payload).hexdigest()
-        if digest != header["checksum"]:
+        version = header.get("version")
+        dtype = _DMAT_DTYPES.get(version) if isinstance(version, int) else None
+        if dtype is None:
+            raise ValueError(f"{path}: unsupported .dmat version {version!r}")
+        if header.get("dtype") != dtype or header.get("ordering") != "row-major-upper":
+            raise ValueError(f"{path}: version {version} needs dtype {dtype} and ordering row-major-upper")
+        n, keys = header.get("n"), header.get("keys")
+        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+            raise ValueError(f"{path}: keys must be a list of strings")
+        if len(set(keys)) != len(keys):
+            raise ValueError(f"{path}: keys are not unique")
+        if not isinstance(n, int) or n != len(keys):
+            raise ValueError(f"{path}: n = {n!r} but the header lists {len(keys)} keys")
+        expected = n * (n - 1) // 2 * np.dtype(dtype).itemsize
+        if len(payload) != expected:
+            raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+        if version == 1:
+            digest = "sha256:" + hashlib.sha256(payload).hexdigest()
+        else:
+            digest = _dmat_checksum(header, payload)
+        if digest != header.get("checksum"):
             raise ValueError(f"{path}: checksum mismatch")
-        n = header["n"]
-        tri = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        tri = np.frombuffer(payload, dtype=dtype).astype(np.float64)
         values = np.zeros((n, n), dtype=np.float64)
         iu = np.triu_indices(n, k=1)
         values[iu] = tri
         values[(iu[1], iu[0])] = tri
-        return cls(keys=list(header["keys"]), values=values)
+        return cls(keys=keys, values=values)
+
+
+# stored dtype per .dmat format version; version 1 checksummed the payload only
+_DMAT_DTYPES = {1: "<f4", 2: "<f8"}
+
+
+def _dmat_checksum(header: dict, payload: bytes) -> str:
+    """sha256 over the canonical header without its checksum, a newline, and the payload."""
+    fields = {k: v for k, v in header.items() if k != "checksum"}
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    digest.update(b"\n")
+    digest.update(payload)
+    return "sha256:" + digest.hexdigest()
 
 
 def _as_distribution(model):

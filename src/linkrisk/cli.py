@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -382,8 +383,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subs
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    # parsing leaves the parser unchanged, and argparse looks up
+    # sys.stdout/sys.stderr only when it prints, so one parser serves every call
+    return build_parser()
+
+
 def dispatch(argv) -> int:
-    parser, subs = build_parser()
+    parser, subs = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -13,6 +13,7 @@ text is deleted outright.  Unrecognized syntax passes through as plain text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -54,9 +55,35 @@ _MD_HR = re.compile(r"^ {0,3}[-*_]{3,}[ \t]*$", re.MULTILINE)
 _MD_LIST = re.compile(r"^ {0,3}(?:[-*+]|\d+\.)[ \t]+", re.MULTILINE)
 _MD_HEADING = re.compile(r"^ {0,3}#{1,6}[ \t]+", re.MULTILINE)
 _MD_EMPHASIS = re.compile(r"(\*{1,3}|_{1,3}|~~)(.+?)\1")
+# each pattern above needs one of these characters, four spaces (indented
+# code) or a digit followed by "." (numbered list); text without them is
+# returned unchanged
+_MD_CHARS = frozenset("`>[|*_~#+-\t")
+_MD_DIGIT_DOT = re.compile(r"\.(?<=\d\.)")  # finds the "." first: digits are common
 
 _URL = re.compile(r"(?:[a-z][a-z0-9+.\-]*://|(?<![\w.])www\.)\S+")
 _HOST_JUNK = re.compile(r"[^\w.\-]")
+
+
+class _DeletionTable(dict):
+    """`str.translate` table deleting the code points `drop` selects.
+
+    Filled in lazily, one entry per code point seen, so a lookup is a plain
+    dict hit after the first occurrence.
+    """
+
+    def __init__(self, drop):
+        super().__init__()
+        self._drop = drop
+
+    def __missing__(self, code_point: int):
+        value = None if self._drop(chr(code_point)) else code_point
+        self[code_point] = value
+        return value
+
+
+_PUNCTUATION = _DeletionTable(lambda ch: unicodedata.category(ch)[0] in ("P", "S"))
+_COMBINING = _DeletionTable(unicodedata.combining)
 
 
 @dataclass
@@ -191,7 +218,8 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
                 body=str(rec["body"]),
                 created_at=int(created) if created is not None else None,
             )
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
+            # OverflowError: created_at of 1e400; RecursionError: deeply nested JSON
             if not lenient:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))
@@ -201,6 +229,8 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
 
 
 def _strip_markdown(text: str, smilies=frozenset()) -> str:
+    if _MD_CHARS.isdisjoint(text) and "    " not in text and not _MD_DIGIT_DOT.search(text):
+        return text
     # smilies may contain markdown-active characters (:-|, *-*, o_o);
     # shield whole-chunk matches behind placeholders for the duration
     placeholders = {}
@@ -230,8 +260,9 @@ def _strip_markdown(text: str, smilies=frozenset()) -> str:
 
 def _strip_diacritics(text: str) -> str:
     # compose what can be composed, then drop leftover combining marks
-    composed = unicodedata.normalize("NFC", text)
-    return "".join(ch for ch in composed if not unicodedata.combining(ch))
+    if text.isascii():
+        return text
+    return unicodedata.normalize("NFC", text).translate(_COMBINING)
 
 
 def _hostname(url: str) -> str:
@@ -243,6 +274,9 @@ def _hostname(url: str) -> str:
 
 
 def _replace_urls(text: str) -> str:
+    if "://" not in text and "www." not in text:
+        return text
+
     def repl(match: re.Match) -> str:
         host = _hostname(match.group(0))
         return f"{_SENTINEL}{host}{_SENTINEL}" if host else " "
@@ -251,31 +285,30 @@ def _replace_urls(text: str) -> str:
 
 
 def _strip_punctuation(text: str, smilies) -> str:
-    chunks = []
-    for chunk in text.split():
+    # drop Unicode P*/S* characters except in smilies and between sentinels
+    chunks = text.split()
+    if _SENTINEL not in text and smilies.isdisjoint(chunks):
+        return " ".join(text.translate(_PUNCTUATION).split())
+    kept = []
+    for chunk in chunks:
         if chunk in smilies:
-            chunks.append(chunk)
+            kept.append(chunk)
             continue
-        kept = []
-        protected = False
-        for ch in chunk:
-            if ch == _SENTINEL:
-                protected = not protected
-                continue
-            if protected:
-                kept.append(ch)
-                continue
-            if unicodedata.category(ch)[0] in ("P", "S"):
-                continue
-            kept.append(ch)
-        if kept:
-            chunks.append("".join(kept))
-    return " ".join(chunks)
+        parts = chunk.split(_SENTINEL)
+        parts[::2] = [part.translate(_PUNCTUATION) for part in parts[::2]]
+        chunk = "".join(parts)
+        if chunk:
+            kept.append(chunk)
+    return " ".join(kept)
+
+
+@functools.lru_cache(maxsize=None)
+def _repeat_pattern(max_repeat: int) -> re.Pattern:
+    return re.compile(r"(.)\1{%d,}" % max_repeat, re.DOTALL)
 
 
 def _collapse_repeats(text: str, max_repeat: int) -> str:
-    pattern = re.compile(r"(.)\1{%d,}" % max_repeat, re.DOTALL)
-    return pattern.sub(lambda m: m.group(1) * max_repeat, text)
+    return _repeat_pattern(max_repeat).sub(lambda m: m.group(1) * max_repeat, text)
 
 
 def normalize(body: str, cfg: NormalizationConfig) -> List[str]:
@@ -336,20 +369,35 @@ def write_profiles(profiles: Mapping[ProfileKey, TokenStream], path) -> None:
 
 
 def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
-    """Read back a profile store written by `write_profiles`."""
+    """Read back a profile store written by `write_profiles`.
+
+    A malformed line raises ValueError("line N: ...").
+    """
     profiles: Dict[ProfileKey, TokenStream] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
+            if not isinstance(rec, dict):
+                raise ValueError(f"line {line_no}: profile record is not a JSON object")
+            missing = [k for k in ("author", "community", "tokens") if k not in rec]
+            if missing:
+                raise ValueError(f"line {line_no}: missing required field(s): {', '.join(missing)}")
+            if not (isinstance(rec["author"], str) and isinstance(rec["community"], str)):
+                raise ValueError(f"line {line_no}: 'author' and 'community' must be strings")
+            if not isinstance(rec["tokens"], list):
+                raise ValueError(f"line {line_no}: 'tokens' must be a list")
+            try:
+                n_comments = int(rec.get("n_comments", 0))
+            except (TypeError, ValueError):
+                raise ValueError(f"line {line_no}: 'n_comments' must be an integer") from None
             key = (rec["author"], rec["community"])
-            profiles[key] = TokenStream(
-                profile_key=key,
-                tokens=list(rec["tokens"]),
-                n_comments=int(rec.get("n_comments", 0)),
-            )
+            profiles[key] = TokenStream(profile_key=key, tokens=list(rec["tokens"]), n_comments=n_comments)
     return profiles
 
 

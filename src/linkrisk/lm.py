@@ -154,10 +154,15 @@ def load_models(path):
             counts = {str(t): int(c) for t, c in rec["counts"].items()}
             model = UnigramModel(counts=counts, total=sum(counts.values()))
             kind = rec.get("kind")
+            key = rec["key"]
             if kind == "profile":
-                profiles[tuple(rec["key"])] = model
+                if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
+                    raise ValueError(f"line {line_no}: profile key must be a list of two strings")
+                profiles[tuple(key)] = model
             elif kind == "community":
-                communities[rec["key"]] = model
+                if not isinstance(key, str):
+                    raise ValueError(f"line {line_no}: community key must be a string")
+                communities[key] = model
             elif kind == "global":
                 global_model = model
             else:

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -243,3 +246,105 @@ def test_build_worker_determinism():
     m1 = DistanceMatrix.build(models, workers=1)
     m2 = DistanceMatrix.build(models, workers=4)
     assert np.array_equal(m1.values, m2.values)
+
+
+def _write_dmat(path, header, payload):
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n")
+        fh.write(payload)
+
+
+def test_matrix_v2_roundtrip_is_exact(tmp_path):
+    rng = np.random.default_rng(39)
+    models = {f"p{i}": random_distribution(rng) for i in range(9)}
+    m = DistanceMatrix.build(models)
+    path = tmp_path / "c.dmat"
+    m.save(path)
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+    assert (header["version"], header["dtype"]) == (2, "<f8")
+    loaded = DistanceMatrix.load(path)
+    assert loaded.keys == m.keys
+    assert np.array_equal(loaded.values, m.values)
+
+
+def test_matrix_loads_version_1_float32_file(tmp_path):
+    keys = ["a", "b", "c"]
+    tri = np.array([0.1, 0.25, 0.7], dtype="<f4")
+    payload = tri.tobytes()
+    header = {
+        "format": "linkrisk-dmat",
+        "version": 1,
+        "n": 3,
+        "keys": keys,
+        "ordering": "row-major-upper",
+        "dtype": "<f4",
+        "checksum": "sha256:" + hashlib.sha256(payload).hexdigest(),
+    }
+    path = tmp_path / "v1.dmat"
+    _write_dmat(path, header, payload)
+    loaded = DistanceMatrix.load(path)
+    assert loaded.keys == keys
+    assert loaded.values.dtype == np.float64
+    assert loaded.values[0, 1] == np.float32(0.1) and loaded.values[2, 1] == np.float32(0.7)
+    assert loaded.distance("a", "c") == float(np.float32(0.25))
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(
+            lambda h, p: ({**h, "n": 4}, p), "n = 4 but the header lists 3 keys",
+            id="n-mismatch",
+        ),
+        pytest.param(
+            lambda h, p: ({**h, "keys": ["a", "a", "b"]}, p), "keys are not unique",
+            id="duplicate-keys",
+        ),
+        pytest.param(
+            lambda h, p: ({**h, "keys": ["a", 1, "b"]}, p), "keys must be a list of strings",
+            id="non-string-key",
+        ),
+        pytest.param(
+            lambda h, p: (h, p[:-8]), "payload is 16 bytes, expected 24",
+            id="short-payload",
+        ),
+        pytest.param(
+            lambda h, p: (h, p + b"\0"), "payload is 25 bytes, expected 24",
+            id="long-payload",
+        ),
+        pytest.param(
+            lambda h, p: ({**h, "keys": ["a", "b", "z"]}, p), "checksum mismatch",
+            id="header-tampered",
+        ),
+        pytest.param(
+            lambda h, p: ({**h, "dtype": "<f4"}, p), "needs dtype <f8",
+            id="dtype-mismatch",
+        ),
+        pytest.param(
+            lambda h, p: ({**h, "version": 3}, p), "unsupported .dmat version 3",
+            id="unknown-version",
+        ),
+        pytest.param(
+            lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
+            id="no-checksum",
+        ),
+    ],
+)
+def test_matrix_load_validates_header_and_payload(tmp_path, change, message):
+    m = matrix_from({(0, 1): 0.2, (0, 2): 0.6, (1, 2): 0.5}, ["a", "b", "c"])
+    path = tmp_path / "m.dmat"
+    m.save(path)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header, payload = change(json.loads(first), payload)
+    _write_dmat(path, header, payload)
+    with pytest.raises(ValueError) as info:
+        DistanceMatrix.load(path)
+    assert message in str(info.value)
+    assert "\n" not in str(info.value)
+
+
+def test_matrix_load_rejects_header_that_is_not_json(tmp_path):
+    path = tmp_path / "junk.dmat"
+    path.write_bytes(b"\xff\xfe not json\n\x00\x01")
+    with pytest.raises(ValueError, match="not a linkrisk distance matrix"):
+        DistanceMatrix.load(path)

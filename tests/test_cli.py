@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from linkrisk import cli
@@ -242,3 +243,74 @@ def test_synth_links_csv_reads_back(tmp_path, capsys):
     assert raw == b"source,target,same_user\nu0,u0,1\nu1,u1,1\nu2,u2,1\n"
     with open(tmp_path / "links.csv", newline="", encoding="utf-8") as fh:
         assert list(csv.reader(fh))[1:] == [[f"u{i}", f"u{i}", "1"] for i in range(3)]
+
+
+def test_shared_parser_gives_fresh_parser_results(tmp_path, capsys):
+    models = tmp_path / "models.jsonl"
+    models.write_text('{"kind":"global","key":null,"counts":{"a":3,"b":2,"c":1}}\n', encoding="utf-8")
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text("k=1\n", encoding="utf-8")
+    top = ("top-unigrams", "--models", str(models), "--kind", "global")
+    sequence = [
+        ("bound", "--c", "0.2", "--d", "oops", "--k", "5"),  # usage error
+        top + ("--config", str(cfg)),
+        ("bound", "-h"),
+        top,  # the config value must not stick to the parser
+        ("framework",),
+        (),
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._shared_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    shared = [run(capsys, *argv) for argv in sequence + sequence]
+    assert shared == fresh + fresh
+    assert [code for code, _, _ in fresh] == [2, 0, 0, 0, 2, 2]
+    assert "invalid float value" in fresh[0][2]
+    assert fresh[1][1] == "a\t3\n" and fresh[3][1] == "a\t3\nb\t2\nc\t1\n"
+    assert "usage: linkrisk bound" in fresh[2][1]
+
+
+@pytest.mark.parametrize("command", ["build-models", "eval"])
+@pytest.mark.parametrize(
+    "bad_line",
+    ['{"author":"u1","tokens":["a"]}', '{"author":"u1","community":"alpha"}', '"u1"'],
+)
+def test_malformed_profile_line_exits_one(tmp_path, capsys, command, bad_line):
+    path = tmp_path / "profiles.jsonl"
+    good = json.dumps({"author": "u0", "community": "alpha", "n_comments": 1, "tokens": ["x"]})
+    path.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+    argv = [command, "--profiles", str(path), "--out", str(tmp_path / "out")]
+    if command == "eval":
+        argv += ["--community-a", "alpha", "--community-b", "beta"]
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: line 2: ")
+    assert err.count("\n") == 1
+
+
+def test_anonymity_matrix_and_models_agree_at_boundary_radii(tmp_path, capsys):
+    from linkrisk import anonymity, lm
+
+    corpus_dir = tmp_path / "c"
+    work = tmp_path / "w"
+    run(capsys, "synth", "--users", "7", "--topics", "2", "--comments", "10", "--seed", "5",
+        "--out", str(corpus_dir))
+    run(capsys, "ingest", "--input", str(corpus_dir / "alpha.jsonl"), "--min-comments", "1",
+        "--min-profiles", "1", "--out", str(work))
+    run(capsys, "build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work))
+    code, _, _ = run(capsys, "distances", "--models", str(work / "models.jsonl"),
+                     "--community", "alpha", "--out", str(work))
+    assert code == 0
+    profiles, _, _ = lm.load_models(work / "models.jsonl")
+    in_memory = anonymity.DistanceMatrix.build({a: m for (a, _), m in profiles.items()})
+    for subject in in_memory.keys:
+        for d in in_memory.values[in_memory.index_of(subject)]:
+            _, from_matrix, _ = run(capsys, "anonymity", "--matrix", str(work / "alpha.dmat"),
+                                    "--subject", subject, "--d", repr(float(d)))
+            _, from_models, _ = run(capsys, "anonymity", "--models", str(work / "models.jsonl"),
+                                    "--community", "alpha", "--subject", subject,
+                                    "--d", repr(float(d)))
+            assert from_matrix == from_models
+            assert json.loads(from_matrix)["k"] == int(np.count_nonzero(
+                in_memory.values[in_memory.index_of(subject)] <= d))

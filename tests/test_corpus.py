@@ -1,7 +1,11 @@
 import json
+import re
+import unicodedata
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkrisk import corpus
 
@@ -303,3 +307,208 @@ def test_load_wordlist_skips_comments(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("# heading\nalpha\n\nbeta\n", encoding="utf-8")
     assert corpus.load_wordlist(path) == {"alpha", "beta"}
+
+
+def test_load_profiles_rejects_malformed_lines(tmp_path):
+    good = '{"author":"u0","community":"c","n_comments":1,"tokens":["a"]}'
+    path = tmp_path / "profiles.jsonl"
+    for bad, message in (
+        ('{"author":"u0","tokens":["a"]}', "missing required field(s): community"),
+        ('{"community":"c","tokens":["a"]}', "missing required field(s): author"),
+        ('{"author":"u0","community":"c"}', "missing required field(s): tokens"),
+        ('["u0","c"]', "not a JSON object"),
+        ("{oops", "not valid JSON"),
+        ('{"author":"u0","community":"c","tokens":"ab"}', "'tokens' must be a list"),
+        ('{"author":1,"community":"c","tokens":[]}', "must be strings"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":null}', "'n_comments'"),
+    ):
+        path.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="^line 3: ") as info:
+            corpus.load_profiles(path)
+        assert message in str(info.value)
+        assert "\n" not in str(info.value)
+
+
+# --- reference loops: the normalization steps before translate tables ----------
+#
+# Oracle for the table-driven steps and the no-op skips: the per-character
+# loops of punctuation and diacritic stripping, and the markdown, URL and
+# repeat steps run unconditionally.
+
+
+def _ref_strip_punctuation(text, smilies):
+    chunks = []
+    for chunk in text.split():
+        if chunk in smilies:
+            chunks.append(chunk)
+            continue
+        kept = []
+        protected = False
+        for ch in chunk:
+            if ch == corpus._SENTINEL:
+                protected = not protected
+                continue
+            if protected:
+                kept.append(ch)
+                continue
+            if unicodedata.category(ch)[0] in ("P", "S"):
+                continue
+            kept.append(ch)
+        if kept:
+            chunks.append("".join(kept))
+    return " ".join(chunks)
+
+
+def _ref_strip_diacritics(text):
+    composed = unicodedata.normalize("NFC", text)
+    return "".join(ch for ch in composed if not unicodedata.combining(ch))
+
+
+def _ref_strip_markdown(text, smilies):
+    placeholders = {}
+    parts = corpus._WS_SPLIT.split(text)
+    for i, part in enumerate(parts):
+        if part in smilies:
+            key = f"{corpus._SMILEY_MARK}{len(placeholders)}{corpus._SMILEY_MARK}"
+            placeholders[key] = part
+            parts[i] = key
+    text = "".join(parts)
+    for pattern, repl in (
+        (corpus._MD_FENCE, " "),
+        (corpus._MD_INDENT_CODE, " "),
+        (corpus._MD_INLINE_CODE, " "),
+        (corpus._MD_QUOTE, " "),
+        (corpus._MD_LINK, r"\1 \2"),
+        (corpus._MD_TABLE_SEP, " "),
+        (corpus._MD_HR, " "),
+        (corpus._MD_LIST, ""),
+        (corpus._MD_HEADING, ""),
+        (corpus._MD_EMPHASIS, r"\2"),
+    ):
+        text = pattern.sub(repl, text)
+    text = text.replace("|", " ")
+    for key, smiley in placeholders.items():
+        text = text.replace(key, smiley)
+    return text
+
+
+def _ref_replace_urls(text):
+    def repl(match):
+        host = corpus._hostname(match.group(0))
+        return f"{corpus._SENTINEL}{host}{corpus._SENTINEL}" if host else " "
+
+    return corpus._URL.sub(repl, text)
+
+
+def _ref_normalize(body, cfg):
+    text = body.replace(corpus._SENTINEL, " ").replace(corpus._SMILEY_MARK, " ")
+    if cfg.lowercase:
+        text = text.lower()
+    if cfg.strip_markdown:
+        text = _ref_strip_markdown(text, cfg.smilies)
+    if cfg.strip_diacritics:
+        text = _ref_strip_diacritics(text)
+    if cfg.replace_urls:
+        text = _ref_replace_urls(text)
+    if cfg.strip_punctuation:
+        text = _ref_strip_punctuation(text, cfg.smilies)
+    else:
+        text = text.replace(corpus._SENTINEL, "")
+    if cfg.collapse_repeats:
+        n = cfg.max_char_repeat
+        text = re.sub(r"(.)\1{%d,}" % n, lambda m: m.group(1) * n, text, flags=re.DOTALL)
+    return [tok for tok in text.split() if tok not in cfg.stopwords]
+
+
+# --- properties: the pipeline against the reference loops ---------------------
+
+_SMILIES = sorted(corpus.default_smilies())
+_FRAGMENTS = st.one_of(
+    st.sampled_from(["\x00", "\x02", "\x00www.a.b\x00"]),
+    st.characters(categories=["Mn", "Mc", "Me"]),
+    st.characters(categories=["Pc", "Pd", "Ps", "Pe", "Pi", "Pf", "Po", "Sm", "Sc", "Sk", "So"],
+                  min_codepoint=128),
+    st.sampled_from(_SMILIES + [s.upper() for s in _SMILIES]),
+    st.sampled_from(["://", "http://", "https://u:p@host.org:80/x?q=1#f", "www.", "www.ex.com",
+                     "ftp://a.b", "x.www.y", "@", "/", "?", "#", ":"]),
+    st.sampled_from(["`", "```", ">", "[", "](", ")", "|", "*", "**", "_", "__", "~", "~~", "#",
+                     "##", "+", "-", "---", "1.", "\u0663.", "    ", "\t", "\n", "\n    ", "\n\t",
+                     " ", "\u00a0", "\u3000", "\x1c", "\x85"]),
+    st.sampled_from(["e\u0301", "\u00e9", "A\u030a", "\ufb01", "\u05b0", "\u0345", "\U0001f600"]),
+    st.text(alphabet="abcxyz019.,!?:;'\"", max_size=4),
+)
+_TRICKY_TEXT = st.lists(_FRAGMENTS, max_size=30).map("".join)
+# plain text around exactly one markdown trigger, so no other trigger forces the full path
+_PLAIN = st.lists(st.sampled_from(["kw", "19", " ", "\n"]), max_size=4).map("".join)
+_ONE_TRIGGER = st.builds(
+    lambda before, trigger, after: before + trigger + after,
+    _PLAIN,
+    st.sampled_from(["`", "``", ">", "[a](b)", "|", "*", "_", "~~", "#", "+", "-", "1.", "\u0663.",
+                     "    ", "\t"]),
+    _PLAIN,
+)
+
+
+@pytest.mark.parametrize(
+    "text_strategy", [st.text(), _TRICKY_TEXT, _ONE_TRIGGER], ids=["arbitrary", "tricky", "one-trigger"]
+)
+def test_normalize_matches_reference_loops(cfg, text_strategy):
+    @settings(max_examples=400, deadline=None)
+    @given(text_strategy)
+    def check(body):
+        assert corpus.normalize(body, cfg) == _ref_normalize(body, cfg)
+
+    check()
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["    kw", "kw\n\tkw", "1. kw", "\u0663. kw", "kw|kw", "# kw", "+ kw", "- kw", "> kw", "`kw`",
+     "[kw](http://x.y)", "*kw*", "_kw_", "~~kw~~", "kw\n---", "kw 1.5", "kw:-)kw", "www.x.y kw",
+     "a://b", "_www.x.y_", "\x00kw\x00", "caf\u00e9 e\u0301 \u2014 \u20ac kw"],
+)
+def test_normalize_matches_reference_at_each_skip_condition(cfg, body):
+    assert corpus.normalize(body, cfg) == _ref_normalize(body, cfg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    body=st.one_of(st.text(), _TRICKY_TEXT),
+    flags=st.fixed_dictionaries({
+        name: st.booleans()
+        for name in ("lowercase", "strip_markdown", "strip_diacritics", "replace_urls",
+                     "strip_punctuation", "collapse_repeats")
+    }),
+    max_char_repeat=st.integers(1, 5),
+)
+def test_normalize_is_total_and_matches_reference_for_any_config(body, flags, max_char_repeat):
+    cfg = corpus.NormalizationConfig.default(max_char_repeat=max_char_repeat, **flags)
+    tokens = corpus.normalize(body, cfg)
+    assert tokens == _ref_normalize(body, cfg)
+    assert all(tok and tok == "".join(tok.split()) for tok in tokens)
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
+    st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+_RECORDS = st.dictionaries(
+    st.sampled_from(["author", "community", "body", "created_at", "other"]), _JSON_VALUES
+).map(json.dumps)
+_LINES = st.one_of(
+    _RECORDS,
+    st.text(),
+    st.sampled_from(['{"author":"a","community":"c","body":"x","created_at":1e400}',
+                     "[" * 5000 + "]" * 5000, "null", "[]", '"str"', "{"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_LINES, max_size=8))
+def test_lenient_ingest_never_raises(lines):
+    blob = "\n".join(lines)
+    result = corpus.ingest_jsonl(blob, lenient=True)
+    # every nonblank line ends up as either a comment or an error
+    assert len(result.comments) + len(result.errors) == sum(1 for ln in blob.splitlines() if ln.strip())
+    for line_no, message in result.errors:
+        assert line_no >= 1 and isinstance(message, str)

@@ -134,3 +134,21 @@ def test_load_models_rejects_record_without_key_or_counts(tmp_path, record):
                     encoding="utf-8")
     with pytest.raises(ValueError, match="^line 2: "):
         lm.load_models(path)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        '{"kind":"profile","key":"ab","counts":{"a":1}}',
+        '{"kind":"profile","key":["a"],"counts":{"a":1}}',
+        '{"kind":"profile","key":["a","b","c"],"counts":{"a":1}}',
+        '{"kind":"profile","key":["a",1],"counts":{"a":1}}',
+        '{"kind":"community","key":["a","b"],"counts":{"a":1}}',
+    ],
+)
+def test_load_models_rejects_malformed_keys(tmp_path, record):
+    path = tmp_path / "models.jsonl"
+    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n' + record + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 2: .* key must be "):
+        lm.load_models(path)
