@@ -19,6 +19,8 @@ from . import lm, metric
 
 __all__ = [
     "DistanceMatrix",
+    "MatrixRows",
+    "load_rows",
     "AnonymityResult",
     "MatchingBound",
     "convergent_subset",
@@ -61,11 +63,17 @@ class DistanceMatrix:
     def distance(self, a: str, b: str) -> float:
         return float(self.values[self.index_of(a), self.index_of(b)])
 
+    def row(self, key: str) -> np.ndarray:
+        """The distances from `key` to every profile, in key order."""
+        return self.values[self.index_of(key)]
+
     def save(self, path) -> None:
         """Write a JSON header line plus the little-endian float64 upper triangle."""
         n = len(self.keys)
-        iu = np.triu_indices(n, k=1)
-        payload = self.values[iu].astype("<f8").tobytes()
+        tri = np.empty(n * (n - 1) // 2, dtype="<f8")
+        for i in range(n - 1):
+            tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)] = self.values[i, i + 1:]
+        payload = tri.tobytes()
         header = {
             "format": "linkrisk-dmat",
             "version": 2,
@@ -87,56 +95,116 @@ class DistanceMatrix:
         Any inconsistency between header and payload raises a one-line
         ValueError naming the file.
         """
-        with open(path, "rb") as fh:
-            first = fh.readline()
-            payload = fh.read()
-        try:
-            header = json.loads(first.decode("utf-8"))
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
-            raise ValueError(f"{path}: not a linkrisk distance matrix")
-        version = header.get("version")
-        dtype = _DMAT_DTYPES.get(version) if isinstance(version, int) else None
-        if dtype is None:
-            raise ValueError(f"{path}: unsupported .dmat version {version!r}")
-        if header.get("dtype") != dtype or header.get("ordering") != "row-major-upper":
-            raise ValueError(f"{path}: version {version} needs dtype {dtype} and ordering row-major-upper")
-        n, keys = header.get("n"), header.get("keys")
-        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-            raise ValueError(f"{path}: keys must be a list of strings")
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"{path}: keys are not unique")
-        if not isinstance(n, int) or n != len(keys):
-            raise ValueError(f"{path}: n = {n!r} but the header lists {len(keys)} keys")
-        expected = n * (n - 1) // 2 * np.dtype(dtype).itemsize
-        if len(payload) != expected:
-            raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-        if version == 1:
-            digest = "sha256:" + hashlib.sha256(payload).hexdigest()
-        else:
-            digest = _dmat_checksum(header, payload)
-        if digest != header.get("checksum"):
-            raise ValueError(f"{path}: checksum mismatch")
-        tri = np.frombuffer(payload, dtype=dtype).astype(np.float64)
+        keys, tri = _read_dmat(path)
+        n = len(keys)
         values = np.zeros((n, n), dtype=np.float64)
-        iu = np.triu_indices(n, k=1)
-        values[iu] = tri
-        values[(iu[1], iu[0])] = tri
+        for i in range(n - 1):
+            upper = tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+            values[i, i + 1:] = upper
+            values[i + 1:, i] = upper
         return cls(keys=keys, values=values)
+
+
+@dataclass
+class MatrixRows:
+    """A validated `.dmat` file kept packed: keys plus the float64 upper triangle.
+
+    `row` gathers one profile's distances in O(n), so a query never builds
+    the n x n matrix.  `convergent_subset` and `is_kd_anonymous` accept it in
+    place of a `DistanceMatrix`.
+    """
+
+    keys: List[str]
+    tri: np.ndarray
+
+    def row(self, key: str) -> np.ndarray:
+        """The distances from `key` to every profile, in key order."""
+        try:
+            i = self.keys.index(key)
+        except ValueError:
+            raise ValueError(f"unknown profile {key!r}") from None
+        n = len(self.keys)
+        row = np.empty(n, dtype=np.float64)
+        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
+        row[i] = 0.0
+        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+        return row
+
+
+def load_rows(path) -> MatrixRows:
+    """Read and fully validate a `.dmat` file, keeping the payload packed.
+
+    Runs every check of `DistanceMatrix.load` (same messages, checksum over
+    the whole payload) but leaves the triangle unexpanded.
+    """
+    keys, tri = _read_dmat(path)
+    return MatrixRows(keys=keys, tri=tri)
 
 
 # stored dtype per .dmat format version; version 1 checksummed the payload only
 _DMAT_DTYPES = {1: "<f4", 2: "<f8"}
 
 
-def _dmat_checksum(header: dict, payload: bytes) -> str:
+def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
+    """Keys and float64 upper triangle of a `.dmat` file, after every check.
+
+    One read; the payload stays a view of the file's bytes (a copy only when
+    a version 1 file is widened from float32).
+    """
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    cut = blob.find(b"\n")
+    if cut < 0:
+        cut = len(blob)
+    payload = memoryview(blob)[cut + 1:]
+    try:
+        header = json.loads(blob[:cut].decode("utf-8"))
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
+        raise ValueError(f"{path}: not a linkrisk distance matrix")
+    version = header.get("version")
+    dtype = _DMAT_DTYPES.get(version) if isinstance(version, int) else None
+    if dtype is None:
+        raise ValueError(f"{path}: unsupported .dmat version {version!r}")
+    if header.get("dtype") != dtype or header.get("ordering") != "row-major-upper":
+        raise ValueError(f"{path}: version {version} needs dtype {dtype} and ordering row-major-upper")
+    n, keys = header.get("n"), header.get("keys")
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise ValueError(f"{path}: keys must be a list of strings")
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"{path}: keys are not unique")
+    if not isinstance(n, int) or n != len(keys):
+        raise ValueError(f"{path}: n = {n!r} but the header lists {len(keys)} keys")
+    expected = n * (n - 1) // 2 * np.dtype(dtype).itemsize
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
+    if version == 1:
+        digest = "sha256:" + hashlib.sha256(payload).hexdigest()
+    else:
+        digest = _dmat_checksum(header, payload)
+    if digest != header.get("checksum"):
+        raise ValueError(f"{path}: checksum mismatch")
+    return keys, np.frombuffer(payload, dtype=dtype).astype(np.float64, copy=False)
+
+
+def _dmat_checksum(header: dict, payload) -> str:
     """sha256 over the canonical header without its checksum, a newline, and the payload."""
     fields = {k: v for k, v in header.items() if k != "checksum"}
     digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8"))
     digest.update(b"\n")
     digest.update(payload)
     return "sha256:" + digest.hexdigest()
+
+
+def _packed_index(n: int, i, j):
+    """Position of entry (i, j), i < j, in the `.dmat` payload of an n x n matrix.
+
+    The payload is the upper triangle without the diagonal, row by row
+    ("row-major-upper"), so row i's part runs from (i, i+1) up to, not
+    including, `_packed_index(n, i, n)`.  Works elementwise on index arrays.
+    """
+    return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
 def _as_distribution(model):
@@ -169,17 +237,16 @@ class MatchingBound:
     t: float
 
 
-def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> AnonymityResult:
+def convergent_subset(m: DistanceMatrix | MatrixRows, subject: str, d: float) -> AnonymityResult:
     """All profiles within distance d of the subject (subject included)."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must be in [0, 1]")
-    i = m.index_of(subject)
-    row = m.values[i]
+    row = m.row(subject)
     members = tuple(m.keys[j] for j in np.flatnonzero(row <= d))
     return AnonymityResult(subject=subject, d=d, members=members, k=len(members))
 
 
-def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:
+def is_kd_anonymous(m: DistanceMatrix | MatrixRows, subject: str, k: int, d: float) -> bool:
     """Whether at least k profiles (subject included) lie within radius d."""
     if k < 1:
         raise ValueError("k must be >= 1")

@@ -71,7 +71,7 @@ def _normalization_config(args) -> tuple[corpus.NormalizationConfig, dict]:
 
 def _cmd_ingest(args) -> int:
     cfg, hashes = _normalization_config(args)
-    with open(args.input, "r", encoding="utf-8") as fh:
+    with open(args.input, "rb") as fh:
         result = corpus.ingest_jsonl(fh, lenient=args.lenient)
     profiles = corpus.aggregate_profiles(result.comments, cfg)
     kept = corpus.filter_interesting(
@@ -175,7 +175,7 @@ def _cmd_distances(args) -> int:
 
 def _cmd_anonymity(args) -> int:
     if args.matrix:
-        matrix = anonymity.DistanceMatrix.load(args.matrix)
+        matrix = anonymity.load_rows(args.matrix)
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")

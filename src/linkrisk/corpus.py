@@ -185,26 +185,24 @@ def wordlist_hash(entries: Iterable[str]) -> str:
 def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     """Parse line-delimited JSON comments.
 
-    `stream` may be a file-like object, an iterable of lines, or a str/bytes
-    blob.  Each record needs `author`, `community`, and `body`; `created_at`
-    is optional.  In strict mode the first bad line raises ValueError with
-    its line number; in lenient mode bad lines are collected as
+    `stream` may be a file-like object (text or binary), an iterable of str
+    or bytes lines, or a str/bytes blob.  Bytes are decoded as UTF-8 one
+    line at a time, so an undecodable line is a bad line like any other.
+    Each record needs `author`, `community`, and `body`; `created_at` is
+    optional.  In strict mode the first bad line raises ValueError with its
+    line number; in lenient mode bad lines are collected as
     (line_number, message) pairs and skipped.
     """
-    if isinstance(stream, bytes):
-        stream = stream.decode("utf-8").splitlines()
-    elif isinstance(stream, str):
+    if isinstance(stream, (bytes, str)):
         stream = stream.splitlines()
 
     comments: List[RawComment] = []
     errors: List[Tuple[int, str]] = []
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8", errors="replace")
-        line = raw.strip()
-        if not line:
-            continue
         try:
+            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
+            if not line:
+                continue
             rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("record is not a JSON object")
@@ -289,8 +287,15 @@ def _strip_punctuation(text: str, smilies) -> str:
     chunks = text.split()
     if _SENTINEL not in text and smilies.isdisjoint(chunks):
         return " ".join(text.translate(_PUNCTUATION).split())
-    kept = []
+    # runs of plain chunks go through one translate call each
+    kept, plain = [], []
     for chunk in chunks:
+        if chunk not in smilies and _SENTINEL not in chunk:
+            plain.append(chunk)
+            continue
+        if plain:
+            kept.extend(" ".join(plain).translate(_PUNCTUATION).split())
+            plain.clear()
         if chunk in smilies:
             kept.append(chunk)
             continue
@@ -299,6 +304,8 @@ def _strip_punctuation(text: str, smilies) -> str:
         chunk = "".join(parts)
         if chunk:
             kept.append(chunk)
+    if plain:
+        kept.extend(" ".join(plain).translate(_PUNCTUATION).split())
     return " ".join(kept)
 
 

@@ -387,6 +387,13 @@ def run_scenario(source) -> Dict[str, object]:
         ],
         sigma=sigma,
     )
+    for name in sorted(profiles):
+        true_model = profiles[name].get("true_model")
+        if true_model not in models:
+            raise ValueError(f"profile {name!r}: unknown true_model {true_model!r}")
+    for req in policy.requirements:
+        if req.profile not in profiles:
+            raise ValueError(f"policy requirement names unknown profile {req.profile!r}")
 
     prior_masses = {}
     for name, profile_cfg in profiles.items():

@@ -1,10 +1,14 @@
 import hashlib
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from linkrisk import anonymity, lm, metric
+from linkrisk import anonymity, cli, lm, metric
 from linkrisk.anonymity import DistanceMatrix
 from conftest import random_distribution
 
@@ -289,47 +293,48 @@ def test_matrix_loads_version_1_float32_file(tmp_path):
     assert loaded.distance("a", "c") == float(np.float32(0.25))
 
 
-@pytest.mark.parametrize(
-    "change, message",
-    [
-        pytest.param(
-            lambda h, p: ({**h, "n": 4}, p), "n = 4 but the header lists 3 keys",
-            id="n-mismatch",
-        ),
-        pytest.param(
-            lambda h, p: ({**h, "keys": ["a", "a", "b"]}, p), "keys are not unique",
-            id="duplicate-keys",
-        ),
-        pytest.param(
-            lambda h, p: ({**h, "keys": ["a", 1, "b"]}, p), "keys must be a list of strings",
-            id="non-string-key",
-        ),
-        pytest.param(
-            lambda h, p: (h, p[:-8]), "payload is 16 bytes, expected 24",
-            id="short-payload",
-        ),
-        pytest.param(
-            lambda h, p: (h, p + b"\0"), "payload is 25 bytes, expected 24",
-            id="long-payload",
-        ),
-        pytest.param(
-            lambda h, p: ({**h, "keys": ["a", "b", "z"]}, p), "checksum mismatch",
-            id="header-tampered",
-        ),
-        pytest.param(
-            lambda h, p: ({**h, "dtype": "<f4"}, p), "needs dtype <f8",
-            id="dtype-mismatch",
-        ),
-        pytest.param(
-            lambda h, p: ({**h, "version": 3}, p), "unsupported .dmat version 3",
-            id="unknown-version",
-        ),
-        pytest.param(
-            lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
-            id="no-checksum",
-        ),
-    ],
-)
+# (header, payload) edits of a valid 3-key file and the message each must raise
+DMAT_CORRUPTIONS = [
+    pytest.param(
+        lambda h, p: ({**h, "n": 4}, p), "n = 4 but the header lists 3 keys",
+        id="n-mismatch",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "keys": ["a", "a", "b"]}, p), "keys are not unique",
+        id="duplicate-keys",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "keys": ["a", 1, "b"]}, p), "keys must be a list of strings",
+        id="non-string-key",
+    ),
+    pytest.param(
+        lambda h, p: (h, p[:-8]), "payload is 16 bytes, expected 24",
+        id="short-payload",
+    ),
+    pytest.param(
+        lambda h, p: (h, p + b"\0"), "payload is 25 bytes, expected 24",
+        id="long-payload",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "keys": ["a", "b", "z"]}, p), "checksum mismatch",
+        id="header-tampered",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "dtype": "<f4"}, p), "needs dtype <f8",
+        id="dtype-mismatch",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "version": 3}, p), "unsupported .dmat version 3",
+        id="unknown-version",
+    ),
+    pytest.param(
+        lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
+        id="no-checksum",
+    ),
+]
+
+
+@pytest.mark.parametrize("change, message", DMAT_CORRUPTIONS)
 def test_matrix_load_validates_header_and_payload(tmp_path, change, message):
     m = matrix_from({(0, 1): 0.2, (0, 2): 0.6, (1, 2): 0.5}, ["a", "b", "c"])
     path = tmp_path / "m.dmat"
@@ -348,3 +353,131 @@ def test_matrix_load_rejects_header_that_is_not_json(tmp_path):
     path.write_bytes(b"\xff\xfe not json\n\x00\x01")
     with pytest.raises(ValueError, match="not a linkrisk distance matrix"):
         DistanceMatrix.load(path)
+
+
+# --- row-only reads: load_rows -------------------------------------------------
+
+@pytest.mark.parametrize("change, message", DMAT_CORRUPTIONS)
+def test_load_rows_validates_header_and_payload(tmp_path, capsys, change, message):
+    m = matrix_from({(0, 1): 0.2, (0, 2): 0.6, (1, 2): 0.5}, ["a", "b", "c"])
+    path = tmp_path / "m.dmat"
+    m.save(path)
+    first, payload = path.read_bytes().split(b"\n", 1)
+    header, payload = change(json.loads(first), payload)
+    _write_dmat(path, header, payload)
+    with pytest.raises(ValueError) as info:
+        anonymity.load_rows(path)
+    assert message in str(info.value)
+    assert "\n" not in str(info.value)
+    with pytest.raises(ValueError) as from_load:
+        DistanceMatrix.load(path)
+    assert str(from_load.value) == str(info.value)
+    code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.5"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_load_rows_rejects_corruption_and_junk(tmp_path):
+    m = matrix_from({(0, 1): 0.2, (0, 2): 0.6, (1, 2): 0.5}, ["a", "b", "c"])
+    path = tmp_path / "c.dmat"
+    m.save(path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-2] + bytes([blob[-2] ^ 0xFF]) + blob[-1:])
+    with pytest.raises(ValueError, match="checksum mismatch"):
+        anonymity.load_rows(path)
+    path.write_bytes(b"\xff\xfe not json\n\x00\x01")
+    with pytest.raises(ValueError, match="not a linkrisk distance matrix"):
+        anonymity.load_rows(path)
+    path.write_bytes(b'{"format":"linkrisk-dmat"}')  # no newline at all
+    with pytest.raises(ValueError, match="unsupported .dmat version None"):
+        anonymity.load_rows(path)
+
+
+def test_load_rows_answers_like_the_full_matrix(tmp_path, toy_matrix):
+    path = tmp_path / "toy.dmat"
+    toy_matrix.save(path)
+    rows = anonymity.load_rows(path)
+    assert rows.keys == toy_matrix.keys
+    for d in (0.0, 0.2, 0.5, 0.6, 1.0):
+        for subject in toy_matrix.keys:
+            assert anonymity.convergent_subset(rows, subject, d) == \
+                anonymity.convergent_subset(toy_matrix, subject, d)
+    assert anonymity.is_kd_anonymous(rows, "s", k=2, d=0.2)
+    with pytest.raises(ValueError, match="unknown profile 'nobody'"):
+        rows.row("nobody")
+    # the radius is checked before the subject, as for an in-memory matrix
+    with pytest.raises(ValueError, match=r"d must be in \[0, 1\]"):
+        anonymity.convergent_subset(rows, "nobody", 2.0)
+
+
+def test_packed_index_is_the_row_major_upper_order():
+    for n in range(0, 41):
+        i, j = np.triu_indices(n, k=1)
+        assert np.array_equal(anonymity._packed_index(n, i, j), np.arange(len(i)))
+
+
+def _v1_bytes(keys, tri):
+    payload = np.asarray(tri, dtype="<f4").tobytes()
+    header = {
+        "format": "linkrisk-dmat",
+        "version": 1,
+        "n": len(keys),
+        "keys": keys,
+        "ordering": "row-major-upper",
+        "dtype": "<f4",
+        "checksum": "sha256:" + hashlib.sha256(payload).hexdigest(),
+    }
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+
+
+@st.composite
+def packed_matrices(draw):
+    """Unique Unicode keys and the upper triangle of a matrix with entries in [0, 1]."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    keys = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
+    tri = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n * (n - 1) // 2,
+                        max_size=n * (n - 1) // 2))
+    return keys, np.array(tri, dtype=np.float64)
+
+
+def _symmetric(n, tri):
+    values = np.zeros((n, n))
+    iu = np.triu_indices(n, k=1)
+    values[iu] = tri
+    values[(iu[1], iu[0])] = tri
+    return values
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_matrices())
+def test_dmat_roundtrip_and_rows_property(case):
+    keys, tri = case
+    m = DistanceMatrix(keys=keys, values=_symmetric(len(keys), tri))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.dmat")
+        m.save(path)
+        loaded = DistanceMatrix.load(path)
+        rows = anonymity.load_rows(path)
+    assert loaded.keys == keys and rows.keys == keys
+    assert np.array_equal(loaded.values, m.values)
+    for i, key in enumerate(keys):
+        row = rows.row(key)
+        assert row.dtype == np.float64
+        assert np.array_equal(row, loaded.values[i])
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_matrices())
+def test_dmat_version_1_rows_property(case):
+    keys, tri = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v1.dmat")
+        with open(path, "wb") as fh:
+            fh.write(_v1_bytes(keys, tri))
+        loaded = DistanceMatrix.load(path)
+        rows = anonymity.load_rows(path)
+    widened = _symmetric(len(keys), tri.astype("<f4").astype(np.float64))
+    assert loaded.keys == keys and rows.keys == keys
+    assert np.array_equal(loaded.values, widened)
+    for i, key in enumerate(keys):
+        assert np.array_equal(rows.row(key), loaded.values[i])

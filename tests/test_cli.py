@@ -314,3 +314,84 @@ def test_anonymity_matrix_and_models_agree_at_boundary_radii(tmp_path, capsys):
             assert from_matrix == from_models
             assert json.loads(from_matrix)["k"] == int(np.count_nonzero(
                 in_memory.values[in_memory.index_of(subject)] <= d))
+
+
+def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
+    from linkrisk.anonymity import DistanceMatrix
+
+    path = tmp_path / "m.dmat"
+    DistanceMatrix(keys=["a", "b"], values=np.array([[0.0, 0.3], [0.3, 0.0]])).save(path)
+    junk = tmp_path / "junk.dmat"
+    junk.write_bytes(b"not a matrix\n")
+    cases = [
+        (junk, "nobody", "2.0", "not a linkrisk distance matrix"),
+        (path, "nobody", "2.0", "d must be in [0, 1]"),
+        (path, "nobody", "0.5", "unknown profile 'nobody'"),
+    ]
+    for matrix, subject, d, message in cases:
+        code, out, err = run(capsys, "anonymity", "--matrix", str(matrix), "--subject", subject, "--d", d)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+    code, out, _ = run(capsys, "anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.3",
+                       "--k", "2")
+    assert code == 0
+    assert out == '{"d": 0.3, "k": 2, "kd_anonymous": true, "members": ["a", "b"], "requested_k": 2, ' \
+                  '"subject": "a"}\n'
+
+
+def _two_line_corpus(path):
+    good = json.dumps({"author": "u0", "community": "alpha", "body": "hello world"}).encode()
+    bad = b'{"author": "u1", "community": "alpha", "body": "caf\xff"}'
+    path.write_bytes(good + b"\n" + bad + b"\n")
+
+
+def test_ingest_lenient_skips_a_line_with_an_invalid_byte(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    _two_line_corpus(src)
+    code, out, err = run(capsys, "ingest", "--input", str(src), "--min-comments", "1",
+                         "--min-profiles", "1", "--lenient", "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert "kept 1 of 1 profiles" in out
+    assert "skipped 1 malformed line(s)" in err
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"]["lines_skipped"] == 1
+    assert manifest["outputs"]["comments_read"] == 1
+
+
+def test_ingest_strict_names_the_line_with_an_invalid_byte(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    _two_line_corpus(src)
+    code, _, err = run(capsys, "ingest", "--input", str(src), "--min-comments", "1",
+                       "--min-profiles", "1", "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert err.startswith("error: line 2: ") and "0xff" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(
+            lambda s: s["policy"]["requirements"].append({"profile": "P9", "forbid": {"job": "dev"}}),
+            "unknown profile 'P9'", id="requirement-names-unknown-profile",
+        ),
+        pytest.param(
+            lambda s: s["profiles"]["P1"].update(true_model="m9"),
+            "profile 'P1': unknown true_model 'm9'", id="unknown-true-model",
+        ),
+    ],
+)
+def test_framework_run_rejects_unknown_references(tmp_path, capsys, change, message):
+    scenario = {
+        "attributes": ["job"],
+        "models": {"m1": {"job": "dev"}, "m2": {"job": "teacher"}},
+        "profiles": {"P1": {"true_model": "m1", "publish": {"reveal": ["job"]}}},
+        "policy": {"sigma": 0.5, "requirements": [{"profile": "P1", "forbid": {"job": "dev"}}]},
+    }
+    change(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "framework", "run", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1

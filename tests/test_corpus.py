@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import tempfile
 import unicodedata
 
 import numpy as np
@@ -512,3 +515,50 @@ def test_lenient_ingest_never_raises(lines):
     assert len(result.comments) + len(result.errors) == sum(1 for ln in blob.splitlines() if ln.strip())
     for line_no, message in result.errors:
         assert line_no >= 1 and isinstance(message, str)
+
+
+def test_ingest_bytes_line_with_invalid_byte_is_a_bad_line():
+    blob = (b'{"author":"u0","community":"c","body":"fine"}\n'
+            b'{"author":"u1","community":"c","body":"caf\xff"}\n')
+    result = corpus.ingest_jsonl(blob, lenient=True)
+    assert [c.author_id for c in result.comments] == ["u0"]
+    assert [line_no for line_no, _ in result.errors] == [2]
+    assert "0xff" in result.errors[0][1]
+    with pytest.raises(ValueError, match="^line 2: .*0xff"):
+        corpus.ingest_jsonl(blob)
+    # a binary file object is read line by line the same way
+    result = corpus.ingest_jsonl(io.BytesIO(blob), lenient=True)
+    assert [c.author_id for c in result.comments] == ["u0"]
+    assert [line_no for line_no, _ in result.errors] == [2]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_LINES.map(lambda s: s.encode("utf-8")), st.binary(max_size=40)), max_size=8))
+def test_lenient_ingest_of_bytes_never_raises(lines):
+    blob = b"\n".join(lines)
+    result = corpus.ingest_jsonl(blob, lenient=True)
+    assert len(result.comments) + len(result.errors) == sum(
+        1 for ln in blob.splitlines() if ln.decode("utf-8", errors="replace").strip())
+    for line_no, message in result.errors:
+        assert line_no >= 1 and isinstance(message, str)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.text(max_size=5), st.text(max_size=5)),
+    st.tuples(st.lists(st.text(max_size=5), max_size=12), st.integers(min_value=0, max_value=10**6)),
+    max_size=6,
+))
+def test_profile_store_roundtrip(streams):
+    profiles = {
+        key: corpus.TokenStream(profile_key=key, tokens=tokens, n_comments=n)
+        for key, (tokens, n) in streams.items()
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "profiles.jsonl")
+        corpus.write_profiles(profiles, path)
+        loaded = corpus.load_profiles(path)
+    assert sorted(loaded) == sorted(profiles)
+    for key, stream in profiles.items():
+        assert loaded[key].tokens == stream.tokens
+        assert loaded[key].n_comments == stream.n_comments

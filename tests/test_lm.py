@@ -1,4 +1,9 @@
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkrisk import lm
 
@@ -152,3 +157,23 @@ def test_load_models_rejects_malformed_keys(tmp_path, record):
                     encoding="utf-8")
     with pytest.raises(ValueError, match="^line 2: .* key must be "):
         lm.load_models(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(
+    st.tuples(st.text(max_size=5), st.text(max_size=5)),
+    st.lists(st.text(max_size=5), max_size=12),
+    max_size=6,
+))
+def test_model_store_roundtrip(streams):
+    profiles, communities, global_model = lm.build_models(streams)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "models.jsonl")
+        lm.save_models(path, profiles, communities, global_model)
+        loaded_profiles, loaded_communities, loaded_global = lm.load_models(path)
+    for saved, loaded in ((profiles, loaded_profiles), (communities, loaded_communities),
+                          ({None: global_model}, {None: loaded_global})):
+        assert sorted(loaded, key=repr) == sorted(saved, key=repr)
+        for key, model in saved.items():
+            assert loaded[key].counts == model.counts
+            assert loaded[key].total == model.total
