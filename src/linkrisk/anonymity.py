@@ -51,7 +51,7 @@ class DistanceMatrix:
     def build(cls, models: Mapping[str, object], workers: int | None = None) -> "DistanceMatrix":
         """Compute the matrix for a key->model mapping; `workers` has no effect."""
         keys = sorted(models)
-        dists = [_as_distribution(models[k]) for k in keys]
+        dists = [lm.as_distribution(models[k]) for k in keys]
         return cls(keys=keys, values=metric.pairwise_distances(dists))
 
     def index_of(self, key: str) -> int:
@@ -205,12 +205,6 @@ def _packed_index(n: int, i, j):
     including, `_packed_index(n, i, n)`.  Works elementwise on index arrays.
     """
     return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-def _as_distribution(model):
-    if isinstance(model, lm.UnigramModel):
-        return lm.to_distribution(model)
-    return model
 
 
 @dataclass

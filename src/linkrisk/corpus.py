@@ -186,15 +186,17 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     """Parse line-delimited JSON comments.
 
     `stream` may be a file-like object (text or binary), an iterable of str
-    or bytes lines, or a str/bytes blob.  Bytes are decoded as UTF-8 one
-    line at a time, so an undecodable line is a bad line like any other.
+    or bytes lines, or a str/bytes blob.  A blob is split at line feeds only,
+    as a binary file is: U+2028, a form feed or a lone carriage return stays
+    inside its line.  Bytes are decoded as UTF-8 one line at a time, so an
+    undecodable line is a bad line like any other.
     Each record needs `author`, `community`, and `body`; `created_at` is
     optional.  In strict mode the first bad line raises ValueError with its
     line number; in lenient mode bad lines are collected as
     (line_number, message) pairs and skipped.
     """
     if isinstance(stream, (bytes, str)):
-        stream = stream.splitlines()
+        stream = stream.split("\n" if isinstance(stream, str) else b"\n")
 
     comments: List[RawComment] = []
     errors: List[Tuple[int, str]] = []

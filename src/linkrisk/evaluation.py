@@ -83,35 +83,89 @@ class ScatterReport:
     fraction_below: float
 
 
-def _distributions(models: Mapping[str, object], keys: Sequence[str]):
-    out = []
-    for key in keys:
-        m = models[key]
-        out.append(lm.to_distribution(m) if isinstance(m, lm.UnigramModel) else m)
-    return out
+def _distributions(models: Mapping[str, object]) -> list:
+    return [lm.as_distribution(models[key]) for key in sorted(models)]
 
 
-class _CrossContext:
-    """Shared precomputation: sorted keys, their distributions and the distance grid."""
+def _require_k(ks: Iterable[int]) -> None:
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
 
-    def __init__(self, models_a, models_b):
-        self.keys_a = sorted(models_a)
-        self.keys_b = sorted(models_b)
-        self.index_a = {k: i for i, k in enumerate(self.keys_a)}
-        self.index_b = {k: i for i, k in enumerate(self.keys_b)}
-        self.dists_a = _distributions(models_a, self.keys_a)
-        self.dists_b = _distributions(models_b, self.keys_b)
+
+def _stats(values: np.ndarray) -> Dict[str, float]:
+    return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
+
+
+def _within_stats(within: np.ndarray) -> Dict[str, float]:
+    n = len(within)
+    if n < 2:
+        raise ValueError("need at least 2 profiles for within-community statistics")
+    return _stats(within[np.triu_indices(n, k=1)])
+
+
+class _Experiment:
+    """Ground-truth links resolved once against one cross-community matrix.
+
+    Holds each side's distributions in sorted key order, the cross matrix,
+    and one array per link field: source index, target index, matching
+    distance and the zero-based rank of the target among all candidates
+    sorted by (distance, key).  Every report is a view on these arrays.
+    """
+
+    def __init__(self, links, models_a, models_b):
+        if not links:
+            raise ValueError("no ground-truth links given")
+        keys_a, keys_b = sorted(models_a), sorted(models_b)
+        index_a = {k: i for i, k in enumerate(keys_a)}
+        index_b = {k: i for i, k in enumerate(keys_b)}
+        for link in links:
+            if link.source not in index_a:
+                raise ValueError(f"link source {link.source!r} not in source community")
+            if link.target not in index_b:
+                raise ValueError(f"link target {link.target!r} not in target community")
+        self.links = list(links)
+        self.dists_a = _distributions(models_a)
+        self.dists_b = _distributions(models_b)
         self.cross = metric.cross_distances(self.dists_a, self.dists_b)
-        self.keys_b_arr = np.array(self.keys_b)
+        self.source = np.array([index_a[link.source] for link in self.links], dtype=np.intp)
+        self.target = np.array([index_b[link.target] for link in self.links], dtype=np.intp)
+        self.matching = self.cross[self.source, self.target]
+        # keys_b is sorted and unique, so the candidates tied with the target
+        # that sort before it are exactly the equal entries left of it
+        self.ranks = np.array([
+            np.count_nonzero(self.cross[s] < d) + np.count_nonzero(self.cross[s, :t] == d)
+            for s, t, d in zip(self.source, self.target, self.matching)
+        ])
 
-    def rank_of(self, source: str, target: str) -> int:
-        """Zero-based rank of `target` among candidates sorted by (distance, key)."""
-        row = self.cross[self.index_a[source]]
-        ti = self.index_b[target]
-        dt = row[ti]
-        closer = int(np.count_nonzero(row < dt))
-        tied_before = int(np.count_nonzero((row == dt) & (self.keys_b_arr < self.keys_b[ti])))
-        return closer + tied_before
+    def precision(self, k: int) -> float:
+        return int(np.count_nonzero(self.ranks < k)) / len(self.links)
+
+    def anon_sizes(self, within_a: np.ndarray) -> np.ndarray:
+        """Per link: source-side profiles within the matching distance of the source."""
+        return np.array([np.count_nonzero(within_a[s] <= d) for s, d in zip(self.source, self.matching)])
+
+    def bins(self, sizes: np.ndarray, k: int) -> PrecisionReport:
+        hits = self.ranks < k
+        groups = (sizes - 1) // BIN_WIDTH
+        bins = []
+        # not np.unique: it imports numpy.ma on first use, about 1 MB resident
+        for b in sorted(set(groups.tolist())):
+            members = groups == b
+            count, hit = int(np.count_nonzero(members)), int(np.count_nonzero(hits & members))
+            bins.append(PrecisionBin(b * BIN_WIDTH + 1, (b + 1) * BIN_WIDTH, count, hit / count))
+        return PrecisionReport(k=k, bins=bins)
+
+    def scatter(self) -> ScatterReport:
+        nb = len(self.dists_b)
+        if nb < 2:
+            raise ValueError("target community needs at least 2 profiles")
+        rows = []
+        for link, s, d in zip(self.links, self.source, self.matching):
+            d_match = float(d)
+            avg_other = (float(self.cross[s].sum()) - d_match) / (nb - 1)
+            rows.append(ScatterRow(link.source, link.target, avg_other, d_match))
+        below = sum(1 for r in rows if r.below_diagonal)
+        return ScatterReport(rows=rows, fraction_below=below / len(rows))
 
 
 def cross_distance_stats(
@@ -125,43 +179,23 @@ def cross_distance_stats(
     With two mappings: every (a, b) pair across them.  `workers` has no effect.
     """
     if models_b is None:
-        keys = sorted(models_a)
-        if len(keys) < 2:
-            raise ValueError("need at least 2 profiles for within-community statistics")
-        values = metric.pairwise_distances(_distributions(models_a, keys))
-        pairs = values[np.triu_indices(len(keys), k=1)]
-    else:
-        if not models_a or not models_b:
-            raise ValueError("need at least one profile on each side")
-        ctx = _CrossContext(models_a, models_b)
-        pairs = ctx.cross.ravel()
-    return {"min": float(pairs.min()), "max": float(pairs.max()), "mean": float(pairs.mean())}
+        return _within_stats(metric.pairwise_distances(_distributions(models_a)))
+    if not models_a or not models_b:
+        raise ValueError("need at least one profile on each side")
+    return _stats(metric.cross_distances(_distributions(models_a), _distributions(models_b)).ravel())
 
 
 def rank_candidates(
     source_model, target_models: Mapping[str, object]
 ) -> List[Tuple[str, float]]:
     """Target profiles ordered by ascending distance, ties by key ascending."""
-    source_dist = (
-        lm.to_distribution(source_model)
-        if isinstance(source_model, lm.UnigramModel)
-        else source_model
-    )
+    source_dist = lm.as_distribution(source_model)
     if not getattr(source_dist, "probs", source_dist):
         raise ValueError("source model is empty")
-    keys = sorted(target_models)
-    row = metric.cross_distances([source_dist], _distributions(target_models, keys))[0]
-    ranked = [(key, float(d)) for key, d in zip(keys, row)]
+    row = metric.cross_distances([source_dist], _distributions(target_models))[0]
+    ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
-
-
-def _check_links(links: Sequence[GroundTruthLink], ctx: _CrossContext) -> None:
-    for link in links:
-        if link.source not in ctx.index_a:
-            raise ValueError(f"link source {link.source!r} not in source community")
-        if link.target not in ctx.index_b:
-            raise ValueError(f"link target {link.target!r} not in target community")
 
 
 def precision_at_k(
@@ -172,52 +206,8 @@ def precision_at_k(
     workers: int | None = None,
 ) -> float:
     """Fraction of true links whose target ranks in the top k candidates."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not links:
-        raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b)
-    _check_links(links, ctx)
-    hits = sum(1 for link in links if ctx.rank_of(link.source, link.target) < k)
-    return hits / len(links)
-
-
-def _anon_sizes(
-    links: Sequence[GroundTruthLink],
-    within_a: np.ndarray,
-    ctx: _CrossContext,
-) -> List[int]:
-    sizes = []
-    for link in links:
-        si = ctx.index_a[link.source]
-        d_match = ctx.cross[si, ctx.index_b[link.target]]
-        sizes.append(int(np.count_nonzero(within_a[si] <= d_match)))
-    return sizes
-
-
-def _precision_bins(
-    links: Sequence[GroundTruthLink],
-    sizes: Sequence[int],
-    ctx: _CrossContext,
-    k: int,
-    bin_width: int = BIN_WIDTH,
-) -> PrecisionReport:
-    grouped: Dict[int, List[GroundTruthLink]] = {}
-    for link, size in zip(links, sizes):
-        grouped.setdefault((size - 1) // bin_width, []).append(link)
-    bins = []
-    for b in sorted(grouped):
-        members = grouped[b]
-        hits = sum(1 for link in members if ctx.rank_of(link.source, link.target) < k)
-        bins.append(
-            PrecisionBin(
-                size_low=b * bin_width + 1,
-                size_high=(b + 1) * bin_width,
-                pair_count=len(members),
-                precision=hits / len(members),
-            )
-        )
-    return PrecisionReport(k=k, bins=bins)
+    _require_k([k])
+    return _Experiment(links, models_a, models_b).precision(k)
 
 
 def anon_vs_precision(
@@ -233,13 +223,9 @@ def anon_vs_precision(
     its own community at radius equal to the pair's matching distance;
     sizes are grouped into bins of width 10.
     """
-    if not links:
-        raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b)
-    _check_links(links, ctx)
-    within_a = metric.pairwise_distances(ctx.dists_a)
-    sizes = _anon_sizes(links, within_a, ctx)
-    return _precision_bins(links, sizes, ctx, k)
+    _require_k([k])
+    exp = _Experiment(links, models_a, models_b)
+    return exp.bins(exp.anon_sizes(metric.pairwise_distances(exp.dists_a)), k)
 
 
 def matched_vs_average_scatter(
@@ -249,27 +235,7 @@ def matched_vs_average_scatter(
     workers: int | None = None,
 ) -> ScatterReport:
     """Per link: mean distance to the non-matching targets vs the matching one."""
-    if not links:
-        raise ValueError("no ground-truth links given")
-    ctx = _CrossContext(models_a, models_b)
-    _check_links(links, ctx)
-    if len(ctx.keys_b) < 2:
-        raise ValueError("target community needs at least 2 profiles")
-    rows = []
-    for link in links:
-        row = ctx.cross[ctx.index_a[link.source]]
-        d_match = float(row[ctx.index_b[link.target]])
-        avg_other = (float(row.sum()) - d_match) / (len(ctx.keys_b) - 1)
-        rows.append(
-            ScatterRow(
-                source=link.source,
-                target=link.target,
-                avg_nonmatching=avg_other,
-                matching=d_match,
-            )
-        )
-    below = sum(1 for r in rows if r.below_diagonal)
-    return ScatterReport(rows=rows, fraction_below=below / len(rows))
+    return _Experiment(links, models_a, models_b).scatter()
 
 
 @dataclass
@@ -399,11 +365,10 @@ def run_experiment(
 
     When `links` is omitted, authors present in both communities are paired
     by shared pseudonym.  Each model is turned into a distribution once, and
-    the matrices are computed once and reused across all reports.  `workers`
+    each matrix is computed once and reused across all reports.  `workers`
     has no effect.
     """
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
+    _require_k(ks)
     if links is None:
         shared = sorted(set(models_a) & set(models_b))
         links = [GroundTruthLink(source=a, target=a) for a in shared]
@@ -411,47 +376,23 @@ def run_experiment(
     if not links:
         raise ValueError("no ground-truth links between the two communities")
 
-    ctx = _CrossContext(models_a, models_b)
-    _check_links(links, ctx)
-    within_a = metric.pairwise_distances(ctx.dists_a)
-    within_b = metric.pairwise_distances(ctx.dists_b)
-
-    def stats_of(values: np.ndarray) -> Dict[str, float]:
-        return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
-
-    na, nb = len(ctx.keys_a), len(ctx.keys_b)
-    stats_a = stats_of(within_a[np.triu_indices(na, k=1)]) if na > 1 else {"min": 0.0, "max": 0.0, "mean": 0.0}
-    stats_b = stats_of(within_b[np.triu_indices(nb, k=1)]) if nb > 1 else {"min": 0.0, "max": 0.0, "mean": 0.0}
-    stats_x = stats_of(ctx.cross.ravel())
-
-    rows = []
-    for link in links:
-        row = ctx.cross[ctx.index_a[link.source]]
-        d_match = float(row[ctx.index_b[link.target]])
-        avg_other = (float(row.sum()) - d_match) / max(1, nb - 1)
-        rows.append(ScatterRow(link.source, link.target, avg_other, d_match))
-    below = sum(1 for r in rows if r.below_diagonal)
-    scatter = ScatterReport(rows=rows, fraction_below=below / len(rows))
-
-    sizes = _anon_sizes(links, within_a, ctx)
-    precisions = {}
-    bin_reports = {}
-    for k in ks:
-        hits = sum(1 for link in links if ctx.rank_of(link.source, link.target) < k)
-        precisions[k] = hits / len(links)
-        bin_reports[k] = _precision_bins(links, sizes, ctx, k)
-
+    exp = _Experiment(links, models_a, models_b)
+    scatter = exp.scatter()
+    within_a = metric.pairwise_distances(exp.dists_a)
+    stats_a = _within_stats(within_a)
+    stats_b = _within_stats(metric.pairwise_distances(exp.dists_b))
+    sizes = exp.anon_sizes(within_a)
     return ExperimentResult(
         community_a=community_a,
         community_b=community_b,
         links=links,
         stats_within_a=stats_a,
         stats_within_b=stats_b,
-        stats_across=stats_x,
+        stats_across=_stats(exp.cross.ravel()),
         scatter=scatter,
-        precisions=precisions,
-        bin_reports=bin_reports,
-        anon_sizes=sizes,
+        precisions={k: exp.precision(k) for k in ks},
+        bin_reports={k: exp.bins(sizes, k) for k in ks},
+        anon_sizes=sizes.tolist(),
     )
 
 

@@ -356,6 +356,15 @@ def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], labe
     return EntityModel(values)
 
 
+def _field(obj, key: str, where: str):
+    """`obj[key]`; a scenario object that is not a dict or lacks `key` is a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} is missing {key!r}")
+    return obj[key]
+
+
 def load_scenario(source) -> Dict[str, object]:
     """Load a scenario from a path, file object, or already-parsed dict."""
     if isinstance(source, dict):
@@ -373,22 +382,21 @@ def run_scenario(source) -> Dict[str, object]:
     scenario's `seed`.
     """
     scenario = load_scenario(source)
-    attributes = set(scenario["attributes"])
+    attributes = set(_field(scenario, "attributes", "scenario"))
     models = {
         mid: _parse_model(values, attributes, f"model {mid!r}")
-        for mid, values in scenario["models"].items()
+        for mid, values in _field(scenario, "models", "scenario").items()
     }
-    profiles = scenario["profiles"]
-    sigma = float(scenario["policy"]["sigma"])
-    policy = PrivacyPolicy(
-        requirements=[
-            PrivacyRequirement(r["profile"], r["forbid"])
-            for r in scenario["policy"]["requirements"]
-        ],
-        sigma=sigma,
-    )
+    profiles = _field(scenario, "profiles", "scenario")
+    policy_cfg = _field(scenario, "policy", "scenario")
+    sigma = float(_field(policy_cfg, "sigma", "policy"))
+    requirements = []
+    for n, r in enumerate(_field(policy_cfg, "requirements", "policy"), start=1):
+        where = f"policy requirement {n}"
+        requirements.append(PrivacyRequirement(_field(r, "profile", where), _field(r, "forbid", where)))
+    policy = PrivacyPolicy(requirements=requirements, sigma=sigma)
     for name in sorted(profiles):
-        true_model = profiles[name].get("true_model")
+        true_model = _field(profiles[name], "true_model", f"profile {name!r}")
         if true_model not in models:
             raise ValueError(f"profile {name!r}: unknown true_model {true_model!r}")
     for req in policy.requirements:
@@ -412,7 +420,7 @@ def run_scenario(source) -> Dict[str, object]:
     elif kind == "exact_match":
         kappa = exact_match_kappa()
     elif kind == "table":
-        kappa = table_kappa(kappa_cfg["rows"])
+        kappa = table_kappa(_field(kappa_cfg, "rows", "table kappa"))
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")
 
@@ -427,9 +435,8 @@ def run_scenario(source) -> Dict[str, object]:
         if pub is None:
             config = PublicationConfig(reveal=frozenset(true_model.domain() or attributes))
         else:
-            config = PublicationConfig(
-                reveal=frozenset(pub["reveal"]), perturb=dict(pub.get("perturb", {}))
-            )
+            reveal = frozenset(_field(pub, "reveal", f"profile {name!r} publish"))
+            config = PublicationConfig(reveal=reveal, perturb=dict(pub.get("perturb", {})))
         observed[name] = publish(true_model, config, rng)
     obs = Observation(observed)
 

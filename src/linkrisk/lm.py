@@ -17,6 +17,7 @@ __all__ = [
     "Distribution",
     "build_models",
     "to_distribution",
+    "as_distribution",
     "top_k",
     "merge",
     "save_models",
@@ -84,6 +85,11 @@ def to_distribution(model: UnigramModel) -> Distribution:
         raise ValueError("empty model: cannot normalize zero total count")
     total = float(model.total)
     return Distribution({tok: c / total for tok, c in model.counts.items() if c > 0})
+
+
+def as_distribution(model):
+    """Normalize a `UnigramModel`; a distribution or mapping passes through as is."""
+    return to_distribution(model) if isinstance(model, UnigramModel) else model
 
 
 def top_k(model: UnigramModel, k: int) -> List[Tuple[str, int]]:

@@ -395,3 +395,62 @@ def test_framework_run_rejects_unknown_references(tmp_path, capsys, change, mess
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and message in err
     assert err.count("\n") == 1
+
+
+_SCENARIO = {
+    "attributes": ["job"],
+    "models": {"m1": {"job": "dev"}, "m2": {"job": "teacher"}},
+    "profiles": {"P1": {"true_model": "m1", "publish": {"reveal": ["job"]}}},
+    "policy": {"sigma": 0.5, "requirements": [{"profile": "P1", "forbid": {"job": "dev"}}]},
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda s: s.clear(), "scenario is missing 'attributes'", id="empty-object"),
+        pytest.param(lambda s: s.pop("models"), "scenario is missing 'models'", id="no-models"),
+        pytest.param(lambda s: s.pop("profiles"), "scenario is missing 'profiles'", id="no-profiles"),
+        pytest.param(lambda s: s.pop("policy"), "scenario is missing 'policy'", id="no-policy"),
+        pytest.param(lambda s: s["policy"].pop("sigma"), "policy is missing 'sigma'", id="no-sigma"),
+        pytest.param(lambda s: s["policy"].pop("requirements"), "policy is missing 'requirements'",
+                     id="no-requirements"),
+        pytest.param(lambda s: s["policy"]["requirements"][0].pop("forbid"),
+                     "policy requirement 1 is missing 'forbid'", id="requirement-without-forbid"),
+        pytest.param(lambda s: s["policy"]["requirements"][0].pop("profile"),
+                     "policy requirement 1 is missing 'profile'", id="requirement-without-profile"),
+        pytest.param(lambda s: s["policy"]["requirements"].append("P1"),
+                     "policy requirement 2 must be a JSON object", id="requirement-not-an-object"),
+        pytest.param(lambda s: s["profiles"].update(P1="m1"), "profile 'P1' must be a JSON object",
+                     id="profile-not-an-object"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].pop("reveal"),
+                     "profile 'P1' publish is missing 'reveal'", id="publish-without-reveal"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table"}), "table kappa is missing 'rows'",
+                     id="table-kappa-without-rows"),
+    ],
+)
+def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change, message):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    change(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "framework", "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_eval_with_a_single_target_profile_exits_one(tmp_path, capsys):
+    path = tmp_path / "profiles.jsonl"
+    lines = [
+        {"author": "u0", "community": "alpha", "n_comments": 1, "tokens": ["x", "y"]},
+        {"author": "u1", "community": "alpha", "n_comments": 1, "tokens": ["y", "z"]},
+        {"author": "u0", "community": "beta", "n_comments": 1, "tokens": ["x", "z"]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    code, out, err = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "beta", "--out", str(tmp_path / "report"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: target community needs at least 2 profiles\n"
+    assert not (tmp_path / "report").exists()

@@ -512,7 +512,7 @@ def test_lenient_ingest_never_raises(lines):
     blob = "\n".join(lines)
     result = corpus.ingest_jsonl(blob, lenient=True)
     # every nonblank line ends up as either a comment or an error
-    assert len(result.comments) + len(result.errors) == sum(1 for ln in blob.splitlines() if ln.strip())
+    assert len(result.comments) + len(result.errors) == sum(1 for ln in blob.split("\n") if ln.strip())
     for line_no, message in result.errors:
         assert line_no >= 1 and isinstance(message, str)
 
@@ -538,7 +538,7 @@ def test_lenient_ingest_of_bytes_never_raises(lines):
     blob = b"\n".join(lines)
     result = corpus.ingest_jsonl(blob, lenient=True)
     assert len(result.comments) + len(result.errors) == sum(
-        1 for ln in blob.splitlines() if ln.decode("utf-8", errors="replace").strip())
+        1 for ln in blob.split(b"\n") if ln.decode("utf-8", errors="replace").strip())
     for line_no, message in result.errors:
         assert line_no >= 1 and isinstance(message, str)
 
@@ -562,3 +562,39 @@ def test_profile_store_roundtrip(streams):
     for key, stream in profiles.items():
         assert loaded[key].tokens == stream.tokens
         assert loaded[key].n_comments == stream.n_comments
+
+
+@pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
+@pytest.mark.parametrize("form", ["str", "bytes", "binary-file"])
+def test_ingest_keeps_unicode_line_separators_inside_a_line(separator, form):
+    blob = '{"author":"a","community":"c","body":"x' + separator + 'y"}\n{"author":"b",'
+    stream = {"str": blob, "bytes": blob.encode("utf-8"),
+              "binary-file": io.BytesIO(blob.encode("utf-8"))}[form]
+    result = corpus.ingest_jsonl(stream, lenient=True)
+    assert [c.body for c in result.comments] == ["x" + separator + "y"]
+    assert [line_no for line_no, _ in result.errors] == [2]
+
+
+@pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+def test_ingest_control_separator_makes_one_bad_line(separator):
+    # JSON forbids raw control characters in strings: one bad line, not two
+    blob = '{"author":"a","community":"c","body":"x' + separator + 'y"}\n'
+    for stream in (blob, blob.encode("utf-8")):
+        result = corpus.ingest_jsonl(stream, lenient=True)
+        assert result.comments == []
+        assert [line_no for line_no, _ in result.errors] == [1]
+
+
+def test_ingest_lone_carriage_return_does_not_end_a_line():
+    first = b'{"author":"a","community":"c","body":"x"}'
+    second = b'{"author":"b","community":"c","body":"y"}'
+    blob = first + b"\r" + second + b"\n"
+    for stream in (blob, blob.decode("utf-8"), io.BytesIO(blob)):
+        result = corpus.ingest_jsonl(stream, lenient=True)
+        assert result.comments == []
+        assert [line_no for line_no, _ in result.errors] == [1]
+    # CRLF still ends a line: the carriage return is stripped with the line
+    crlf = first + b"\r\n" + second + b"\r\n"
+    for stream in (crlf, crlf.decode("utf-8"), io.BytesIO(crlf)):
+        result = corpus.ingest_jsonl(stream)
+        assert [c.author_id for c in result.comments] == ["a", "b"]

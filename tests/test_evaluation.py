@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkrisk import corpus, evaluation, lm, metric
 from linkrisk.evaluation import GroundTruthLink
@@ -344,3 +346,178 @@ def test_scatter_csv_quotes_ids_with_delimiters(tmp_path):
         assert float(match) == by_source[source].matching
         assert below == str(int(by_source[source].below_diagonal))
     assert (tmp_path / "scatter.csv").read_bytes().count(b"\r") == 0
+
+
+# --- one edge-case policy at every entry point ------------------------------------------
+
+
+def _two_sides():
+    ma = {"u0": dist({"x": 1.0}), "u1": dist({"x": 0.5, "y": 0.5})}
+    mb = {"u0": dist({"x": 0.9, "y": 0.1}), "u1": dist({"z": 1.0})}
+    return ma, mb
+
+
+_ENTRY_POINTS = {
+    "precision_at_k": lambda links, ma, mb, k: evaluation.precision_at_k(links, ma, mb, k),
+    "anon_vs_precision": lambda links, ma, mb, k: evaluation.anon_vs_precision(links, ma, mb, k),
+    "matched_vs_average_scatter": lambda links, ma, mb, k: evaluation.matched_vs_average_scatter(
+        links, ma, mb),
+    "cross_distance_stats": lambda links, ma, mb, k: evaluation.cross_distance_stats(ma),
+    "run_experiment": lambda links, ma, mb, k: evaluation.run_experiment(ma, mb, links, ks=(k,)),
+}
+_LINKED = ("precision_at_k", "anon_vs_precision", "matched_vs_average_scatter", "run_experiment")
+_ONE = {"u0": dist({"x": 1.0})}
+# (case, message, links, models_a, models_b, k, entry points the case applies to)
+_EDGE_CASES = [
+    ("k-zero", "k must be >= 1", [GroundTruthLink("u0", "u0")], None, None, 0,
+     ("precision_at_k", "anon_vs_precision", "run_experiment")),
+    # run_experiment keeps its own wording after the shared prefix
+    ("no-links", "no ground-truth links", [], None, None, 1, _LINKED),
+    ("unknown-source", "link source 'zz' not in source community", [GroundTruthLink("zz", "u0")],
+     None, None, 1, _LINKED),
+    ("unknown-target", "link target 'zz' not in target community", [GroundTruthLink("u0", "zz")],
+     None, None, 1, _LINKED),
+    ("one-profile-side", "need at least 2 profiles for within-community statistics",
+     [GroundTruthLink("u0", "u0")], _ONE, None, 1, ("cross_distance_stats", "run_experiment")),
+    ("one-target", "target community needs at least 2 profiles", [GroundTruthLink("u0", "u0")],
+     None, _ONE, 1, ("matched_vs_average_scatter", "run_experiment")),
+]
+
+
+@pytest.mark.parametrize(
+    "message, links, ma, mb, k, entry",
+    [
+        pytest.param(message, links, ma, mb, k, entry, id=f"{case}-{entry}")
+        for case, message, links, ma, mb, k, entries in _EDGE_CASES
+        for entry in entries
+    ],
+)
+def test_edge_case_policy_is_the_same_at_every_entry_point(message, links, ma, mb, k, entry):
+    default_a, default_b = _two_sides()
+    with pytest.raises(ValueError, match="^" + message):
+        _ENTRY_POINTS[entry](links, ma or default_a, mb or default_b, k)
+
+
+def test_edge_cases_are_checked_before_any_distance_is_computed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("distance matrix computed before the input was checked")
+
+    monkeypatch.setattr(metric, "cross_distances", fail)
+    monkeypatch.setattr(metric, "pairwise_distances", fail)
+    ma, mb = _two_sides()
+    for case, message, links, _, _, k, entries in _EDGE_CASES[:4]:
+        for entry in entries:
+            with pytest.raises(ValueError, match="^" + message):
+                _ENTRY_POINTS[entry](links, ma, mb, k)
+
+
+@pytest.mark.parametrize(
+    "entry, cross_calls, pairwise_calls",
+    [("run_experiment", 1, 2), ("precision_at_k", 1, 0), ("anon_vs_precision", 1, 1),
+     ("matched_vs_average_scatter", 1, 0)],
+)
+def test_each_matrix_is_computed_once_per_call(monkeypatch, entry, cross_calls, pairwise_calls):
+    calls = {"cross": 0, "pairwise": 0}
+    cross, pairwise = metric.cross_distances, metric.pairwise_distances
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(metric, "cross_distances", counted("cross", cross))
+    monkeypatch.setattr(metric, "pairwise_distances", counted("pairwise", pairwise))
+    rng = np.random.default_rng(65)
+    ma, mb, links = _paired_models(6, rng)
+    _ENTRY_POINTS[entry](links, ma, mb, 2)
+    assert calls == {"cross": cross_calls, "pairwise": pairwise_calls}
+
+
+# --- every report against a brute-force reference ----------------------------------------
+
+_POOL = ["p", "q", "r", "s", "t"]
+_BASE = st.dictionaries(
+    st.sampled_from(_POOL), st.integers(min_value=1, max_value=9), min_size=1, max_size=4
+)
+
+
+@st.composite
+def _experiments(draw):
+    """Two communities drawn from a few base distributions, so that ties occur."""
+    bases = draw(st.lists(_BASE, min_size=1, max_size=4))
+    dists = [dist({tok: c / sum(b.values()) for tok, c in b.items()}) for b in bases]
+    pick = st.integers(min_value=0, max_value=len(dists) - 1)
+    # up to 24 profiles a side, so neighborhoods fill more than one bin
+    names = st.lists(st.sampled_from([f"k{i}" for i in range(30)]), min_size=2, max_size=24,
+                     unique=True)
+    ma = {key: dist(dict(dists[draw(pick)].probs)) for key in draw(names)}
+    mb = {key: dist(dict(dists[draw(pick)].probs)) for key in draw(names)}
+    links = draw(st.lists(
+        st.tuples(st.sampled_from(sorted(ma)), st.sampled_from(sorted(mb))), min_size=1, max_size=30,
+    ))
+    ks = draw(st.lists(st.integers(min_value=1, max_value=len(mb) + 1), min_size=1, max_size=3,
+                       unique=True))
+    return ma, mb, [GroundTruthLink(s, t) for s, t in links], ks
+
+
+def _reference(ma, mb, links, ks):
+    """Per-link ranks, sizes and scatter values, one rank_candidates call at a time."""
+    ranks, sizes, scatter = [], [], []
+    for link in links:
+        ranked = evaluation.rank_candidates(ma[link.source], mb)
+        ranks.append([key for key, _ in ranked].index(link.target))
+        d_match = dict(ranked)[link.target]
+        assert d_match == pytest.approx(metric.distance(ma[link.source], mb[link.target]), abs=1e-12)
+        sizes.append(sum(1 for _, d in evaluation.rank_candidates(ma[link.source], ma) if d <= d_match))
+        others = [metric.distance(ma[link.source], mb[key]) for key in mb if key != link.target]
+        scatter.append((link.source, link.target, sum(others) / len(others), d_match))
+    precisions = {k: sum(r < k for r in ranks) / len(links) for k in ks}
+    bins = {}
+    for k in ks:
+        grouped = {}
+        for rank, size in zip(ranks, sizes):
+            grouped.setdefault((size - 1) // evaluation.BIN_WIDTH, []).append(rank < k)
+        width = evaluation.BIN_WIDTH
+        bins[k] = [(b * width + 1, (b + 1) * width, len(hits), sum(hits) / len(hits))
+                   for b, hits in sorted(grouped.items())]
+    return precisions, bins, sizes, scatter
+
+
+def _check_scatter(report, expected):
+    assert len(report.rows) == len(expected)
+    for row, (source, target, avg, match) in zip(report.rows, expected):
+        assert (row.source, row.target, row.matching) == (source, target, match)
+        assert row.avg_nonmatching == pytest.approx(avg, abs=1e-12)
+    below = sum(1 for row in report.rows if row.below_diagonal)
+    assert report.fraction_below == below / len(report.rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_experiments())
+def test_reports_match_a_brute_force_reference(experiment):
+    ma, mb, links, ks = experiment
+    precisions, bins, sizes, scatter = _reference(ma, mb, links, ks)
+    for k in ks:
+        assert evaluation.precision_at_k(links, ma, mb, k) == precisions[k]
+        report = evaluation.anon_vs_precision(links, ma, mb, k)
+        assert [(b.size_low, b.size_high, b.pair_count, b.precision) for b in report.bins] == bins[k]
+    _check_scatter(evaluation.matched_vs_average_scatter(links, ma, mb), scatter)
+
+    result = evaluation.run_experiment(ma, mb, links, ks=ks)
+    assert result.precisions == precisions
+    assert result.anon_sizes == sizes
+    assert {k: [(b.size_low, b.size_high, b.pair_count, b.precision) for b in r.bins]
+            for k, r in result.bin_reports.items()} == bins
+    _check_scatter(result.scatter, scatter)
+    for scope, models in (("a", ma), ("b", mb)):
+        keys = sorted(models)
+        within = [metric.distance(models[x], models[y]) for i, x in enumerate(keys) for y in keys[i + 1:]]
+        stats = getattr(result, f"stats_within_{scope}")
+        assert stats == evaluation.cross_distance_stats(models)
+        assert stats["min"] == pytest.approx(min(within), abs=1e-12)
+        assert stats["max"] == pytest.approx(max(within), abs=1e-12)
+        assert stats["mean"] == pytest.approx(sum(within) / len(within), abs=1e-12)
+    across = [metric.distance(ma[x], mb[y]) for x in ma for y in mb]
+    assert result.stats_across == evaluation.cross_distance_stats(ma, mb)
+    assert result.stats_across["mean"] == pytest.approx(sum(across) / len(across), abs=1e-12)
