@@ -1,9 +1,11 @@
 """Convergence radii, anonymity subsets, matching, and adversary choice bounds.
 
-Everything here operates on a symmetric matrix of sqrt-JS distances.  A
-profile is anonymous to the extent that many peers sit within a small
-radius of it; the matching bound turns that neighborhood size and radius
-into an upper limit on a distance-based adversary's linking likelihood.
+Everything here operates on one symmetric matrix of sqrt-JS distances,
+`DistanceMatrix`, which keeps the packed upper triangle of its `.dmat` file
+whether it was computed or loaded.  A profile is anonymous to the extent
+that many peers sit within a small radius of it; the matching bound turns
+that neighborhood size and radius into an upper limit on a distance-based
+adversary's linking likelihood.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -19,8 +21,6 @@ from . import lm, metric
 
 __all__ = [
     "DistanceMatrix",
-    "MatrixRows",
-    "load_rows",
     "AnonymityResult",
     "MatchingBound",
     "convergent_subset",
@@ -33,19 +33,21 @@ __all__ = [
 ]
 
 
-@dataclass
 class DistanceMatrix:
-    """Pairwise distances over an ordered profile list.
+    """Pairwise distances in [0, 1] over an ordered profile list.
 
-    `values[i, j]` is the distance between `keys[i]` and `keys[j]`;
-    the matrix is symmetric with a zero diagonal and entries in [0, 1].
+    Stored as `tri`, the row-major upper triangle without the diagonal (the
+    `.dmat` payload).  `distance` reads one entry, `row` gathers n, and the
+    symmetric n x n `values` with its zero diagonal is built on first use.
     """
 
-    keys: List[str]
-    values: np.ndarray
+    def __init__(self, keys: Sequence[str], values: np.ndarray):
+        self._init(keys, np.asarray(values, dtype=np.float64)[_upper(len(keys))])
 
-    def __post_init__(self):
-        self._index = {k: i for i, k in enumerate(self.keys)}
+    def _init(self, keys: Sequence[str], tri: np.ndarray) -> None:
+        self.keys = list(keys)
+        self.tri = tri
+        self._square = None
 
     @classmethod
     def build(cls, models: Mapping[str, object], workers: int | None = None) -> "DistanceMatrix":
@@ -54,30 +56,44 @@ class DistanceMatrix:
         dists = [lm.as_distribution(models[k]) for k in keys]
         return cls(keys=keys, values=metric.pairwise_distances(dists))
 
+    @property
+    def values(self) -> np.ndarray:
+        """The full symmetric matrix, built once and read-only."""
+        if self._square is None:
+            upper = _upper(len(self.keys))
+            self._square = np.zeros(upper.shape, dtype=np.float64)
+            self._square[upper] = self.tri
+            self._square.T[upper] = self.tri
+            self._square.flags.writeable = False
+        return self._square
+
     def index_of(self, key: str) -> int:
         try:
-            return self._index[key]
-        except KeyError:
+            return self.keys.index(key)  # a scan: cheaper than a dict for the one query per load
+        except ValueError:
             raise ValueError(f"unknown profile {key!r}") from None
 
     def distance(self, a: str, b: str) -> float:
-        return float(self.values[self.index_of(a), self.index_of(b)])
+        i, j = sorted((self.index_of(a), self.index_of(b)))
+        return 0.0 if i == j else float(self.tri[_packed_index(len(self.keys), i, j)])
 
     def row(self, key: str) -> np.ndarray:
-        """The distances from `key` to every profile, in key order."""
-        return self.values[self.index_of(key)]
+        """The distances from `key` to every profile, in key order; O(n)."""
+        i = self.index_of(key)
+        n = len(self.keys)
+        row = np.empty(n, dtype=np.float64)
+        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
+        row[i] = 0.0
+        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+        return row
 
     def save(self, path) -> None:
         """Write a JSON header line plus the little-endian float64 upper triangle."""
-        n = len(self.keys)
-        tri = np.empty(n * (n - 1) // 2, dtype="<f8")
-        for i in range(n - 1):
-            tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)] = self.values[i, i + 1:]
-        payload = tri.tobytes()
+        payload = self.tri.astype("<f8", copy=False).tobytes()
         header = {
             "format": "linkrisk-dmat",
             "version": 2,
-            "n": n,
+            "n": len(self.keys),
             "keys": self.keys,
             "ordering": "row-major-upper",
             "dtype": "<f8",
@@ -92,53 +108,12 @@ class DistanceMatrix:
     def load(cls, path) -> "DistanceMatrix":
         """Read a `.dmat` file of version 2 (float64) or version 1 (float32).
 
-        Any inconsistency between header and payload raises a one-line
-        ValueError naming the file.
+        The payload stays packed.  Any inconsistency between header and
+        payload raises a one-line ValueError naming the file.
         """
-        keys, tri = _read_dmat(path)
-        n = len(keys)
-        values = np.zeros((n, n), dtype=np.float64)
-        for i in range(n - 1):
-            upper = tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
-            values[i, i + 1:] = upper
-            values[i + 1:, i] = upper
-        return cls(keys=keys, values=values)
-
-
-@dataclass
-class MatrixRows:
-    """A validated `.dmat` file kept packed: keys plus the float64 upper triangle.
-
-    `row` gathers one profile's distances in O(n), so a query never builds
-    the n x n matrix.  `convergent_subset` and `is_kd_anonymous` accept it in
-    place of a `DistanceMatrix`.
-    """
-
-    keys: List[str]
-    tri: np.ndarray
-
-    def row(self, key: str) -> np.ndarray:
-        """The distances from `key` to every profile, in key order."""
-        try:
-            i = self.keys.index(key)
-        except ValueError:
-            raise ValueError(f"unknown profile {key!r}") from None
-        n = len(self.keys)
-        row = np.empty(n, dtype=np.float64)
-        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
-        row[i] = 0.0
-        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
-        return row
-
-
-def load_rows(path) -> MatrixRows:
-    """Read and fully validate a `.dmat` file, keeping the payload packed.
-
-    Runs every check of `DistanceMatrix.load` (same messages, checksum over
-    the whole payload) but leaves the triangle unexpanded.
-    """
-    keys, tri = _read_dmat(path)
-    return MatrixRows(keys=keys, tri=tri)
+        m = cls.__new__(cls)
+        m._init(*_read_dmat(path))
+        return m
 
 
 # stored dtype per .dmat format version; version 1 checksummed the payload only
@@ -207,6 +182,11 @@ def _packed_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
+def _upper(n: int) -> np.ndarray:
+    """Mask of the entries above the diagonal of an n x n matrix, in payload order."""
+    return ~np.tri(n, dtype=bool)
+
+
 @dataclass
 class AnonymityResult:
     """The maximal set of profiles within radius `d` of `subject`."""
@@ -231,7 +211,7 @@ class MatchingBound:
     t: float
 
 
-def convergent_subset(m: DistanceMatrix | MatrixRows, subject: str, d: float) -> AnonymityResult:
+def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> AnonymityResult:
     """All profiles within distance d of the subject (subject included)."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must be in [0, 1]")
@@ -240,7 +220,7 @@ def convergent_subset(m: DistanceMatrix | MatrixRows, subject: str, d: float) ->
     return AnonymityResult(subject=subject, d=d, members=members, k=len(members))
 
 
-def is_kd_anonymous(m: DistanceMatrix | MatrixRows, subject: str, k: int, d: float) -> bool:
+def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:
     """Whether at least k profiles (subject included) lie within radius d."""
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -266,16 +246,11 @@ def lemma_bound_check(
     on consistent inputs; it exists to exercise exactly that claim.
     """
     members = list(subject_set)
-    ti = m.index_of(target)
-    anchor = None
-    for cand in members:
-        ci = m.index_of(cand)
-        if m.values[ci, ti] <= c and all(m.values[ci, m.index_of(o)] <= d for o in members):
-            anchor = cand
-            break
-    if anchor is None:
+    m.index_of(target)  # an unknown target fails first, even with no members
+    if not any(m.distance(target, cand) <= c and all(m.distance(cand, o) <= d for o in members)
+               for cand in members):
         raise ValueError("precondition violated: no member both c-matches the target and d-covers the set")
-    return all(m.values[m.index_of(member), ti] <= c + d for member in members)
+    return all(m.distance(target, member) <= c + d for member in members)
 
 
 def choice_likelihood(
@@ -297,11 +272,10 @@ def choice_likelihood(
         raise ValueError("need at least 2 candidates")
     if chosen not in cands:
         raise ValueError(f"chosen profile {chosen!r} not among candidates")
-    ti = m.index_of(target)
-    total = sum(float(m.values[m.index_of(c), ti]) for c in cands)
+    total = sum(m.distance(target, c) for c in cands)
     if total <= 0.0:
         raise ValueError("degenerate: all candidates identical to target")
-    score = 1.0 - float(m.values[m.index_of(chosen), ti]) / total
+    score = 1.0 - m.distance(target, chosen) / total
     return score / (len(cands) - 1) if normalized else score
 
 

@@ -175,7 +175,7 @@ def _cmd_distances(args) -> int:
 
 def _cmd_anonymity(args) -> int:
     if args.matrix:
-        matrix = anonymity.load_rows(args.matrix)
+        matrix = anonymity.DistanceMatrix.load(args.matrix)
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")

@@ -152,20 +152,20 @@ class NormalizationConfig:
         return cls(**overrides)
 
 
+def _parse_wordlist(text: str) -> Set[str]:
+    """One entry per line; blank lines and # comments (indented or not) are ignored."""
+    entries = (line.strip() for line in text.split("\n"))
+    return {entry for entry in entries if entry and not entry.startswith("#")}
+
+
 def load_wordlist(path) -> Set[str]:
-    """Read a one-entry-per-line list; blank lines and # comments ignored."""
-    entries = set()
+    """Read a word list file in the format of the packaged lists."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            entry = line.strip()
-            if entry and not entry.startswith("#"):
-                entries.add(entry)
-    return entries
+        return _parse_wordlist(fh.read())
 
 
 def _packaged_list(name: str) -> Set[str]:
-    text = resources.files("linkrisk").joinpath("data", name).read_text("utf-8")
-    return {ln.strip() for ln in text.splitlines() if ln.strip() and not ln.startswith("#")}
+    return _parse_wordlist(resources.files("linkrisk").joinpath("data", name).read_text("utf-8"))
 
 
 def default_stopwords() -> Set[str]:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lm, metric
+from .anonymity import DistanceMatrix
 from .corpus import RawComment
 
 __all__ = [
@@ -96,11 +97,14 @@ def _stats(values: np.ndarray) -> Dict[str, float]:
     return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
 
 
-def _within_stats(within: np.ndarray) -> Dict[str, float]:
-    n = len(within)
-    if n < 2:
+def _within(keys: List[str], dists: list) -> DistanceMatrix:
+    return DistanceMatrix(keys, metric.pairwise_distances(dists))
+
+
+def _within_stats(within: DistanceMatrix) -> Dict[str, float]:
+    if len(within.keys) < 2:
         raise ValueError("need at least 2 profiles for within-community statistics")
-    return _stats(within[np.triu_indices(n, k=1)])
+    return _stats(within.tri)
 
 
 class _Experiment:
@@ -115,9 +119,9 @@ class _Experiment:
     def __init__(self, links, models_a, models_b):
         if not links:
             raise ValueError("no ground-truth links given")
-        keys_a, keys_b = sorted(models_a), sorted(models_b)
-        index_a = {k: i for i, k in enumerate(keys_a)}
-        index_b = {k: i for i, k in enumerate(keys_b)}
+        self.keys_a, self.keys_b = sorted(models_a), sorted(models_b)
+        index_a = {k: i for i, k in enumerate(self.keys_a)}
+        index_b = {k: i for i, k in enumerate(self.keys_b)}
         for link in links:
             if link.source not in index_a:
                 raise ValueError(f"link source {link.source!r} not in source community")
@@ -140,9 +144,10 @@ class _Experiment:
     def precision(self, k: int) -> float:
         return int(np.count_nonzero(self.ranks < k)) / len(self.links)
 
-    def anon_sizes(self, within_a: np.ndarray) -> np.ndarray:
+    def anon_sizes(self, within_a: DistanceMatrix) -> np.ndarray:
         """Per link: source-side profiles within the matching distance of the source."""
-        return np.array([np.count_nonzero(within_a[s] <= d) for s, d in zip(self.source, self.matching)])
+        return np.array([np.count_nonzero(within_a.row(link.source) <= d)
+                         for link, d in zip(self.links, self.matching)])
 
     def bins(self, sizes: np.ndarray, k: int) -> PrecisionReport:
         hits = self.ranks < k
@@ -179,7 +184,7 @@ def cross_distance_stats(
     With two mappings: every (a, b) pair across them.  `workers` has no effect.
     """
     if models_b is None:
-        return _within_stats(metric.pairwise_distances(_distributions(models_a)))
+        return _within_stats(DistanceMatrix.build(models_a))
     if not models_a or not models_b:
         raise ValueError("need at least one profile on each side")
     return _stats(metric.cross_distances(_distributions(models_a), _distributions(models_b)).ravel())
@@ -225,7 +230,7 @@ def anon_vs_precision(
     """
     _require_k([k])
     exp = _Experiment(links, models_a, models_b)
-    return exp.bins(exp.anon_sizes(metric.pairwise_distances(exp.dists_a)), k)
+    return exp.bins(exp.anon_sizes(_within(exp.keys_a, exp.dists_a)), k)
 
 
 def matched_vs_average_scatter(
@@ -378,9 +383,9 @@ def run_experiment(
 
     exp = _Experiment(links, models_a, models_b)
     scatter = exp.scatter()
-    within_a = metric.pairwise_distances(exp.dists_a)
+    within_a = _within(exp.keys_a, exp.dists_a)
     stats_a = _within_stats(within_a)
-    stats_b = _within_stats(metric.pairwise_distances(exp.dists_b))
+    stats_b = _within_stats(_within(exp.keys_b, exp.dists_b))
     sizes = exp.anon_sizes(within_a)
     return ExperimentResult(
         community_a=community_a,

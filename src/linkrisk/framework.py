@@ -356,12 +356,17 @@ def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], labe
     return EntityModel(values)
 
 
-def _field(obj, key: str, where: str):
-    """`obj[key]`; a scenario object that is not a dict or lacks `key` is a ValueError."""
+_KINDS = {dict: "a JSON object", list: "a list", str: "a string", (int, float): "a number"}
+
+
+def _field(obj, key: str, where: str, kind):
+    """`obj[key]`; an `obj` that is not a dict, lacks `key` or holds a non-`kind` is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} is missing {key!r}")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}")
     return obj[key]
 
 
@@ -382,21 +387,23 @@ def run_scenario(source) -> Dict[str, object]:
     scenario's `seed`.
     """
     scenario = load_scenario(source)
-    attributes = set(_field(scenario, "attributes", "scenario"))
+    attributes = set(_field(scenario, "attributes", "scenario", list))
+    model_cfg = _field(scenario, "models", "scenario", dict)
     models = {
-        mid: _parse_model(values, attributes, f"model {mid!r}")
-        for mid, values in _field(scenario, "models", "scenario").items()
+        mid: _parse_model(_field(model_cfg, mid, "models", dict), attributes, f"model {mid!r}")
+        for mid in model_cfg
     }
-    profiles = _field(scenario, "profiles", "scenario")
-    policy_cfg = _field(scenario, "policy", "scenario")
-    sigma = float(_field(policy_cfg, "sigma", "policy"))
+    profiles = _field(scenario, "profiles", "scenario", dict)
+    policy_cfg = _field(scenario, "policy", "scenario", dict)
+    sigma = float(_field(policy_cfg, "sigma", "policy", (int, float)))
     requirements = []
-    for n, r in enumerate(_field(policy_cfg, "requirements", "policy"), start=1):
+    for n, r in enumerate(_field(policy_cfg, "requirements", "policy", list), start=1):
         where = f"policy requirement {n}"
-        requirements.append(PrivacyRequirement(_field(r, "profile", where), _field(r, "forbid", where)))
+        requirements.append(
+            PrivacyRequirement(_field(r, "profile", where, str), _field(r, "forbid", where, dict)))
     policy = PrivacyPolicy(requirements=requirements, sigma=sigma)
     for name in sorted(profiles):
-        true_model = _field(profiles[name], "true_model", f"profile {name!r}")
+        true_model = _field(profiles[name], "true_model", f"profile {name!r}", str)
         if true_model not in models:
             raise ValueError(f"profile {name!r}: unknown true_model {true_model!r}")
     for req in policy.requirements:
@@ -408,19 +415,21 @@ def run_scenario(source) -> Dict[str, object]:
         prior = profile_cfg.get("prior", "uniform")
         if prior == "uniform":
             prior_masses[name] = {mid: 1.0 / len(models) for mid in models}
-        else:
+        elif isinstance(prior, dict):
             prior_masses[name] = {mid: float(prior.get(mid, 0.0)) for mid in models}
+        else:
+            raise ValueError(f"profile {name!r}: 'prior' must be \"uniform\" or a JSON object")
     belief = Belief(prior_masses)
     belief.validate(tol=1e-6)
 
-    kappa_cfg = scenario.get("kappa", {"kind": "consistency"})
+    kappa_cfg = _field(scenario, "kappa", "scenario", dict) if "kappa" in scenario else {}
     kind = kappa_cfg.get("kind", "consistency")
     if kind == "consistency":
         kappa = consistency_kappa()
     elif kind == "exact_match":
         kappa = exact_match_kappa()
     elif kind == "table":
-        kappa = table_kappa(_field(kappa_cfg, "rows", "table kappa"))
+        kappa = table_kappa(_field(kappa_cfg, "rows", "table kappa", dict))
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")
 
@@ -435,8 +444,10 @@ def run_scenario(source) -> Dict[str, object]:
         if pub is None:
             config = PublicationConfig(reveal=frozenset(true_model.domain() or attributes))
         else:
-            reveal = frozenset(_field(pub, "reveal", f"profile {name!r} publish"))
-            config = PublicationConfig(reveal=reveal, perturb=dict(pub.get("perturb", {})))
+            where = f"profile {name!r} publish"
+            reveal = frozenset(_field(pub, "reveal", where, list))
+            perturb = _field(pub, "perturb", where, dict) if "perturb" in pub else {}
+            config = PublicationConfig(reveal=reveal, perturb=dict(perturb))
         observed[name] = publish(true_model, config, rng)
     obs = Observation(observed)
 

@@ -145,7 +145,7 @@ def save_models(
 
 
 def load_models(path):
-    """Read back a model store written by `save_models`."""
+    """Read back a model store written by `save_models`; a bad line raises ValueError("line N: ...")."""
     profiles: Dict[ProfileKey, UnigramModel] = {}
     communities: Dict[str, UnigramModel] = {}
     global_model = UnigramModel()
@@ -154,10 +154,15 @@ def load_models(path):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
             if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
                 raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
-            counts = {str(t): int(c) for t, c in rec["counts"].items()}
+            counts = rec["counts"]  # JSON object keys are strings already
+            if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
+                raise ValueError(f"line {line_no}: counts must be non-negative integers")
             model = UnigramModel(counts=counts, total=sum(counts.values()))
             kind = rec.get("kind")
             key = rec["key"]

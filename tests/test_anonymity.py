@@ -355,7 +355,7 @@ def test_matrix_load_rejects_header_that_is_not_json(tmp_path):
         DistanceMatrix.load(path)
 
 
-# --- row-only reads: load_rows -------------------------------------------------
+# --- row-only reads of a loaded matrix -----------------------------------------
 
 @pytest.mark.parametrize("change, message", DMAT_CORRUPTIONS)
 def test_load_rows_validates_header_and_payload(tmp_path, capsys, change, message):
@@ -366,7 +366,7 @@ def test_load_rows_validates_header_and_payload(tmp_path, capsys, change, messag
     header, payload = change(json.loads(first), payload)
     _write_dmat(path, header, payload)
     with pytest.raises(ValueError) as info:
-        anonymity.load_rows(path)
+        DistanceMatrix.load(path)
     assert message in str(info.value)
     assert "\n" not in str(info.value)
     with pytest.raises(ValueError) as from_load:
@@ -384,19 +384,19 @@ def test_load_rows_rejects_corruption_and_junk(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-2] + bytes([blob[-2] ^ 0xFF]) + blob[-1:])
     with pytest.raises(ValueError, match="checksum mismatch"):
-        anonymity.load_rows(path)
+        DistanceMatrix.load(path)
     path.write_bytes(b"\xff\xfe not json\n\x00\x01")
     with pytest.raises(ValueError, match="not a linkrisk distance matrix"):
-        anonymity.load_rows(path)
+        DistanceMatrix.load(path)
     path.write_bytes(b'{"format":"linkrisk-dmat"}')  # no newline at all
     with pytest.raises(ValueError, match="unsupported .dmat version None"):
-        anonymity.load_rows(path)
+        DistanceMatrix.load(path)
 
 
 def test_load_rows_answers_like_the_full_matrix(tmp_path, toy_matrix):
     path = tmp_path / "toy.dmat"
     toy_matrix.save(path)
-    rows = anonymity.load_rows(path)
+    rows = DistanceMatrix.load(path)
     assert rows.keys == toy_matrix.keys
     for d in (0.0, 0.2, 0.5, 0.6, 1.0):
         for subject in toy_matrix.keys:
@@ -457,13 +457,15 @@ def test_dmat_roundtrip_and_rows_property(case):
         path = os.path.join(tmp, "m.dmat")
         m.save(path)
         loaded = DistanceMatrix.load(path)
-        rows = anonymity.load_rows(path)
+        rows = DistanceMatrix.load(path)
     assert loaded.keys == keys and rows.keys == keys
     assert np.array_equal(loaded.values, m.values)
     for i, key in enumerate(keys):
         row = rows.row(key)
         assert row.dtype == np.float64
         assert np.array_equal(row, loaded.values[i])
+    _assert_distance_reads_values(m)
+    _assert_distance_reads_values(loaded)
 
 
 @settings(max_examples=80, deadline=None)
@@ -475,9 +477,56 @@ def test_dmat_version_1_rows_property(case):
         with open(path, "wb") as fh:
             fh.write(_v1_bytes(keys, tri))
         loaded = DistanceMatrix.load(path)
-        rows = anonymity.load_rows(path)
+        rows = DistanceMatrix.load(path)
     widened = _symmetric(len(keys), tri.astype("<f4").astype(np.float64))
     assert loaded.keys == keys and rows.keys == keys
     assert np.array_equal(loaded.values, widened)
     for i, key in enumerate(keys):
         assert np.array_equal(rows.row(key), loaded.values[i])
+    _assert_distance_reads_values(loaded)
+
+
+def _assert_distance_reads_values(m):
+    """`distance` of every ordered pair, the diagonal included, equals the square's entry."""
+    for i, a in enumerate(m.keys):
+        for j, b in enumerate(m.keys):
+            assert m.distance(a, b) == m.values[i, j]
+
+
+def test_distance_reads_the_entry_of_a_built_matrix():
+    rng = np.random.default_rng(41)
+    models = {f"p{i}": random_distribution(rng) for i in range(7)}
+    m = DistanceMatrix.build(models)
+    _assert_distance_reads_values(m)
+    assert m.distance("p5", "p2") == pytest.approx(metric.distance(models["p2"], models["p5"]), abs=1e-12)
+
+
+def test_loaded_matrix_answers_queries_without_the_square(tmp_path, toy_matrix, monkeypatch):
+    path = tmp_path / "toy.dmat"
+    toy_matrix.save(path)
+    expected = {(s, d): anonymity.convergent_subset(toy_matrix, s, d)
+                for s in toy_matrix.keys for d in (0.0, 0.2, 0.5, 1.0)}
+    expected_rows = {s: toy_matrix.values[i].copy() for i, s in enumerate(toy_matrix.keys)}
+
+    def no_square(self):
+        raise AssertionError("the n x n matrix was built")
+
+    monkeypatch.setattr(DistanceMatrix, "values", property(no_square))
+    loaded = DistanceMatrix.load(path)
+    for s, row in expected_rows.items():
+        assert np.array_equal(loaded.row(s), row)
+    for (s, d), result in expected.items():
+        assert anonymity.convergent_subset(loaded, s, d) == result
+    assert anonymity.is_kd_anonymous(loaded, "s", k=2, d=0.2)
+    assert loaded.distance("p2", "s") == 0.6
+    loaded.save(tmp_path / "again.dmat")
+    assert (tmp_path / "again.dmat").read_bytes() == path.read_bytes()
+
+
+def test_values_is_the_symmetric_square_and_read_only(toy_matrix):
+    values = toy_matrix.values
+    assert values.dtype == np.float64 and values.shape == (3, 3)
+    assert np.array_equal(values, [[0.0, 0.2, 0.6], [0.2, 0.0, 0.5], [0.6, 0.5, 0.0]])
+    assert toy_matrix.values is values
+    with pytest.raises(ValueError):
+        values[0, 1] = 0.9

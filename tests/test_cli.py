@@ -439,6 +439,107 @@ def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change,
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda s: s.update(models=[]), "scenario: 'models' must be a JSON object",
+                     id="models-list"),
+        pytest.param(lambda s: s.update(kappa="table"), "scenario: 'kappa' must be a JSON object",
+                     id="kappa-string"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior=[1]),
+                     "profile 'P1': 'prior' must be \"uniform\" or a JSON object", id="prior-list"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior="flat"),
+                     "profile 'P1': 'prior' must be \"uniform\" or a JSON object", id="prior-other-string"),
+        pytest.param(lambda s: s.update(attributes="job"), "scenario: 'attributes' must be a list",
+                     id="attributes-string"),
+        pytest.param(lambda s: s["models"].update(m2="teacher"), "models: 'm2' must be a JSON object",
+                     id="model-string"),
+        pytest.param(lambda s: s.update(profiles=["P1"]), "scenario: 'profiles' must be a JSON object",
+                     id="profiles-list"),
+        pytest.param(lambda s: s["policy"].update(sigma="0.5"), "policy: 'sigma' must be a number",
+                     id="sigma-string"),
+        pytest.param(lambda s: s["policy"].update(requirements={}), "policy: 'requirements' must be a list",
+                     id="requirements-object"),
+        pytest.param(lambda s: s["policy"]["requirements"][0].update(profile=["P1"]),
+                     "policy requirement 1: 'profile' must be a string", id="requirement-profile-list"),
+        pytest.param(lambda s: s["policy"]["requirements"][0].update(forbid=["job"]),
+                     "policy requirement 1: 'forbid' must be a JSON object", id="forbid-list"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(true_model=["m1"]),
+                     "profile 'P1': 'true_model' must be a string", id="true-model-list"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": []}),
+                     "table kappa: 'rows' must be a JSON object", id="rows-list"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(reveal="job"),
+                     "profile 'P1' publish: 'reveal' must be a list", id="reveal-string"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(perturb=5),
+                     "profile 'P1' publish: 'perturb' must be a JSON object", id="perturb-number"),
+    ],
+)
+def test_framework_run_rejects_scenario_fields_of_the_wrong_type(tmp_path, capsys, change, message):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    change(scenario)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "framework", "run", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+def test_framework_run_accepts_an_explicit_uniform_prior_and_a_prior_object(tmp_path, capsys):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    scenario["profiles"]["P1"]["prior"] = "uniform"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, uniform, _ = run(capsys, "framework", "run", str(path))
+    assert code == 0
+    scenario["profiles"]["P1"]["prior"] = {"m1": 0.5, "m2": 0.5}
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, explicit, _ = run(capsys, "framework", "run", str(path))
+    assert code == 0 and explicit == uniform
+
+
+_PROFILE = '{"counts":{"x":2,"y":1},"key":["u0","alpha"],"kind":"profile"}'
+
+
+@pytest.mark.parametrize(
+    "bad_line, message",
+    [
+        pytest.param('{"kind": "profile",', "line 2: not valid JSON (", id="invalid-json"),
+        pytest.param('{"counts":{"t":null},"key":["u1","alpha"],"kind":"profile"}',
+                     "line 2: counts must be non-negative integers", id="null-count"),
+        pytest.param('{"counts":{"t":-1,"u":3},"key":["u1","alpha"],"kind":"profile"}',
+                     "line 2: counts must be non-negative integers", id="negative-count"),
+        pytest.param('{"counts":{"t":true},"key":["u1","alpha"],"kind":"profile"}',
+                     "line 2: counts must be non-negative integers", id="bool-count"),
+        pytest.param('{"counts":{"t":1.5},"key":["u1","alpha"],"kind":"profile"}',
+                     "line 2: counts must be non-negative integers", id="fractional-count"),
+        pytest.param('{"counts":{"t":"3"},"key":["u1","alpha"],"kind":"profile"}',
+                     "line 2: counts must be non-negative integers", id="string-count"),
+    ],
+)
+@pytest.mark.parametrize("command", ["top-unigrams", "distances"])
+def test_malformed_model_line_exits_one(tmp_path, capsys, command, bad_line, message):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + "\n" + bad_line + "\n", encoding="utf-8")
+    argv = [command, "--models", str(path)]
+    if command == "top-unigrams":
+        argv += ["--kind", "global"]
+    else:
+        argv += ["--community", "alpha", "--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+
+
+def test_zero_counts_still_load(tmp_path, capsys):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + "\n" + _PROFILE.replace('"u0"', '"u1"').replace('"y":1', '"y":0') + "\n",
+                    encoding="utf-8")
+    code, _, _ = run(capsys, "distances", "--models", str(path), "--community", "alpha",
+                     "--out", str(tmp_path / "out"))
+    assert code == 0
+
+
 def test_eval_with_a_single_target_profile_exits_one(tmp_path, capsys):
     path = tmp_path / "profiles.jsonl"
     lines = [

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import tempfile
+import types
 import unicodedata
 
 import numpy as np
@@ -310,6 +311,25 @@ def test_load_wordlist_skips_comments(tmp_path):
     path = tmp_path / "list.txt"
     path.write_text("# heading\nalpha\n\nbeta\n", encoding="utf-8")
     assert corpus.load_wordlist(path) == {"alpha", "beta"}
+
+
+def test_packaged_and_user_word_lists_share_one_parser(tmp_path, monkeypatch):
+    data = tmp_path / "data"
+    data.mkdir()
+    text = "# heading\n  # indented note\n\talpha \n\n beta\n#gamma\ndelta # not a comment\n"
+    (data / "list.txt").write_text(text, encoding="utf-8")
+    expected = {"alpha", "beta", "delta # not a comment"}
+    assert corpus.load_wordlist(data / "list.txt") == expected
+    monkeypatch.setattr(corpus, "resources", types.SimpleNamespace(files=lambda package: tmp_path))
+    assert corpus._packaged_list("list.txt") == expected
+
+
+def test_packaged_word_list_hashes_are_unchanged():
+    # the sha256 recorded in every ingest manifest; a parser change must not move them
+    assert corpus.wordlist_hash(corpus.default_stopwords()) == \
+        "683a9d7fa6a0e1e68da6625280aa67ccf932efe2e458299b3334271068568146"
+    assert corpus.wordlist_hash(corpus.default_smilies()) == \
+        "10cd3af4bcbd193fa3ac4000767ef1eee2a1273721b9e96e52a204d17b840275"
 
 
 def test_load_profiles_rejects_malformed_lines(tmp_path):
