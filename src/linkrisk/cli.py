@@ -42,18 +42,25 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+def _config_value(action: argparse.Action, key: str, raw: str):
+    if action.nargs == 0:  # a flag such as --lenient
+        if raw not in ("true", "false"):
+            raise ValueError(f"config key {key!r} is a flag: expected true or false, got {raw!r}")
+        return action.const if raw == "true" else action.default
+    value = action.type(raw) if action.type else raw
+    return [value] if isinstance(action, argparse._AppendAction) else value
+
+
+def _apply_config(args: argparse.Namespace, sub: argparse.ArgumentParser, sub_argv) -> None:
     if not getattr(args, "config", None):
         return
     values = _load_config(args.config)
-    types = {a.dest: a.type for a in sub._actions}
-    for dest, raw in values.items():
-        if not hasattr(args, dest):
-            continue
-        if getattr(args, dest) != sub.get_default(dest):
-            continue  # explicit flag wins
-        caster = types.get(dest)
-        setattr(args, dest, caster(raw) if caster else raw)
+    options = {a.dest: a for a in sub._actions if a.option_strings}
+    # parse again into a namespace of Nones: argparse sets only the options given
+    given, _ = sub.parse_known_args(sub_argv, argparse.Namespace(**dict.fromkeys(options)))
+    for key, raw in values.items():
+        if key in options and getattr(given, key) is None:  # explicit flag wins
+            setattr(args, key, _config_value(options[key], key, raw))
 
 
 def _normalization_config(args) -> tuple[corpus.NormalizationConfig, dict]:
@@ -403,7 +410,7 @@ def dispatch(argv) -> int:
         subs["framework"].print_usage(sys.stderr)
         return 2
     try:
-        _apply_config(args, subs[args.command])
+        _apply_config(args, subs[args.command], argv[argv.index(args.command) + 1:])
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

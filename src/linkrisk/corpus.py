@@ -13,7 +13,6 @@ text is deleted outright.  Unrecognized syntax passes through as plain text.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import re
@@ -60,6 +59,9 @@ _MD_EMPHASIS = re.compile(r"(\*{1,3}|_{1,3}|~~)(.+?)\1")
 # returned unchanged
 _MD_CHARS = frozenset("`>[|*_~#+-\t")
 _MD_DIGIT_DOT = re.compile(r"\.(?<=\d\.)")  # finds the "." first: digits are common
+
+_MAX_CHAR_REPEAT = 3  # longer runs of one character are cut to this length
+_REPEAT = re.compile(r"(.)\1{%d,}" % _MAX_CHAR_REPEAT, re.DOTALL)
 
 _URL = re.compile(r"(?:[a-z][a-z0-9+.\-]*://|(?<![\w.])www\.)\S+")
 _HOST_JUNK = re.compile(r"[^\w.\-]")
@@ -119,31 +121,22 @@ class IngestResult:
 
 @dataclass(frozen=True)
 class NormalizationConfig:
-    """Switches and word lists for the normalization pipeline.
+    """Word lists for the normalization pipeline.
 
-    The six step flags follow pipeline order; tokenization and stopword
-    filtering always run at the end (an empty stopword set disables the
-    latter in effect).  Smiley literals are matched after lowercasing, so
-    the configured set is lowercased on construction.
+    The pipeline itself is fixed (see `normalize`); only its stopwords and
+    smilies vary.  Smiley literals are matched after lowercasing, so the
+    configured set is lowercased on construction.  An empty stopword set
+    keeps every token; the smiley set must be nonempty.
     """
 
     stopwords: frozenset = frozenset()
     smilies: frozenset = frozenset()
-    max_char_repeat: int = 3
-    lowercase: bool = True
-    strip_markdown: bool = True
-    strip_diacritics: bool = True
-    replace_urls: bool = True
-    strip_punctuation: bool = True
-    collapse_repeats: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         object.__setattr__(self, "smilies", frozenset(s.lower() for s in self.smilies))
-        if self.max_char_repeat < 1:
-            raise ValueError("max_char_repeat must be >= 1")
-        if self.strip_punctuation and not self.smilies:
-            raise ValueError("smilies must be nonempty when punctuation stripping is enabled")
+        if not self.smilies:
+            raise ValueError("smilies must be nonempty")
 
     @classmethod
     def default(cls, **overrides) -> "NormalizationConfig":
@@ -186,10 +179,13 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     """Parse line-delimited JSON comments.
 
     `stream` may be a file-like object (text or binary), an iterable of str
-    or bytes lines, or a str/bytes blob.  A blob is split at line feeds only,
-    as a binary file is: U+2028, a form feed or a lone carriage return stays
-    inside its line.  Bytes are decoded as UTF-8 one line at a time, so an
-    undecodable line is a bad line like any other.
+    or bytes lines, or a str/bytes blob.  Where this function does the
+    splitting (a blob, or a binary file) lines end at line feeds only:
+    U+2028, a form feed or a lone carriage return stays inside its line.
+    Lines from any other iterable, a text file included, are taken as given;
+    a text file also ends lines at a lone carriage return unless it was
+    opened with `newline="\n"`.  Bytes are decoded as UTF-8 one line at a
+    time, so an undecodable line is a bad line like any other.
     Each record needs `author`, `community`, and `body`; `created_at` is
     optional.  In strict mode the first bad line raises ValueError with its
     line number; in lenient mode bad lines are collected as
@@ -228,20 +224,19 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     return IngestResult(comments=comments, errors=errors)
 
 
-def _strip_markdown(text: str, smilies=frozenset()) -> str:
+def _strip_markdown(text: str, smilies) -> str:
     if _MD_CHARS.isdisjoint(text) and "    " not in text and not _MD_DIGIT_DOT.search(text):
         return text
     # smilies may contain markdown-active characters (:-|, *-*, o_o);
     # shield whole-chunk matches behind placeholders for the duration
     placeholders = {}
-    if smilies:
-        parts = _WS_SPLIT.split(text)
-        for i, part in enumerate(parts):
-            if part in smilies:
-                key = f"{_SMILEY_MARK}{len(placeholders)}{_SMILEY_MARK}"
-                placeholders[key] = part
-                parts[i] = key
-        text = "".join(parts)
+    parts = _WS_SPLIT.split(text)
+    for i, part in enumerate(parts):
+        if part in smilies:
+            key = f"{_SMILEY_MARK}{len(placeholders)}{_SMILEY_MARK}"
+            placeholders[key] = part
+            parts[i] = key
+    text = "".join(parts)
     text = _MD_FENCE.sub(" ", text)
     text = _MD_INDENT_CODE.sub(" ", text)
     text = _MD_INLINE_CODE.sub(" ", text)
@@ -311,13 +306,8 @@ def _strip_punctuation(text: str, smilies) -> str:
     return " ".join(kept)
 
 
-@functools.lru_cache(maxsize=None)
-def _repeat_pattern(max_repeat: int) -> re.Pattern:
-    return re.compile(r"(.)\1{%d,}" % max_repeat, re.DOTALL)
-
-
-def _collapse_repeats(text: str, max_repeat: int) -> str:
-    return _repeat_pattern(max_repeat).sub(lambda m: m.group(1) * max_repeat, text)
+def _collapse_repeats(text: str) -> str:
+    return _REPEAT.sub(lambda m: m.group(1) * _MAX_CHAR_REPEAT, text)
 
 
 def normalize(body: str, cfg: NormalizationConfig) -> List[str]:
@@ -326,20 +316,12 @@ def normalize(body: str, cfg: NormalizationConfig) -> List[str]:
     Total function: any input yields a (possibly empty) token list.
     """
     text = body.replace(_SENTINEL, " ").replace(_SMILEY_MARK, " ")
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.strip_markdown:
-        text = _strip_markdown(text, cfg.smilies)
-    if cfg.strip_diacritics:
-        text = _strip_diacritics(text)
-    if cfg.replace_urls:
-        text = _replace_urls(text)
-    if cfg.strip_punctuation:
-        text = _strip_punctuation(text, cfg.smilies)
-    else:
-        text = text.replace(_SENTINEL, "")
-    if cfg.collapse_repeats:
-        text = _collapse_repeats(text, cfg.max_char_repeat)
+    text = text.lower()
+    text = _strip_markdown(text, cfg.smilies)
+    text = _strip_diacritics(text)
+    text = _replace_urls(text)
+    text = _strip_punctuation(text, cfg.smilies)
+    text = _collapse_repeats(text)
     return [tok for tok in text.split() if tok not in cfg.stopwords]
 
 
@@ -380,7 +362,9 @@ def write_profiles(profiles: Mapping[ProfileKey, TokenStream], path) -> None:
 def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
     """Read back a profile store written by `write_profiles`.
 
-    A malformed line raises ValueError("line N: ...").
+    `tokens` must be a list of strings and `n_comments`, if present, a
+    non-negative JSON integer.  A malformed line raises
+    ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -399,14 +383,14 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
                 raise ValueError(f"line {line_no}: missing required field(s): {', '.join(missing)}")
             if not (isinstance(rec["author"], str) and isinstance(rec["community"], str)):
                 raise ValueError(f"line {line_no}: 'author' and 'community' must be strings")
-            if not isinstance(rec["tokens"], list):
-                raise ValueError(f"line {line_no}: 'tokens' must be a list")
-            try:
-                n_comments = int(rec.get("n_comments", 0))
-            except (TypeError, ValueError):
-                raise ValueError(f"line {line_no}: 'n_comments' must be an integer") from None
+            tokens = rec["tokens"]
+            if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+                raise ValueError(f"line {line_no}: 'tokens' must be a list of strings")
+            n_comments = rec.get("n_comments", 0)
+            if type(n_comments) is not int or n_comments < 0:  # bool is not a count
+                raise ValueError(f"line {line_no}: 'n_comments' must be a non-negative integer")
             key = (rec["author"], rec["community"])
-            profiles[key] = TokenStream(profile_key=key, tokens=list(rec["tokens"]), n_comments=n_comments)
+            profiles[key] = TokenStream(profile_key=key, tokens=tokens, n_comments=n_comments)
     return profiles
 
 

@@ -356,7 +356,8 @@ def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], labe
     return EntityModel(values)
 
 
-_KINDS = {dict: "a JSON object", list: "a list", str: "a string", (int, float): "a number"}
+_KINDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integer",
+          (int, float): "a number"}
 
 
 def _field(obj, key: str, where: str, kind):
@@ -368,6 +369,12 @@ def _field(obj, key: str, where: str, kind):
     if not isinstance(obj[key], kind):
         raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}")
     return obj[key]
+
+
+def _check_numbers(obj: dict, where: str) -> None:
+    """A value of `obj` that is not a number is a ValueError."""
+    for key in obj:
+        _field(obj, key, where, (int, float))
 
 
 def load_scenario(source) -> Dict[str, object]:
@@ -416,6 +423,7 @@ def run_scenario(source) -> Dict[str, object]:
         if prior == "uniform":
             prior_masses[name] = {mid: 1.0 / len(models) for mid in models}
         elif isinstance(prior, dict):
+            _check_numbers(prior, f"profile {name!r} prior")
             prior_masses[name] = {mid: float(prior.get(mid, 0.0)) for mid in models}
         else:
             raise ValueError(f"profile {name!r}: 'prior' must be \"uniform\" or a JSON object")
@@ -429,12 +437,15 @@ def run_scenario(source) -> Dict[str, object]:
     elif kind == "exact_match":
         kappa = exact_match_kappa()
     elif kind == "table":
-        kappa = table_kappa(_field(kappa_cfg, "rows", "table kappa", dict))
+        rows = _field(kappa_cfg, "rows", "table kappa", dict)
+        for name in sorted(profiles):
+            _check_numbers(_field(rows, name, "table kappa rows", dict), f"table kappa row {name!r}")
+        kappa = table_kappa(rows)
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")
 
     adv = Adversary(universe=models, prior=belief, kappa=kappa)
-    rng = np.random.default_rng(scenario.get("seed", 0))
+    rng = np.random.default_rng(_field(scenario, "seed", "scenario", int) if "seed" in scenario else 0)
 
     observed = {}
     for name in sorted(profiles):

@@ -201,6 +201,49 @@ def test_config_file_fills_missing_required(tmp_path, capsys):
     assert "t = 0.857143" in out
 
 
+def _ingest_with_config(tmp_path, capsys, config_text, *flags):
+    src = tmp_path / "in.jsonl"
+    lines = [json.dumps({"author": author, "community": community, "body": "hello world"})
+             for author, community in (("u0", "abc"), ("u0", "xyz"), ("u1", "xyz"))]
+    src.write_text("\n".join(lines + ["broken"]) + "\n", encoding="utf-8")
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text(config_text, encoding="utf-8")
+    code, _, err = run(capsys, "ingest", "--input", str(src), "--config", str(cfg),
+                       "--min-profiles", "1", "--out", str(tmp_path / "out"), *flags)
+    if code != 0:
+        return code, err, None
+    return code, err, json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_config_loses_to_an_explicit_flag_equal_to_its_default(tmp_path, capsys):
+    code, _, manifest = _ingest_with_config(tmp_path, capsys, "min-comments=5\nlenient=true\n",
+                                            "--min-comments", "100")
+    assert code == 0
+    assert manifest["params"]["min_comments"] == 100
+    assert manifest["outputs"]["profiles_kept"] == 0
+
+
+@pytest.mark.parametrize("value, expected", [("true", 0), ("false", 1), ("False", 1), ("yes", 1)])
+def test_config_flag_takes_true_or_false(tmp_path, capsys, value, expected):
+    code, err, manifest = _ingest_with_config(tmp_path, capsys, f"min-comments=1\nlenient={value}\n")
+    assert code == expected
+    if value == "true":
+        assert manifest["params"]["lenient"] is True
+        assert manifest["outputs"]["lines_skipped"] == 1
+    elif value == "false":
+        assert err.startswith("error: line 4: ") and err.count("\n") == 1
+    else:
+        assert err == f"error: config key 'lenient' is a flag: expected true or false, got {value!r}\n"
+
+
+def test_config_gives_a_repeatable_option_one_value(tmp_path, capsys):
+    code, _, manifest = _ingest_with_config(tmp_path, capsys,
+                                            "min-comments=1\nlenient=true\nexclude-community=abc\n")
+    assert code == 0
+    assert manifest["params"]["exclude_community"] == ["abc"]
+    assert manifest["outputs"]["profiles_kept"] == 2
+
+
 def test_synth_invalid_sizes_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--users", "1", "--topics", "3", "--out", str(tmp_path / "x"))
     assert code == 1
@@ -274,7 +317,9 @@ def test_shared_parser_gives_fresh_parser_results(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["build-models", "eval"])
 @pytest.mark.parametrize(
     "bad_line",
-    ['{"author":"u1","tokens":["a"]}', '{"author":"u1","community":"alpha"}', '"u1"'],
+    ['{"author":"u1","tokens":["a"]}', '{"author":"u1","community":"alpha"}', '"u1"',
+     '{"author":"u1","community":"alpha","n_comments":1,"tokens":["x",1]}',
+     '{"author":"u1","community":"alpha","n_comments":2.9,"tokens":["x"]}'],
 )
 def test_malformed_profile_line_exits_one(tmp_path, capsys, command, bad_line):
     path = tmp_path / "profiles.jsonl"
@@ -427,6 +472,8 @@ _SCENARIO = {
                      "profile 'P1' publish is missing 'reveal'", id="publish-without-reveal"),
         pytest.param(lambda s: s.update(kappa={"kind": "table"}), "table kappa is missing 'rows'",
                      id="table-kappa-without-rows"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P2": {"m1": 1}}}),
+                     "table kappa rows is missing 'P1'", id="table-kappa-without-a-profile-row"),
     ],
 )
 def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change, message):
@@ -472,6 +519,12 @@ def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change,
                      "profile 'P1' publish: 'reveal' must be a list", id="reveal-string"),
         pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(perturb=5),
                      "profile 'P1' publish: 'perturb' must be a JSON object", id="perturb-number"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior={"m1": None, "m2": 1}),
+                     "profile 'P1' prior: 'm1' must be a number", id="prior-mass-null"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": None}}}),
+                     "table kappa row 'P1': 'm1' must be a number", id="table-kappa-entry-null"),
+        pytest.param(lambda s: s.update(seed="x"), "scenario: 'seed' must be an integer", id="seed-string"),
+        pytest.param(lambda s: s.update(seed=1.5), "scenario: 'seed' must be an integer", id="seed-float"),
     ],
 )
 def test_framework_run_rejects_scenario_fields_of_the_wrong_type(tmp_path, capsys, change, message):

@@ -129,7 +129,7 @@ def test_fuzz_no_stopwords_and_no_long_runs(cfg):
             for ch in tok:
                 run = run + 1 if ch == last else 1
                 last = ch
-                assert run <= cfg.max_char_repeat
+                assert run <= corpus._MAX_CHAR_REPEAT
 
 
 def test_fuzz_idempotence_without_markdown(cfg):
@@ -152,30 +152,9 @@ def test_configured_smilies_survive_verbatim(cfg):
 # --- config validation -----------------------------------------------------
 
 
-def test_config_rejects_bad_repeat():
-    with pytest.raises(ValueError):
-        corpus.NormalizationConfig(stopwords=frozenset(), smilies=frozenset({":)"}), max_char_repeat=0)
-
-
 def test_config_requires_smilies_with_punctuation():
     with pytest.raises(ValueError, match="smilies"):
         corpus.NormalizationConfig(stopwords=frozenset(), smilies=frozenset())
-    # fine when punctuation stripping is off
-    corpus.NormalizationConfig(stopwords=frozenset(), smilies=frozenset(), strip_punctuation=False)
-
-
-def test_steps_can_be_disabled():
-    cfg = corpus.NormalizationConfig(
-        stopwords=frozenset(),
-        smilies=frozenset({":)"}),
-        lowercase=False,
-        strip_markdown=False,
-        strip_diacritics=False,
-        replace_urls=False,
-        strip_punctuation=False,
-        collapse_repeats=False,
-    )
-    assert corpus.normalize("Keep *ALL* of thiiiiis", cfg) == ["Keep", "*ALL*", "of", "thiiiiis"]
 
 
 # --- ingestion --------------------------------------------------------------
@@ -344,6 +323,13 @@ def test_load_profiles_rejects_malformed_lines(tmp_path):
         ('{"author":"u0","community":"c","tokens":"ab"}', "'tokens' must be a list"),
         ('{"author":1,"community":"c","tokens":[]}', "must be strings"),
         ('{"author":"u0","community":"c","tokens":[],"n_comments":null}', "'n_comments'"),
+        ('{"author":"u0","community":"c","tokens":["x",1]}', "'tokens' must be a list of strings"),
+        ('{"author":"u0","community":"c","tokens":[null]}', "'tokens' must be a list of strings"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":2.9}', "non-negative integer"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":2.0}', "non-negative integer"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":-1}', "non-negative integer"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":true}', "non-negative integer"),
+        ('{"author":"u0","community":"c","tokens":[],"n_comments":"3"}', "non-negative integer"),
     ):
         path.write_text(good + "\n\n" + bad + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match="^line 3: ") as info:
@@ -425,21 +411,13 @@ def _ref_replace_urls(text):
 
 def _ref_normalize(body, cfg):
     text = body.replace(corpus._SENTINEL, " ").replace(corpus._SMILEY_MARK, " ")
-    if cfg.lowercase:
-        text = text.lower()
-    if cfg.strip_markdown:
-        text = _ref_strip_markdown(text, cfg.smilies)
-    if cfg.strip_diacritics:
-        text = _ref_strip_diacritics(text)
-    if cfg.replace_urls:
-        text = _ref_replace_urls(text)
-    if cfg.strip_punctuation:
-        text = _ref_strip_punctuation(text, cfg.smilies)
-    else:
-        text = text.replace(corpus._SENTINEL, "")
-    if cfg.collapse_repeats:
-        n = cfg.max_char_repeat
-        text = re.sub(r"(.)\1{%d,}" % n, lambda m: m.group(1) * n, text, flags=re.DOTALL)
+    text = text.lower()
+    text = _ref_strip_markdown(text, cfg.smilies)
+    text = _ref_strip_diacritics(text)
+    text = _ref_replace_urls(text)
+    text = _ref_strip_punctuation(text, cfg.smilies)
+    n = corpus._MAX_CHAR_REPEAT
+    text = re.sub(r"(.)\1{%d,}" % n, lambda m: m.group(1) * n, text, flags=re.DOTALL)
     return [tok for tok in text.split() if tok not in cfg.stopwords]
 
 
@@ -495,17 +473,8 @@ def test_normalize_matches_reference_at_each_skip_condition(cfg, body):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    body=st.one_of(st.text(), _TRICKY_TEXT),
-    flags=st.fixed_dictionaries({
-        name: st.booleans()
-        for name in ("lowercase", "strip_markdown", "strip_diacritics", "replace_urls",
-                     "strip_punctuation", "collapse_repeats")
-    }),
-    max_char_repeat=st.integers(1, 5),
-)
-def test_normalize_is_total_and_matches_reference_for_any_config(body, flags, max_char_repeat):
-    cfg = corpus.NormalizationConfig.default(max_char_repeat=max_char_repeat, **flags)
+@given(body=st.one_of(st.text(), _TRICKY_TEXT))
+def test_normalize_is_total_and_matches_reference_for_any_config(cfg, body):
     tokens = corpus.normalize(body, cfg)
     assert tokens == _ref_normalize(body, cfg)
     assert all(tok and tok == "".join(tok.split()) for tok in tokens)
@@ -618,3 +587,24 @@ def test_ingest_lone_carriage_return_does_not_end_a_line():
     for stream in (crlf, crlf.decode("utf-8"), io.BytesIO(crlf)):
         result = corpus.ingest_jsonl(stream)
         assert [c.author_id for c in result.comments] == ["a", "b"]
+
+
+def test_ingest_splits_only_what_it_is_given_to_split(tmp_path):
+    # binary input and a newline="\n" text file agree; a text file in the
+    # default mode hands over Python's lines, which end at the lone "\r" too
+    path = tmp_path / "comments.jsonl"
+    path.write_bytes(b'{"author":"a","community":"c","body":"x"}\r'
+                     b'{"author":"b","community":"c","body":"y"}\n')
+    with open(path, "rb") as fh:
+        binary = corpus.ingest_jsonl(fh, lenient=True)
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        text_lf = corpus.ingest_jsonl(fh, lenient=True)
+    assert binary == text_lf
+    assert binary.comments == [] and [line_no for line_no, _ in binary.errors] == [1]
+    for newline in (None, ""):
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            lines = list(fh)
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            text = corpus.ingest_jsonl(fh, lenient=True)
+        assert text == corpus.ingest_jsonl(lines, lenient=True)
+        assert len(lines) == 2 and [c.author_id for c in text.comments] == ["a", "b"]
