@@ -7,6 +7,7 @@ distributions, and walks through the divergences and the distance metric.
 import numpy as np
 
 from linkrisk import lm, metric
+from linkrisk.anonymity import DistanceMatrix
 
 # Three profiles: two about cooking, one about astronomy.
 profiles = {
@@ -58,7 +59,7 @@ for _ in range(2000):
 print(f"\ntriangle violations over 2000 random triples: {violations}")
 
 print("\n== pairwise matrix ==")
-names = sorted(dists)
-matrix = metric.pairwise_distances([dists[n] for n in names])
-print("order:", names)
-print(np.round(matrix, 3))
+matrix = DistanceMatrix.build(dists)  # keeps the pairs i < j, row by row, as `tri`
+print("order:", matrix.keys)
+print("packed:", np.round(matrix.tri, 3))
+print(np.round(matrix.values, 3))

@@ -37,30 +37,32 @@ class DistanceMatrix:
     """Pairwise distances in [0, 1] over an ordered profile list.
 
     Stored as `tri`, the row-major upper triangle without the diagonal (the
-    `.dmat` payload).  `distance` reads one entry, `row` gathers n, and the
-    symmetric n x n `values` with its zero diagonal is built on first use.
+    `.dmat` payload, and what `metric.pairwise_distances` returns).  The
+    constructor takes `values` as that triangle or as the n x n square.
+    `distance` reads one entry, `row` gathers n, and the symmetric n x n
+    `values` with its zero diagonal is built on first use.
     """
 
     def __init__(self, keys: Sequence[str], values: np.ndarray):
-        self._init(keys, np.asarray(values, dtype=np.float64)[_upper(len(keys))])
-
-    def _init(self, keys: Sequence[str], tri: np.ndarray) -> None:
         self.keys = list(keys)
-        self.tri = tri
+        n = len(self.keys)
+        values = np.asarray(values, dtype=np.float64)
+        self.tri = values if values.ndim == 1 else values[~np.tri(n, dtype=bool)]
+        if len(self.tri) != n * (n - 1) // 2:
+            raise ValueError(f"{n} keys need {n * (n - 1) // 2} packed distances, got {len(self.tri)}")
         self._square = None
 
     @classmethod
     def build(cls, models: Mapping[str, object], workers: int | None = None) -> "DistanceMatrix":
         """Compute the matrix for a key->model mapping; `workers` has no effect."""
         keys = sorted(models)
-        dists = [lm.as_distribution(models[k]) for k in keys]
-        return cls(keys=keys, values=metric.pairwise_distances(dists))
+        return cls(keys, metric.pairwise_distances([lm.as_distribution(models[k]) for k in keys]))
 
     @property
     def values(self) -> np.ndarray:
         """The full symmetric matrix, built once and read-only."""
         if self._square is None:
-            upper = _upper(len(self.keys))
+            upper = ~np.tri(len(self.keys), dtype=bool)
             self._square = np.zeros(upper.shape, dtype=np.float64)
             self._square[upper] = self.tri
             self._square.T[upper] = self.tri
@@ -111,9 +113,7 @@ class DistanceMatrix:
         The payload stays packed.  Any inconsistency between header and
         payload raises a one-line ValueError naming the file.
         """
-        m = cls.__new__(cls)
-        m._init(*_read_dmat(path))
-        return m
+        return cls(*_read_dmat(path))
 
 
 # stored dtype per .dmat format version; version 1 checksummed the payload only
@@ -180,11 +180,6 @@ def _packed_index(n: int, i, j):
     including, `_packed_index(n, i, n)`.  Works elementwise on index arrays.
     """
     return i * (2 * n - i - 1) // 2 + j - i - 1
-
-
-def _upper(n: int) -> np.ndarray:
-    """Mask of the entries above the diagonal of an n x n matrix, in payload order."""
-    return ~np.tri(n, dtype=bool)
 
 
 @dataclass

@@ -48,6 +48,9 @@ def _config_value(action: argparse.Action, key: str, raw: str):
             raise ValueError(f"config key {key!r} is a flag: expected true or false, got {raw!r}")
         return action.const if raw == "true" else action.default
     value = action.type(raw) if action.type else raw
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise ValueError(f"config key {key!r}: invalid choice {raw!r} (choose from {choices})")
     return [value] if isinstance(action, argparse._AppendAction) else value
 
 
@@ -153,18 +156,16 @@ def _cmd_top_unigrams(args) -> int:
     return 0
 
 
-def _community_models(models_path: str, community: str):
-    profiles, _, _ = lm.load_models(models_path)
-    selected = {
-        author: model for (author, comm), model in profiles.items() if comm == community
-    }
+def _community_models(profiles: dict, community: str) -> dict:
+    selected = {author: model for (author, comm), model in profiles.items() if comm == community}
     if not selected:
         raise ValueError(f"no profiles found for community {community!r}")
     return selected
 
 
 def _cmd_distances(args) -> int:
-    selected = _community_models(args.models, args.community)
+    profiles, _, _ = lm.load_models(args.models)
+    selected = _community_models(profiles, args.community)
     matrix = anonymity.DistanceMatrix.build(selected)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.community}.dmat")
@@ -186,7 +187,8 @@ def _cmd_anonymity(args) -> int:
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")
-        matrix = anonymity.DistanceMatrix.build(_community_models(args.models, args.community))
+        profiles, _, _ = lm.load_models(args.models)
+        matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
     result = anonymity.convergent_subset(matrix, args.subject, args.d)
     report = {
         "subject": result.subject,
@@ -249,12 +251,8 @@ def _cmd_synth(args) -> int:
 def _cmd_eval(args) -> int:
     streams = corpus.load_profiles(args.profiles)
     profile_models, _, _ = lm.build_models(streams)
-    models_a = {a: m for (a, c), m in profile_models.items() if c == args.community_a}
-    models_b = {a: m for (a, c), m in profile_models.items() if c == args.community_b}
-    if not models_a:
-        raise ValueError(f"no profiles for community {args.community_a!r}")
-    if not models_b:
-        raise ValueError(f"no profiles for community {args.community_b!r}")
+    models_a = _community_models(profile_models, args.community_a)
+    models_b = _community_models(profile_models, args.community_b)
     ks = [int(part) for part in args.k.split(",") if part.strip()]
     result = evaluation.run_experiment(
         models_a,

@@ -88,17 +88,15 @@ def _distributions(models: Mapping[str, object]) -> list:
     return [lm.as_distribution(models[key]) for key in sorted(models)]
 
 
-def _require_k(ks: Iterable[int]) -> None:
+def _require_k(ks: Sequence[int]) -> None:
+    if not ks:
+        raise ValueError("need at least one k")
     if any(k < 1 for k in ks):
         raise ValueError("k must be >= 1")
 
 
 def _stats(values: np.ndarray) -> Dict[str, float]:
     return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
-
-
-def _within(keys: List[str], dists: list) -> DistanceMatrix:
-    return DistanceMatrix(keys, metric.pairwise_distances(dists))
 
 
 def _within_stats(within: DistanceMatrix) -> Dict[str, float]:
@@ -230,7 +228,7 @@ def anon_vs_precision(
     """
     _require_k([k])
     exp = _Experiment(links, models_a, models_b)
-    return exp.bins(exp.anon_sizes(_within(exp.keys_a, exp.dists_a)), k)
+    return exp.bins(exp.anon_sizes(DistanceMatrix.build(dict(zip(exp.keys_a, exp.dists_a)))), k)
 
 
 def matched_vs_average_scatter(
@@ -383,9 +381,9 @@ def run_experiment(
 
     exp = _Experiment(links, models_a, models_b)
     scatter = exp.scatter()
-    within_a = _within(exp.keys_a, exp.dists_a)
+    within_a = DistanceMatrix.build(dict(zip(exp.keys_a, exp.dists_a)))
     stats_a = _within_stats(within_a)
-    stats_b = _within_stats(_within(exp.keys_b, exp.dists_b))
+    stats_b = _within_stats(DistanceMatrix.build(dict(zip(exp.keys_b, exp.dists_b))))
     sizes = exp.anon_sizes(within_a)
     return ExperimentResult(
         community_a=community_a,

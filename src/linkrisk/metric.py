@@ -8,8 +8,9 @@ Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 The scalar `kl`, `js` and `distance` over token->probability mappings are
 the reference definition.  `pairwise_distances` and `cross_distances` share
 one vectorized row kernel whose memory is O(vocabulary + support entries);
-each pair is summed in a fixed token order, so matrices are exactly
-symmetric and bit-stable.  Their `workers` argument has no effect.
+each pair is summed in a fixed token order, so results are bit-stable.
+`pairwise_distances` returns the packed upper triangle (the `.dmat`
+payload, scipy's condensed form).  Their `workers` argument has no effect.
 """
 
 from __future__ import annotations
@@ -136,19 +137,20 @@ def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -
 
 
 def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairwise: bool) -> None:
-    """Fill `out` with sqrt-JS distances from each row of `src` to rows of `dst`.
+    """Write sqrt-JS distances from each `src` row to `dst` rows into flat `out`, row after row.
 
     Each source row is scattered into dense buffers of length `vocab_size`
     (a presence mask and the probabilities; `buf` is read only where the
     mask is set, so it is never cleared), and the mask is gathered at the
     target entries.  Only shared tokens need the log terms; everything else
     enters through the row masses.  With `pairwise`, row i is compared with
-    target rows j > i only.  The shared entries of a target row are summed
-    as one run in ascending token id, so a pair's value depends on that pair
-    alone and is exactly symmetric.
+    target rows j > i only, which fills `out` with the upper triangle.  A
+    target row's shared entries are summed as one run in ascending token
+    id, so a pair's value depends on that pair alone and is exactly symmetric.
     """
     present = np.zeros(vocab_size, dtype=bool)
     buf = np.empty(vocab_size, dtype=np.float64)
+    pos = 0
     for i in range(len(src)):
         first = i + 1 if pairwise else 0
         width = len(dst) - first
@@ -172,23 +174,24 @@ def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairw
         shared_p = _segment_sums(p, starts, lengths)
         shared_q = _segment_sums(q, starts, lengths)
         total = 0.5 * ((src.sums[i] - shared_p) + (dst.sums[first:] - shared_q) + shared)
-        out[i, first:] = np.sqrt(np.clip(total, 0.0, 1.0))
+        out[pos:pos + width] = np.sqrt(np.clip(total, 0.0, 1.0))
+        pos += width
         present[src_ids] = False
 
 
 def pairwise_distances(dists: Sequence, workers: int | None = None) -> np.ndarray:
-    """Symmetric matrix of sqrt-JS distances over a list of distributions."""
+    """sqrt-JS distances of the pairs i < j, row by row: float64 of length n(n-1)/2."""
     index = build_vocab_index(dists)
     csr = _CSR(dists, index)
     n = len(csr)
-    out = np.zeros((n, n), dtype=np.float64)
+    out = np.empty(n * (n - 1) // 2, dtype=np.float64)
     _distance_rows(csr, csr, len(index), out, pairwise=True)
-    return out + out.T  # the lower triangle is still zero, so this mirrors exactly
+    return out
 
 
 def cross_distances(dists_a: Sequence, dists_b: Sequence, workers: int | None = None) -> np.ndarray:
     """len(a) x len(b) matrix of sqrt-JS distances between two collections."""
     index = build_vocab_index(list(dists_a) + list(dists_b))
     out = np.zeros((len(dists_a), len(dists_b)), dtype=np.float64)
-    _distance_rows(_CSR(dists_a, index), _CSR(dists_b, index), len(index), out, pairwise=False)
+    _distance_rows(_CSR(dists_a, index), _CSR(dists_b, index), len(index), out.reshape(-1), pairwise=False)
     return out

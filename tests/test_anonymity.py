@@ -166,6 +166,12 @@ def test_choice_likelihood_degenerate():
         anonymity.choice_likelihood(m, ["c1"], "t", "c1")
 
 
+def test_choice_likelihood_chosen_must_be_a_candidate():
+    m = matrix_from({(0, 1): 0.2, (0, 2): 0.8, (1, 2): 0.5}, ["t", "c1", "c2"])
+    with pytest.raises(ValueError, match="^chosen profile 't' not among candidates$"):
+        anonymity.choice_likelihood(m, ["c1", "c2"], "t", "t")
+
+
 def test_matching_bound_values():
     assert anonymity.matching_bound(0.5, 0.3, 1).t == 0.0
     assert anonymity.matching_bound(0.2, 0.1, 5).t == pytest.approx(1 - 0.2 / 1.4)
@@ -530,3 +536,12 @@ def test_values_is_the_symmetric_square_and_read_only(toy_matrix):
     assert toy_matrix.values is values
     with pytest.raises(ValueError):
         values[0, 1] = 0.9
+
+
+def test_constructor_takes_the_square_or_the_packed_triangle(toy_matrix):
+    packed = DistanceMatrix(keys=toy_matrix.keys, values=[0.2, 0.6, 0.5])
+    assert np.array_equal(packed.tri, toy_matrix.tri)
+    assert np.array_equal(packed.values, toy_matrix.values)
+    for values in ([0.2, 0.6], np.zeros((2, 2)).ravel()):
+        with pytest.raises(ValueError, match="^3 keys need 3 packed distances, got "):
+            DistanceMatrix(keys=toy_matrix.keys, values=values)

@@ -608,3 +608,149 @@ def test_eval_with_a_single_target_profile_exits_one(tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == "error: target community needs at least 2 profiles\n"
     assert not (tmp_path / "report").exists()
+
+
+def _two_model_store(tmp_path):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + '\n{"counts":{"g":1},"key":null,"kind":"global"}\n', encoding="utf-8")
+    return path
+
+
+def test_top_unigrams_of_one_profile(tmp_path, capsys):
+    path = _two_model_store(tmp_path)
+    code, out, _ = run(capsys, "top-unigrams", "--models", str(path), "--kind", "profile",
+                       "--author", "u0", "--key", "alpha")
+    assert (code, out) == (0, "x\t2\ny\t1\n")
+    code, out, err = run(capsys, "top-unigrams", "--models", str(path), "--kind", "profile",
+                         "--author", "u1", "--key", "alpha")
+    assert (code, out) == (1, "")
+    assert err == "error: unknown profile ('u1', 'alpha')\n"
+
+
+def test_config_value_must_be_one_of_the_choices(tmp_path, capsys):
+    path = _two_model_store(tmp_path)
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text("kind=bogus\n", encoding="utf-8")
+    code, out, err = run(capsys, "top-unigrams", "--models", str(path), "--config", str(cfg))
+    assert (code, out) == (1, "")
+    assert err == "error: config key 'kind': invalid choice 'bogus' (choose from 'community', 'global', 'profile')\n"
+    cfg.write_text("kind=global\n", encoding="utf-8")
+    code, out, _ = run(capsys, "top-unigrams", "--models", str(path), "--config", str(cfg))
+    assert (code, out) == (0, "g\t1\n")
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text("# matching distance\n\nc = 0.2\n   \n  # radius\nd=0.1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "bound", "--config", str(cfg), "--c", "0.2", "--d", "0.1", "--k", "5")
+    assert (code, out) == (0, "t = 0.857143\n")
+
+
+def test_config_line_without_equals_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text("# ok\nc 0.2\n", encoding="utf-8")
+    code, out, err = run(capsys, "bound", "--config", str(cfg), "--c", "0.2", "--d", "0.1", "--k", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: {cfg}:2: expected key=value\n"
+
+
+def _eval_profiles(path):
+    lines = [
+        {"author": author, "community": community, "n_comments": 1, "tokens": tokens}
+        for author, tokens in (("u0", ["x", "y"]), ("u1", ["y", "z"]))
+        for community in ("alpha", "beta")
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+@pytest.mark.parametrize("ks", [",", "", " , "])
+def test_eval_without_any_k_exits_one(tmp_path, capsys, ks):
+    path = tmp_path / "profiles.jsonl"
+    _eval_profiles(path)
+    code, out, err = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "beta", "--k", ks, "--out", str(tmp_path / "report"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: need at least one k\n"
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("eval", "--profiles", "{profiles}", "--community-a", "nope", "--community-b", "beta"),
+    ("eval", "--profiles", "{profiles}", "--community-a", "alpha", "--community-b", "nope"),
+    ("distances", "--models", "{models}", "--community", "nope"),
+    ("anonymity", "--models", "{models}", "--community", "nope", "--subject", "u0", "--d", "0.5"),
+], ids=["eval-source", "eval-target", "distances", "anonymity"])
+def test_unknown_community_exits_one(tmp_path, capsys, command):
+    profiles, models = tmp_path / "profiles.jsonl", tmp_path / "models.jsonl"
+    _eval_profiles(profiles)
+    models.write_text(_PROFILE + "\n", encoding="utf-8")
+    argv = [arg.format(profiles=profiles, models=models) for arg in command]
+    if command[0] != "anonymity":
+        argv += ["--out", str(tmp_path / "out")]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: no profiles found for community 'nope'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def _run_scenario(tmp_path, capsys, scenario):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    code, out, err = run(capsys, "framework", "run", str(path))
+    return code, json.loads(out) if code == 0 else out, err
+
+
+def test_framework_run_with_a_table_kappa(tmp_path, capsys):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    scenario["kappa"] = {"kind": "table", "rows": {"P1": {"m1": 0.25, "m2": 0.75}}}
+    code, report, _ = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 0
+    assert report["posteriors"] == {"P1": {"m1": 0.25, "m2": 0.75}}
+    assert report["policy_satisfied"] is True  # 0.25 on job=dev is below sigma
+
+
+def test_framework_run_with_an_exact_match_kappa(tmp_path, capsys):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    scenario["kappa"] = {"kind": "exact_match"}
+    code, report, _ = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 0
+    assert report["posteriors"] == {"P1": {"m1": 1.0, "m2": 0.0}}
+    # with only part of the model revealed no candidate equals the observation,
+    # while the consistency kappa still accepts both
+    scenario.update(attributes=["job", "city"],
+                    models={"m1": {"job": "dev", "city": "x"}, "m2": {"job": "dev", "city": "y"}})
+    code, out, err = _run_scenario(tmp_path, capsys, scenario)
+    assert (code, out) == (1, "")
+    assert err == "error: observation impossible under prior for profile 'P1'\n"
+    scenario["kappa"] = {"kind": "consistency"}
+    code, report, _ = _run_scenario(tmp_path, capsys, scenario)
+    assert code == 0
+    assert report["posteriors"] == {"P1": {"m1": 0.5, "m2": 0.5}}
+
+
+def test_framework_run_rejects_an_unknown_kappa_kind(tmp_path, capsys):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    scenario["kappa"] = {"kind": "fuzzy"}
+    code, out, err = _run_scenario(tmp_path, capsys, scenario)
+    assert (code, out) == (1, "")
+    assert err == "error: unknown kappa kind 'fuzzy'\n"
+
+
+def test_framework_run_without_publish_reveals_the_whole_model(tmp_path, capsys):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    code, explicit, _ = _run_scenario(tmp_path, capsys, scenario)
+    del scenario["profiles"]["P1"]["publish"]
+    code_default, default, _ = _run_scenario(tmp_path, capsys, scenario)
+    assert (code, code_default) == (0, 0)
+    assert default == explicit and default["observation"] == {"P1": {"job": "dev"}}
+
+
+@pytest.mark.parametrize("sigma", [-0.1, 1.5])
+def test_framework_run_rejects_sigma_outside_the_unit_interval(tmp_path, capsys, sigma):
+    scenario = json.loads(json.dumps(_SCENARIO))
+    scenario["policy"]["sigma"] = sigma
+    code, out, err = _run_scenario(tmp_path, capsys, scenario)
+    assert (code, out) == (1, "")
+    assert err == "error: sigma must be in [0, 1]\n"

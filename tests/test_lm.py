@@ -159,6 +159,14 @@ def test_load_models_rejects_malformed_keys(tmp_path, record):
         lm.load_models(path)
 
 
+def test_load_models_rejects_an_unknown_kind(tmp_path):
+    path = tmp_path / "models.jsonl"
+    path.write_text('{"kind":"global","key":null,"counts":{"a":1}}\n'
+                    '{"kind":"author","key":"u","counts":{"a":1}}\n', encoding="utf-8")
+    with pytest.raises(ValueError, match="^line 2: unknown model kind 'author'$"):
+        lm.load_models(path)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(
     st.tuples(st.text(max_size=5), st.text(max_size=5)),

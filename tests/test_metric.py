@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import squareform
 
 from linkrisk import metric
 from conftest import random_distribution
@@ -89,7 +90,7 @@ def test_identity_of_indiscernibles():
 def test_sparse_path_matches_scalar_path():
     rng = np.random.default_rng(11)
     dists = [random_distribution(rng) for _ in range(12)]
-    matrix = metric.pairwise_distances(dists)
+    matrix = squareform(metric.pairwise_distances(dists))
     for i in range(len(dists)):
         for j in range(len(dists)):
             assert matrix[i, j] == pytest.approx(
@@ -100,7 +101,7 @@ def test_sparse_path_matches_scalar_path():
 def test_pairwise_matrix_shape_and_symmetry():
     rng = np.random.default_rng(12)
     dists = [random_distribution(rng) for _ in range(9)]
-    matrix = metric.pairwise_distances(dists)
+    matrix = squareform(metric.pairwise_distances(dists))
     assert matrix.shape == (9, 9)
     assert np.array_equal(matrix, matrix.T)
     assert np.all(np.diag(matrix) == 0.0)
@@ -151,7 +152,7 @@ def test_matrices_match_50_digit_oracle():
     left = [random_distribution(rng, pool, max_support=20) for _ in range(8)]
     right = [random_distribution(rng, pool, max_support=20) for _ in range(6)]
     grid = metric.cross_distances(left, right)
-    within = metric.pairwise_distances(left)
+    within = squareform(metric.pairwise_distances(left))
     for i, p in enumerate(left):
         for j, q in enumerate(right):
             assert grid[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-9)
@@ -165,7 +166,7 @@ def test_matrices_disjoint_supports_are_exactly_one():
     left = [{"a": 1.0, "x": 0.0}, {"a": 0.5, "b": 0.25, "c": 0.25}]
     right = [{"x": 0.125, "y": 0.875}, {"z": 1.0}]
     assert np.all(metric.cross_distances(left, right) == 1.0)
-    within = metric.pairwise_distances(left + right)
+    within = squareform(metric.pairwise_distances(left + right))
     assert np.all(within[:2, 2:] == 1.0)
     assert within[2, 3] == 1.0
 
@@ -176,7 +177,7 @@ def test_matrices_identical_profiles_are_exactly_zero():
     for _ in range(20):
         p = random_distribution(rng, pool, max_support=150)
         q = random_distribution(rng, pool, max_support=150)
-        within = metric.pairwise_distances([p, q, dict(reversed(list(p.items())))])
+        within = squareform(metric.pairwise_distances([p, q, dict(reversed(list(p.items())))]))
         assert within[0, 2] == 0.0 and within[2, 0] == 0.0
         assert np.all(np.diag(within) == 0.0)
         assert metric.cross_distances([p], [dict(p), q])[0, 0] == 0.0
@@ -185,8 +186,8 @@ def test_matrices_identical_profiles_are_exactly_zero():
 def test_matrix_shapes_for_single_and_empty_sides():
     rng = np.random.default_rng(17)
     p, q, r = (random_distribution(rng) for _ in range(3))
-    assert np.array_equal(metric.pairwise_distances([p]), np.zeros((1, 1)))
-    assert metric.pairwise_distances([]).shape == (0, 0)
+    assert np.array_equal(squareform(metric.pairwise_distances([p])), np.zeros((1, 1)))
+    assert metric.pairwise_distances([]).shape == (0,)  # squareform would read it as 1 x 1
     assert metric.cross_distances([p], [q]).shape == (1, 1)
     assert metric.cross_distances([], [p, q, r]).shape == (0, 3)
     assert metric.cross_distances([p, q, r], []).shape == (3, 0)
@@ -201,5 +202,15 @@ def test_cross_rows_do_not_depend_on_the_split():
     assert np.array_equal(grid, metric.cross_distances(right, left).T)
     for i, p in enumerate(left):
         assert np.array_equal(metric.cross_distances([p], right)[0], grid[i])
-    within = metric.pairwise_distances(left + right)
+    within = squareform(metric.pairwise_distances(left + right))
     assert np.array_equal(within[:7, 7:], grid)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 11])
+def test_pairwise_is_the_packed_upper_triangle_of_the_cross_matrix(n):
+    rng = np.random.default_rng(19)
+    pool = [f"tok{i}" for i in range(30)]
+    dists = [random_distribution(rng, pool, max_support=20) for _ in range(n)]
+    packed = metric.pairwise_distances(dists)
+    assert packed.dtype == np.float64 and packed.shape == (n * (n - 1) // 2,)
+    assert np.array_equal(packed, metric.cross_distances(dists, dists)[np.triu_indices(n, 1)])
