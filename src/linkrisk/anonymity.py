@@ -38,7 +38,8 @@ class DistanceMatrix:
 
     Stored as `tri`, the row-major upper triangle without the diagonal (the
     `.dmat` payload, and what `metric.pairwise_distances` returns).  The
-    constructor takes `values` as that triangle or as the n x n square.
+    constructor takes `values` as that triangle or as the n x n square, which
+    must be exactly symmetric with a zero diagonal.
     `distance` reads one entry, `row` gathers n, and the symmetric n x n
     `values` with its zero diagonal is built on first use.
     """
@@ -47,7 +48,15 @@ class DistanceMatrix:
         self.keys = list(keys)
         n = len(self.keys)
         values = np.asarray(values, dtype=np.float64)
-        self.tri = values if values.ndim == 1 else values[~np.tri(n, dtype=bool)]
+        if values.ndim != 1:
+            if values.shape != (n, n):
+                raise ValueError(f"{n} keys need a {n} x {n} square, got shape {values.shape}")
+            if not np.array_equal(values, values.T, equal_nan=True):
+                raise ValueError("distance square is not symmetric")
+            if np.any(np.diagonal(values)):
+                raise ValueError("distance square has a nonzero diagonal")
+            values = values[~np.tri(n, dtype=bool)]
+        self.tri = values
         if len(self.tri) != n * (n - 1) // 2:
             raise ValueError(f"{n} keys need {n * (n - 1) // 2} packed distances, got {len(self.tri)}")
         self._square = None
@@ -278,12 +287,15 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
     """Bound on the adversary's likelihood of linking a (k,d)-anonymous match.
 
     `c` is the matching distance between the true pair, `d` the convergence
-    radius of the anonymous neighborhood, `k` its size.  Undefined at c = 0.
+    radius of the anonymous neighborhood, `k` its size.  Both are distances:
+    c in (0, 1] (undefined at c = 0) and d in [0, 1]; NaN is rejected.
     """
     if c <= 0.0:
         raise ValueError("bound undefined at zero matching distance")
-    if d < 0.0:
-        raise ValueError("d must be >= 0")
+    if not c <= 1.0:
+        raise ValueError("c must be in (0, 1]")
+    if not 0.0 <= d <= 1.0:
+        raise ValueError("d must be in [0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
     t = 1.0 - c / (c + (k - 1) * (c + d))

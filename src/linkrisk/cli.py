@@ -190,6 +190,8 @@ def _cmd_anonymity(args) -> int:
         profiles, _, _ = lm.load_models(args.models)
         matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
     result = anonymity.convergent_subset(matrix, args.subject, args.d)
+    if args.k is not None and args.k < 1:
+        raise ValueError("k must be >= 1")
     report = {
         "subject": result.subject,
         "d": result.d,
@@ -253,7 +255,8 @@ def _cmd_eval(args) -> int:
     profile_models, _, _ = lm.build_models(streams)
     models_a = _community_models(profile_models, args.community_a)
     models_b = _community_models(profile_models, args.community_b)
-    ks = [int(part) for part in args.k.split(",") if part.strip()]
+    # each k once, ascending: the values the CSVs hold
+    ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     result = evaluation.run_experiment(
         models_a,
         models_b,
@@ -345,13 +348,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--matrix", default=None, help="previously saved .dmat file")
     p.add_argument("--subject", required=True)
     p.add_argument("--d", type=float, required=True)
-    p.add_argument("--k", type=int, default=None, help="also report whether the subset reaches size k")
+    p.add_argument("--k", type=int, default=None, help="also report whether the subset reaches size k >= 1")
     p.set_defaults(func=_cmd_anonymity)
     subs["anonymity"] = p
 
     p = sub.add_parser("bound", parents=[common], help="adversary matching-likelihood bound")
-    p.add_argument("--c", type=float, required=True, help="matching distance (> 0)")
-    p.add_argument("--d", type=float, required=True, help="convergence radius")
+    p.add_argument("--c", type=float, required=True, help="matching distance in (0, 1]")
+    p.add_argument("--d", type=float, required=True, help="convergence radius in [0, 1]")
     p.add_argument("--k", type=int, required=True, help="anonymous subset size")
     p.set_defaults(func=_cmd_bound)
     subs["bound"] = p

@@ -5,6 +5,11 @@ two communities forms a true link.  The experiment ranks every target
 community profile by distance from a source profile, reports how often the
 true counterpart lands in the top k, and relates that precision to the size
 of the source's anonymous neighborhood at the matching distance.
+
+`run_experiment` is the one experiment entry point: its `ExperimentResult`
+holds the distance statistics, precision@k, the neighborhood-size bins and
+the matched-vs-average scatter.  `rank_candidates` ranks the targets of a
+single source and serves as the brute-force reference for it.
 """
 
 from __future__ import annotations
@@ -27,11 +32,7 @@ __all__ = [
     "ScatterRow",
     "ScatterReport",
     "SynthCorpus",
-    "cross_distance_stats",
     "rank_candidates",
-    "precision_at_k",
-    "anon_vs_precision",
-    "matched_vs_average_scatter",
     "synth_corpus",
     "run_experiment",
     "ExperimentResult",
@@ -88,104 +89,8 @@ def _distributions(models: Mapping[str, object]) -> list:
     return [lm.as_distribution(models[key]) for key in sorted(models)]
 
 
-def _require_k(ks: Sequence[int]) -> None:
-    if not ks:
-        raise ValueError("need at least one k")
-    if any(k < 1 for k in ks):
-        raise ValueError("k must be >= 1")
-
-
 def _stats(values: np.ndarray) -> Dict[str, float]:
     return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
-
-
-def _within_stats(within: DistanceMatrix) -> Dict[str, float]:
-    if len(within.keys) < 2:
-        raise ValueError("need at least 2 profiles for within-community statistics")
-    return _stats(within.tri)
-
-
-class _Experiment:
-    """Ground-truth links resolved once against one cross-community matrix.
-
-    Holds each side's distributions in sorted key order, the cross matrix,
-    and one array per link field: source index, target index, matching
-    distance and the zero-based rank of the target among all candidates
-    sorted by (distance, key).  Every report is a view on these arrays.
-    """
-
-    def __init__(self, links, models_a, models_b):
-        if not links:
-            raise ValueError("no ground-truth links given")
-        self.keys_a, self.keys_b = sorted(models_a), sorted(models_b)
-        index_a = {k: i for i, k in enumerate(self.keys_a)}
-        index_b = {k: i for i, k in enumerate(self.keys_b)}
-        for link in links:
-            if link.source not in index_a:
-                raise ValueError(f"link source {link.source!r} not in source community")
-            if link.target not in index_b:
-                raise ValueError(f"link target {link.target!r} not in target community")
-        self.links = list(links)
-        self.dists_a = _distributions(models_a)
-        self.dists_b = _distributions(models_b)
-        self.cross = metric.cross_distances(self.dists_a, self.dists_b)
-        self.source = np.array([index_a[link.source] for link in self.links], dtype=np.intp)
-        self.target = np.array([index_b[link.target] for link in self.links], dtype=np.intp)
-        self.matching = self.cross[self.source, self.target]
-        # keys_b is sorted and unique, so the candidates tied with the target
-        # that sort before it are exactly the equal entries left of it
-        self.ranks = np.array([
-            np.count_nonzero(self.cross[s] < d) + np.count_nonzero(self.cross[s, :t] == d)
-            for s, t, d in zip(self.source, self.target, self.matching)
-        ])
-
-    def precision(self, k: int) -> float:
-        return int(np.count_nonzero(self.ranks < k)) / len(self.links)
-
-    def anon_sizes(self, within_a: DistanceMatrix) -> np.ndarray:
-        """Per link: source-side profiles within the matching distance of the source."""
-        return np.array([np.count_nonzero(within_a.row(link.source) <= d)
-                         for link, d in zip(self.links, self.matching)])
-
-    def bins(self, sizes: np.ndarray, k: int) -> PrecisionReport:
-        hits = self.ranks < k
-        groups = (sizes - 1) // BIN_WIDTH
-        bins = []
-        # not np.unique: it imports numpy.ma on first use, about 1 MB resident
-        for b in sorted(set(groups.tolist())):
-            members = groups == b
-            count, hit = int(np.count_nonzero(members)), int(np.count_nonzero(hits & members))
-            bins.append(PrecisionBin(b * BIN_WIDTH + 1, (b + 1) * BIN_WIDTH, count, hit / count))
-        return PrecisionReport(k=k, bins=bins)
-
-    def scatter(self) -> ScatterReport:
-        nb = len(self.dists_b)
-        if nb < 2:
-            raise ValueError("target community needs at least 2 profiles")
-        rows = []
-        for link, s, d in zip(self.links, self.source, self.matching):
-            d_match = float(d)
-            avg_other = (float(self.cross[s].sum()) - d_match) / (nb - 1)
-            rows.append(ScatterRow(link.source, link.target, avg_other, d_match))
-        below = sum(1 for r in rows if r.below_diagonal)
-        return ScatterReport(rows=rows, fraction_below=below / len(rows))
-
-
-def cross_distance_stats(
-    models_a: Mapping[str, object],
-    models_b: Optional[Mapping[str, object]] = None,
-    workers: int | None = None,
-) -> Dict[str, float]:
-    """Min, max, and mean pairwise distance.
-
-    With one mapping: all unordered pairs within it, self-pairs excluded.
-    With two mappings: every (a, b) pair across them.  `workers` has no effect.
-    """
-    if models_b is None:
-        return _within_stats(DistanceMatrix.build(models_a))
-    if not models_a or not models_b:
-        raise ValueError("need at least one profile on each side")
-    return _stats(metric.cross_distances(_distributions(models_a), _distributions(models_b)).ravel())
 
 
 def rank_candidates(
@@ -199,46 +104,6 @@ def rank_candidates(
     ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
-
-
-def precision_at_k(
-    links: Sequence[GroundTruthLink],
-    models_a: Mapping[str, object],
-    models_b: Mapping[str, object],
-    k: int,
-    workers: int | None = None,
-) -> float:
-    """Fraction of true links whose target ranks in the top k candidates."""
-    _require_k([k])
-    return _Experiment(links, models_a, models_b).precision(k)
-
-
-def anon_vs_precision(
-    links: Sequence[GroundTruthLink],
-    models_a: Mapping[str, object],
-    models_b: Mapping[str, object],
-    k: int,
-    workers: int | None = None,
-) -> PrecisionReport:
-    """Precision at k per bin of anonymous-neighborhood size.
-
-    For each true link, the neighborhood is taken around the source within
-    its own community at radius equal to the pair's matching distance;
-    sizes are grouped into bins of width 10.
-    """
-    _require_k([k])
-    exp = _Experiment(links, models_a, models_b)
-    return exp.bins(exp.anon_sizes(DistanceMatrix.build(dict(zip(exp.keys_a, exp.dists_a)))), k)
-
-
-def matched_vs_average_scatter(
-    links: Sequence[GroundTruthLink],
-    models_a: Mapping[str, object],
-    models_b: Mapping[str, object],
-    workers: int | None = None,
-) -> ScatterReport:
-    """Per link: mean distance to the non-matching targets vs the matching one."""
-    return _Experiment(links, models_a, models_b).scatter()
 
 
 @dataclass
@@ -367,36 +232,81 @@ def run_experiment(
     """Full linkability experiment between two communities.
 
     When `links` is omitted, authors present in both communities are paired
-    by shared pseudonym.  Each model is turned into a distribution once, and
-    each matrix is computed once and reused across all reports.  `workers`
-    has no effect.
+    by shared pseudonym.  Every input check runs before any distance is
+    computed.  Each model is turned into a distribution once; the cross
+    matrix and each community's within matrix are computed once, and every
+    report is derived from them.  `workers` has no effect.
     """
-    _require_k(ks)
+    if not ks:
+        raise ValueError("need at least one k")
+    if any(k < 1 for k in ks):
+        raise ValueError("k must be >= 1")
     if links is None:
         shared = sorted(set(models_a) & set(models_b))
         links = [GroundTruthLink(source=a, target=a) for a in shared]
     links = list(links)
     if not links:
         raise ValueError("no ground-truth links between the two communities")
+    keys_a, keys_b = sorted(models_a), sorted(models_b)
+    index_a = {k: i for i, k in enumerate(keys_a)}
+    index_b = {k: i for i, k in enumerate(keys_b)}
+    for link in links:
+        if link.source not in index_a:
+            raise ValueError(f"link source {link.source!r} not in source community")
+        if link.target not in index_b:
+            raise ValueError(f"link target {link.target!r} not in target community")
+    nb = len(keys_b)
+    if nb < 2:
+        raise ValueError("target community needs at least 2 profiles")
+    if len(keys_a) < 2:
+        raise ValueError("need at least 2 profiles for within-community statistics")
 
-    exp = _Experiment(links, models_a, models_b)
-    scatter = exp.scatter()
-    within_a = DistanceMatrix.build(dict(zip(exp.keys_a, exp.dists_a)))
-    stats_a = _within_stats(within_a)
-    stats_b = _within_stats(DistanceMatrix.build(dict(zip(exp.keys_b, exp.dists_b))))
-    sizes = exp.anon_sizes(within_a)
+    dists_a, dists_b = _distributions(models_a), _distributions(models_b)
+    cross = metric.cross_distances(dists_a, dists_b)
+    within_a = DistanceMatrix.build(dict(zip(keys_a, dists_a)))
+    within_b = DistanceMatrix.build(dict(zip(keys_b, dists_b)))
+
+    source = np.array([index_a[link.source] for link in links], dtype=np.intp)
+    target = np.array([index_b[link.target] for link in links], dtype=np.intp)
+    matching = cross[source, target]
+    # keys_b is sorted and unique, so the candidates tied with the target
+    # that sort before it are exactly the equal entries left of it
+    ranks = np.array([
+        np.count_nonzero(cross[s] < d) + np.count_nonzero(cross[s, :t] == d)
+        for s, t, d in zip(source, target, matching)
+    ])
+    # anonymous neighborhood: source-side profiles within the matching distance
+    sizes = np.array([np.count_nonzero(within_a.row(link.source) <= d)
+                      for link, d in zip(links, matching)])
+    rows = []
+    for link, s, d in zip(links, source, matching):
+        avg_other = (float(cross[s].sum()) - float(d)) / (nb - 1)
+        rows.append(ScatterRow(link.source, link.target, avg_other, float(d)))
+    below = sum(1 for r in rows if r.below_diagonal)
     return ExperimentResult(
         community_a=community_a,
         community_b=community_b,
         links=links,
-        stats_within_a=stats_a,
-        stats_within_b=stats_b,
-        stats_across=_stats(exp.cross.ravel()),
-        scatter=scatter,
-        precisions={k: exp.precision(k) for k in ks},
-        bin_reports={k: exp.bins(sizes, k) for k in ks},
+        stats_within_a=_stats(within_a.tri),
+        stats_within_b=_stats(within_b.tri),
+        stats_across=_stats(cross.ravel()),
+        scatter=ScatterReport(rows=rows, fraction_below=below / len(rows)),
+        precisions={k: int(np.count_nonzero(ranks < k)) / len(links) for k in ks},
+        bin_reports={k: _bins(sizes, ranks < k, k) for k in ks},
         anon_sizes=sizes.tolist(),
     )
+
+
+def _bins(sizes: np.ndarray, hits: np.ndarray, k: int) -> PrecisionReport:
+    """Precision at k per bin of BIN_WIDTH neighborhood sizes."""
+    groups = (sizes - 1) // BIN_WIDTH
+    bins = []
+    # not np.unique: it imports numpy.ma on first use, about 1 MB resident
+    for b in sorted(set(groups.tolist())):
+        members = groups == b
+        count, hit = int(np.count_nonzero(members)), int(np.count_nonzero(hits & members))
+        bins.append(PrecisionBin(b * BIN_WIDTH + 1, (b + 1) * BIN_WIDTH, count, hit / count))
+    return PrecisionReport(k=k, bins=bins)
 
 
 def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[dict] = None) -> List[str]:

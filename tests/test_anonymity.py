@@ -545,3 +545,31 @@ def test_constructor_takes_the_square_or_the_packed_triangle(toy_matrix):
     for values in ([0.2, 0.6], np.zeros((2, 2)).ravel()):
         with pytest.raises(ValueError, match="^3 keys need 3 packed distances, got "):
             DistanceMatrix(keys=toy_matrix.keys, values=values)
+
+
+@pytest.mark.parametrize("keys, square, message", [
+    (["a", "b"], np.zeros((3, 3)), r"^2 keys need a 2 x 2 square, got shape \(3, 3\)$"),
+    (["a", "b"], np.zeros((2, 3)), r"^2 keys need a 2 x 2 square, got shape \(2, 3\)$"),
+    (["a", "b"], np.zeros((2, 2, 1)), r"^2 keys need a 2 x 2 square, got shape \(2, 2, 1\)$"),
+    (["a", "b"], [[0.0, 0.3], [0.4, 0.0]], "^distance square is not symmetric$"),
+    (["a", "b"], [[0.1, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
+    (["a", "b"], [[np.nan, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
+], ids=["too-large", "not-square", "three-dims", "asymmetric", "nonzero-diagonal", "nan-diagonal"])
+def test_constructor_rejects_a_square_that_is_not_a_distance_matrix(keys, square, message):
+    with pytest.raises(ValueError, match=message):
+        DistanceMatrix(keys=keys, values=square)
+
+
+@pytest.mark.parametrize("c, d, message", [
+    (-0.5, 0.1, "bound undefined at zero matching distance"),
+    (np.nan, 0.1, r"c must be in \(0, 1\]"),
+    (2.0, 0.1, r"c must be in \(0, 1\]"),
+    (0.2, np.nan, r"d must be in \[0, 1\]"),
+    (0.2, 5.0, r"d must be in \[0, 1\]"),
+    (0.2, -0.1, r"d must be in \[0, 1\]"),
+])
+def test_matching_bound_rejects_values_outside_the_distance_range(c, d, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        anonymity.matching_bound(c, d, 5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        anonymity.unlinkability_sigma(c, d, 5)

@@ -31,6 +31,18 @@ def test_bound_zero_c_is_runtime_error(capsys):
     assert "zero matching distance" in err
 
 
+@pytest.mark.parametrize("c, d, message", [
+    ("nan", "0.1", "c must be in (0, 1]"),
+    ("2", "0.1", "c must be in (0, 1]"),
+    ("0.2", "nan", "d must be in [0, 1]"),
+    ("0.2", "5", "d must be in [0, 1]"),
+    ("0.2", "-0.1", "d must be in [0, 1]"),
+])
+def test_bound_outside_the_distance_range_exits_one(capsys, c, d, message):
+    code, out, err = run(capsys, "bound", "--c", c, "--d", d, "--k", "5")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -384,6 +396,20 @@ def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
                   '"subject": "a"}\n'
 
 
+def test_anonymity_k_below_one_exits_one_after_the_other_checks(tmp_path, capsys):
+    from linkrisk.anonymity import DistanceMatrix
+
+    path = tmp_path / "m.dmat"
+    DistanceMatrix(keys=["a", "b"], values=[0.3]).save(path)
+    for k in ("0", "-3"):
+        for subject, d, message in (("nobody", "2.0", "d must be in [0, 1]"),
+                                    ("nobody", "0.5", "unknown profile 'nobody'"),
+                                    ("a", "0.5", "k must be >= 1")):
+            code, out, err = run(capsys, "anonymity", "--matrix", str(path), "--subject", subject,
+                                 "--d", d, "--k", k)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 def _two_line_corpus(path):
     good = json.dumps({"author": "u0", "community": "alpha", "body": "hello world"}).encode()
     bad = b'{"author": "u1", "community": "alpha", "body": "caf\xff"}'
@@ -661,6 +687,24 @@ def _eval_profiles(path):
         for community in ("alpha", "beta")
     ]
     path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+def test_eval_records_each_k_once_in_ascending_order(tmp_path, capsys):
+    path = tmp_path / "profiles.jsonl"
+    _eval_profiles(path)
+    report = tmp_path / "report"
+    code, out, _ = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "beta", "--k", "5,1,5", "--out", str(report),
+    )
+    assert code == 0
+    assert [line.split(" = ")[0] for line in out.splitlines()[:2]] == ["precision@1", "precision@5"]
+    assert json.loads((report / "metadata.json").read_text())["k"] == [1, 5]
+    assert json.loads((report / "manifest.json").read_text())["params"]["k"] == [1, 5]
+    rows = (report / "precision_overall.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "5"]
+    bins = (report / "precision_bins.csv").read_text().splitlines()[1:]
+    assert sorted({row.split(",")[0] for row in bins}) == ["1", "5"]
 
 
 @pytest.mark.parametrize("ks", [",", "", " , "])

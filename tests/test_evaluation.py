@@ -15,32 +15,39 @@ def dist(probs):
 # --- distance statistics ------------------------------------------------------
 
 
+def _stats_of(ma, mb, links=None):
+    return evaluation.run_experiment(ma, mb, links, ks=(1,))
+
+
 def test_stats_identical_profiles():
     models = {"a": dist({"x": 1.0}), "b": dist({"x": 1.0})}
-    stats = evaluation.cross_distance_stats(models)
-    assert stats == {"min": 0.0, "max": 0.0, "mean": 0.0}
+    result = _stats_of(models, dict(models))
+    zeros = {"min": 0.0, "max": 0.0, "mean": 0.0}
+    assert result.stats_within_a == result.stats_within_b == result.stats_across == zeros
 
 
 def test_stats_disjoint_profiles():
     models = {"a": dist({"x": 1.0}), "b": dist({"y": 1.0})}
-    stats = evaluation.cross_distance_stats(models)
+    stats = _stats_of(models, dict(models)).stats_within_a
     assert stats["min"] == pytest.approx(1.0, abs=1e-12)
     assert stats["mean"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stats_requires_two_profiles():
-    with pytest.raises(ValueError):
-        evaluation.cross_distance_stats({"a": dist({"x": 1.0})})
-    with pytest.raises(ValueError):
-        evaluation.cross_distance_stats({"a": dist({"x": 1.0})}, {})
+    two = {"a": dist({"x": 1.0}), "b": dist({"y": 1.0})}
+    with pytest.raises(ValueError, match="need at least 2 profiles for within-community"):
+        _stats_of({"a": dist({"x": 1.0})}, two)
+    with pytest.raises(ValueError, match="no ground-truth links"):
+        _stats_of(two, {})
 
 
 def test_stats_across_two_communities():
-    ma = {"a": dist({"x": 1.0})}
+    ma = {"a": dist({"x": 1.0}), "d": dist({"x": 1.0})}
     mb = {"b": dist({"x": 1.0}), "c": dist({"y": 1.0})}
-    stats = evaluation.cross_distance_stats(ma, mb)
+    stats = _stats_of(ma, mb, [GroundTruthLink("a", "b")]).stats_across
     assert stats["min"] == 0.0
     assert stats["max"] == pytest.approx(1.0, abs=1e-12)
+    assert stats["mean"] == pytest.approx(0.5, abs=1e-12)
 
 
 # --- ranking ---------------------------------------------------------------------
@@ -97,25 +104,24 @@ def _paired_models(n, rng):
 def test_precision_identical_corpora():
     rng = np.random.default_rng(52)
     ma, mb, links = _paired_models(8, rng)
-    assert evaluation.precision_at_k(links, ma, mb, k=1) == 1.0
+    assert evaluation.run_experiment(ma, mb, links, ks=(1,)).precisions == {1: 1.0}
 
 
 def test_precision_k_at_least_candidates():
     rng = np.random.default_rng(53)
     ma, mb, links = _paired_models(6, rng)
-    assert evaluation.precision_at_k(links, ma, mb, k=6) == 1.0
-    assert evaluation.precision_at_k(links, ma, mb, k=100) == 1.0
+    assert evaluation.run_experiment(ma, mb, links, ks=(6, 100)).precisions == {6: 1.0, 100: 1.0}
 
 
 def test_precision_requires_links_and_valid_k():
     rng = np.random.default_rng(54)
     ma, mb, _ = _paired_models(3, rng)
-    with pytest.raises(ValueError):
-        evaluation.precision_at_k([], ma, mb, k=1)
-    with pytest.raises(ValueError):
-        evaluation.precision_at_k([GroundTruthLink("u0", "u0")], ma, mb, k=0)
+    with pytest.raises(ValueError, match="no ground-truth links"):
+        evaluation.run_experiment(ma, mb, [], ks=(1,))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        evaluation.run_experiment(ma, mb, [GroundTruthLink("u0", "u0")], ks=(0,))
     with pytest.raises(ValueError, match="not in source"):
-        evaluation.precision_at_k([GroundTruthLink("zz", "u0")], ma, mb, k=1)
+        evaluation.run_experiment(ma, mb, [GroundTruthLink("zz", "u0")], ks=(1,))
 
 
 def test_precision_monotone_in_k():
@@ -123,7 +129,8 @@ def test_precision_monotone_in_k():
     ma = {f"u{i}": random_distribution(rng) for i in range(10)}
     mb = {f"u{i}": random_distribution(rng) for i in range(10)}
     links = [GroundTruthLink(f"u{i}", f"u{i}") for i in range(10)]
-    values = [evaluation.precision_at_k(links, ma, mb, k=k) for k in (1, 2, 4, 8, 10)]
+    precisions = evaluation.run_experiment(ma, mb, links, ks=(1, 2, 4, 8, 10)).precisions
+    values = [precisions[k] for k in (1, 2, 4, 8, 10)]
     assert values == sorted(values)
 
 
@@ -135,7 +142,8 @@ def test_bins_partition_all_links():
     ma = {f"u{i}": random_distribution(rng) for i in range(20)}
     mb = {f"u{i}": random_distribution(rng) for i in range(20)}
     links = [GroundTruthLink(f"u{i}", f"u{i}") for i in range(20)]
-    report = evaluation.anon_vs_precision(links, ma, mb, k=3)
+    report = evaluation.run_experiment(ma, mb, links, ks=(3,)).bin_reports[3]
+    assert report.k == 3
     assert sum(b.pair_count for b in report.bins) == len(links)
     for b in report.bins:
         assert 0.0 <= b.precision <= 1.0
@@ -145,7 +153,8 @@ def test_bins_partition_all_links():
 def test_single_pair_single_bin():
     ma = {"u0": dist({"x": 1.0}), "u1": dist({"q": 1.0})}
     mb = {"u0": dist({"x": 0.9, "y": 0.1}), "u1": dist({"z": 1.0})}
-    report = evaluation.anon_vs_precision([GroundTruthLink("u0", "u0")], ma, mb, k=1)
+    result = evaluation.run_experiment(ma, mb, [GroundTruthLink("u0", "u0")], ks=(1,))
+    report = result.bin_reports[1]
     assert len(report.bins) == 1
     assert report.bins[0].pair_count == 1
     assert report.bins[0].precision in (0.0, 1.0)
@@ -154,10 +163,14 @@ def test_single_pair_single_bin():
 # --- scatter --------------------------------------------------------------------------
 
 
+def _scatter(links, ma, mb):
+    return evaluation.run_experiment(ma, mb, links, ks=(1,)).scatter
+
+
 def test_scatter_matching_below_average_for_split_halves():
     rng = np.random.default_rng(57)
     ma, mb, links = _paired_models(6, rng)
-    report = evaluation.matched_vs_average_scatter(links, ma, mb)
+    report = _scatter(links, ma, mb)
     assert report.fraction_below == 1.0
     for row in report.rows:
         assert row.matching == 0.0
@@ -168,7 +181,7 @@ def test_scatter_adversarial_point_above_diagonal():
     # source u0 equals the non-matching target u1, not its own counterpart
     ma = {"u0": dist({"x": 1.0}), "u1": dist({"w": 1.0})}
     mb = {"u0": dist({"z": 1.0}), "u1": dist({"x": 1.0})}
-    report = evaluation.matched_vs_average_scatter([GroundTruthLink("u0", "u0")], ma, mb)
+    report = _scatter([GroundTruthLink("u0", "u0")], ma, mb)
     row = report.rows[0]
     assert row.matching > row.avg_nonmatching
     assert report.fraction_below == 0.0
@@ -179,7 +192,7 @@ def test_scatter_rows_match_matrix_recomputation():
     ma = {f"u{i}": random_distribution(rng) for i in range(7)}
     mb = {f"u{i}": random_distribution(rng) for i in range(7)}
     links = [GroundTruthLink(f"u{i}", f"u{i}") for i in range(7)]
-    report = evaluation.matched_vs_average_scatter(links, ma, mb)
+    report = _scatter(links, ma, mb)
     keys_b = sorted(mb)
     dists_a = [lm.to_distribution(m) if isinstance(m, lm.UnigramModel) else m for m in
                (ma[k] for k in sorted(ma))]
@@ -195,10 +208,10 @@ def test_scatter_rows_match_matrix_recomputation():
 
 
 def test_scatter_needs_two_targets():
-    ma = {"u0": dist({"x": 1.0})}
+    ma = {"u0": dist({"x": 1.0}), "u1": dist({"y": 1.0})}
     mb = {"u0": dist({"x": 1.0})}
-    with pytest.raises(ValueError):
-        evaluation.matched_vs_average_scatter([GroundTruthLink("u0", "u0")], ma, mb)
+    with pytest.raises(ValueError, match="target community needs at least 2 profiles"):
+        _scatter([GroundTruthLink("u0", "u0")], ma, mb)
 
 
 # --- synthetic corpus --------------------------------------------------------------
@@ -245,11 +258,11 @@ def _models_from(corp):
 def test_synth_idiosyncrasy_extremes():
     corp0 = evaluation.synth_corpus(30, 5, comments_per_user=40, rng_seed=11, idiosyncrasy=0.0)
     ma, mb = _models_from(corp0)
-    p0 = evaluation.precision_at_k(corp0.links, ma, mb, k=1)
+    p0 = evaluation.run_experiment(ma, mb, corp0.links, ks=(1,)).precisions[1]
     assert p0 <= 3 / 30  # indistinguishable users: about 1/n
     corp1 = evaluation.synth_corpus(30, 5, comments_per_user=40, rng_seed=11, idiosyncrasy=1.0)
     ma, mb = _models_from(corp1)
-    p1 = evaluation.precision_at_k(corp1.links, ma, mb, k=1)
+    p1 = evaluation.run_experiment(ma, mb, corp1.links, ks=(1,)).precisions[1]
     assert p1 >= 0.9
 
 
@@ -348,7 +361,7 @@ def test_scatter_csv_quotes_ids_with_delimiters(tmp_path):
     assert (tmp_path / "scatter.csv").read_bytes().count(b"\r") == 0
 
 
-# --- one edge-case policy at every entry point ------------------------------------------
+# --- edge cases ------------------------------------------------------------------------
 
 
 def _two_sides():
@@ -357,45 +370,24 @@ def _two_sides():
     return ma, mb
 
 
-_ENTRY_POINTS = {
-    "precision_at_k": lambda links, ma, mb, k: evaluation.precision_at_k(links, ma, mb, k),
-    "anon_vs_precision": lambda links, ma, mb, k: evaluation.anon_vs_precision(links, ma, mb, k),
-    "matched_vs_average_scatter": lambda links, ma, mb, k: evaluation.matched_vs_average_scatter(
-        links, ma, mb),
-    "cross_distance_stats": lambda links, ma, mb, k: evaluation.cross_distance_stats(ma),
-    "run_experiment": lambda links, ma, mb, k: evaluation.run_experiment(ma, mb, links, ks=(k,)),
-}
-_LINKED = ("precision_at_k", "anon_vs_precision", "matched_vs_average_scatter", "run_experiment")
 _ONE = {"u0": dist({"x": 1.0})}
-# (case, message, links, models_a, models_b, k, entry points the case applies to)
+# (case, message, links, models_a, models_b, ks); None takes the side from _two_sides
 _EDGE_CASES = [
-    ("k-zero", "k must be >= 1", [GroundTruthLink("u0", "u0")], None, None, 0,
-     ("precision_at_k", "anon_vs_precision", "run_experiment")),
-    # run_experiment keeps its own wording after the shared prefix
-    ("no-links", "no ground-truth links", [], None, None, 1, _LINKED),
+    ("k-zero", "k must be >= 1", [GroundTruthLink("u0", "u0")], None, None, (0,)),
+    ("no-k", "need at least one k", [GroundTruthLink("u0", "u0")], None, None, ()),
+    ("no-links", "no ground-truth links between the two communities", [], None, None, (1,)),
     ("unknown-source", "link source 'zz' not in source community", [GroundTruthLink("zz", "u0")],
-     None, None, 1, _LINKED),
+     None, None, (1,)),
     ("unknown-target", "link target 'zz' not in target community", [GroundTruthLink("u0", "zz")],
-     None, None, 1, _LINKED),
-    ("one-profile-side", "need at least 2 profiles for within-community statistics",
-     [GroundTruthLink("u0", "u0")], _ONE, None, 1, ("cross_distance_stats", "run_experiment")),
-    ("one-target", "target community needs at least 2 profiles", [GroundTruthLink("u0", "u0")],
-     None, _ONE, 1, ("matched_vs_average_scatter", "run_experiment")),
+     None, None, (1,)),
+    ("one-profile-source", "need at least 2 profiles for within-community statistics",
+     [GroundTruthLink("u0", "u0")], _ONE, None, (1,)),
+    ("one-profile-target", "target community needs at least 2 profiles",
+     [GroundTruthLink("u0", "u0")], None, _ONE, (1,)),
+    # a one-profile target side is reported before a one-profile source side
+    ("one-profile-both", "target community needs at least 2 profiles",
+     [GroundTruthLink("u0", "u0")], _ONE, _ONE, (1,)),
 ]
-
-
-@pytest.mark.parametrize(
-    "message, links, ma, mb, k, entry",
-    [
-        pytest.param(message, links, ma, mb, k, entry, id=f"{case}-{entry}")
-        for case, message, links, ma, mb, k, entries in _EDGE_CASES
-        for entry in entries
-    ],
-)
-def test_edge_case_policy_is_the_same_at_every_entry_point(message, links, ma, mb, k, entry):
-    default_a, default_b = _two_sides()
-    with pytest.raises(ValueError, match="^" + message):
-        _ENTRY_POINTS[entry](links, ma or default_a, mb or default_b, k)
 
 
 def test_edge_cases_are_checked_before_any_distance_is_computed(monkeypatch):
@@ -404,19 +396,13 @@ def test_edge_cases_are_checked_before_any_distance_is_computed(monkeypatch):
 
     monkeypatch.setattr(metric, "cross_distances", fail)
     monkeypatch.setattr(metric, "pairwise_distances", fail)
-    ma, mb = _two_sides()
-    for case, message, links, _, _, k, entries in _EDGE_CASES[:4]:
-        for entry in entries:
-            with pytest.raises(ValueError, match="^" + message):
-                _ENTRY_POINTS[entry](links, ma, mb, k)
+    default_a, default_b = _two_sides()
+    for case, message, links, ma, mb, ks in _EDGE_CASES:
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            evaluation.run_experiment(ma or default_a, mb or default_b, links, ks=ks)
 
 
-@pytest.mark.parametrize(
-    "entry, cross_calls, pairwise_calls",
-    [("run_experiment", 1, 2), ("precision_at_k", 1, 0), ("anon_vs_precision", 1, 1),
-     ("matched_vs_average_scatter", 1, 0)],
-)
-def test_each_matrix_is_computed_once_per_call(monkeypatch, entry, cross_calls, pairwise_calls):
+def test_each_matrix_is_computed_once_per_call(monkeypatch):
     calls = {"cross": 0, "pairwise": 0}
     cross, pairwise = metric.cross_distances, metric.pairwise_distances
 
@@ -430,8 +416,8 @@ def test_each_matrix_is_computed_once_per_call(monkeypatch, entry, cross_calls, 
     monkeypatch.setattr(metric, "pairwise_distances", counted("pairwise", pairwise))
     rng = np.random.default_rng(65)
     ma, mb, links = _paired_models(6, rng)
-    _ENTRY_POINTS[entry](links, ma, mb, 2)
-    assert calls == {"cross": cross_calls, "pairwise": pairwise_calls}
+    evaluation.run_experiment(ma, mb, links, ks=(1, 2, 5))
+    assert calls == {"cross": 1, "pairwise": 2}
 
 
 # --- every report against a brute-force reference ----------------------------------------
@@ -498,26 +484,22 @@ def _check_scatter(report, expected):
 def test_reports_match_a_brute_force_reference(experiment):
     ma, mb, links, ks = experiment
     precisions, bins, sizes, scatter = _reference(ma, mb, links, ks)
-    for k in ks:
-        assert evaluation.precision_at_k(links, ma, mb, k) == precisions[k]
-        report = evaluation.anon_vs_precision(links, ma, mb, k)
-        assert [(b.size_low, b.size_high, b.pair_count, b.precision) for b in report.bins] == bins[k]
-    _check_scatter(evaluation.matched_vs_average_scatter(links, ma, mb), scatter)
-
-    result = evaluation.run_experiment(ma, mb, links, ks=ks)
+    result = evaluation.run_experiment(ma, mb, links, ks=ks, community_a="ca", community_b="cb")
+    assert (result.community_a, result.community_b, result.links) == ("ca", "cb", links)
     assert result.precisions == precisions
     assert result.anon_sizes == sizes
+    assert {k: r.k for k, r in result.bin_reports.items()} == {k: k for k in ks}
     assert {k: [(b.size_low, b.size_high, b.pair_count, b.precision) for b in r.bins]
             for k, r in result.bin_reports.items()} == bins
     _check_scatter(result.scatter, scatter)
     for scope, models in (("a", ma), ("b", mb)):
         keys = sorted(models)
         within = [metric.distance(models[x], models[y]) for i, x in enumerate(keys) for y in keys[i + 1:]]
-        stats = getattr(result, f"stats_within_{scope}")
-        assert stats == evaluation.cross_distance_stats(models)
-        assert stats["min"] == pytest.approx(min(within), abs=1e-12)
-        assert stats["max"] == pytest.approx(max(within), abs=1e-12)
-        assert stats["mean"] == pytest.approx(sum(within) / len(within), abs=1e-12)
-    across = [metric.distance(ma[x], mb[y]) for x in ma for y in mb]
-    assert result.stats_across == evaluation.cross_distance_stats(ma, mb)
-    assert result.stats_across["mean"] == pytest.approx(sum(across) / len(across), abs=1e-12)
+        _check_stats(getattr(result, f"stats_within_{scope}"), within)
+    _check_stats(result.stats_across, [metric.distance(ma[x], mb[y]) for x in ma for y in mb])
+
+
+def _check_stats(stats, distances):
+    assert stats["min"] == pytest.approx(min(distances), abs=1e-12)
+    assert stats["max"] == pytest.approx(max(distances), abs=1e-12)
+    assert stats["mean"] == pytest.approx(sum(distances) / len(distances), abs=1e-12)

@@ -1,0 +1,64 @@
+"""The benchmark's layer tracer still binds to the library it measures.
+
+`perfbench/spans.py` wraps the functions named in each layer's `__all__` and
+binds counters to argument names (`dists`, `dists_a`, `dists_b`) and result
+fields (`links`).  A rename in the library would otherwise show only in a
+benchmark run.  The tracer is imported as it is, never modified.
+"""
+
+import json
+import os
+import sys
+from types import SimpleNamespace
+
+from linkrisk import anonymity, cli, corpus, evaluation, lm, metric
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+LAYERS = SimpleNamespace(cli=cli, corpus=corpus, lm=lm, metric=metric, anonymity=anonymity,
+                         evaluation=evaluation)
+
+
+def _bindings(spans):
+    """Every attribute the tracer replaces, with the object it holds now."""
+    owners = [getattr(LAYERS, layer) for layer in spans.WRAPPED_MODULES]
+    bound = {(module.__name__, attr): module.__dict__[attr]
+             for module in owners for attr in module.__all__}
+    matrix = anonymity.DistanceMatrix
+    bound.update({("DistanceMatrix", attr): matrix.__dict__[attr] for attr in ("build", "load", "save")})
+    bound[("cli", "dispatch")] = cli.__dict__["dispatch"]
+    return bound
+
+
+def test_tracer_counts_an_eval_run_and_restores_every_attribute(tmp_path, capsys, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import spans
+
+    na, nb, shared = 3, 4, 2
+    profiles = tmp_path / "profiles.jsonl"
+    lines = [{"author": f"u{i}", "community": "alpha", "n_comments": 1, "tokens": [f"t{i}", "x"]}
+             for i in range(na)]
+    lines += [{"author": f"u{i}", "community": "beta", "n_comments": 1, "tokens": [f"t{i}", "y"]}
+              for i in range(na - shared, na - shared + nb)]
+    profiles.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+    before = _bindings(spans)
+    tracer = spans.Tracer("contract")
+    tracer.install(LAYERS)
+    try:
+        code = cli.dispatch(["eval", "--profiles", str(profiles), "--community-a", "alpha",
+                             "--community-b", "beta", "--k", "1,2", "--out", str(tmp_path / "out")])
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    after = _bindings(spans)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+
+    layer = {name: value for name, (value, _) in spans.layer_metrics(tracer).items()}
+    assert layer["metric.pairs"] == na * nb + na * (na - 1) // 2 + nb * (nb - 1) // 2
+    assert layer["lm.to_distribution_calls"] == na + nb
+    assert layer["evaluation.links"] == shared
+    assert layer["cli.calls"] == 1
+    assert layer["cli.nonzero_exits"] == 0
