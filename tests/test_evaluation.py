@@ -380,14 +380,26 @@ _EDGE_CASES = [
      None, None, (1,)),
     ("unknown-target", "link target 'zz' not in target community", [GroundTruthLink("u0", "zz")],
      None, None, (1,)),
-    ("one-profile-source", "need at least 2 profiles for within-community statistics",
+    ("one-profile-side", "need at least 2 profiles for within-community statistics",
      [GroundTruthLink("u0", "u0")], _ONE, None, (1,)),
-    ("one-profile-target", "target community needs at least 2 profiles",
+    ("one-target", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], None, _ONE, (1,)),
     # a one-profile target side is reported before a one-profile source side
     ("one-profile-both", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], _ONE, _ONE, (1,)),
 ]
+
+
+# run_experiment is the one evaluation entry point; each id names the case and the entry
+@pytest.mark.parametrize(
+    "message, links, ma, mb, ks",
+    [pytest.param(message, links, ma, mb, ks, id=f"{case}-run_experiment")
+     for case, message, links, ma, mb, ks in _EDGE_CASES],
+)
+def test_edge_case_policy_is_the_same_at_every_entry_point(message, links, ma, mb, ks):
+    default_a, default_b = _two_sides()
+    with pytest.raises(ValueError, match="^" + message + "$"):
+        evaluation.run_experiment(ma or default_a, mb or default_b, links, ks=ks)
 
 
 def test_edge_cases_are_checked_before_any_distance_is_computed(monkeypatch):
