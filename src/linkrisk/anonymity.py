@@ -34,18 +34,19 @@ __all__ = [
 
 
 class DistanceMatrix:
-    """Pairwise distances in [0, 1] over an ordered profile list.
+    """Pairwise distances in [0, 1] over an ordered list of unique string keys.
 
     Stored as `tri`, the row-major upper triangle without the diagonal (the
     `.dmat` payload, and what `metric.pairwise_distances` returns).  The
     constructor takes `values` as that triangle or as the n x n square, which
-    must be exactly symmetric with a zero diagonal.
-    `distance` reads one entry, `row` gathers n, and the symmetric n x n
-    `values` with its zero diagonal is built on first use.
+    must be exactly symmetric with a zero diagonal, and refuses the keys that
+    `load` refuses.  `distance` reads one entry, `row` gathers n, and the
+    symmetric n x n `values` with its zero diagonal is built on first use.
     """
 
     def __init__(self, keys: Sequence[str], values: np.ndarray):
         self.keys = list(keys)
+        _check_keys(self.keys)
         n = len(self.keys)
         values = np.asarray(values, dtype=np.float64)
         if values.ndim != 1:
@@ -117,23 +118,27 @@ class DistanceMatrix:
 
     @classmethod
     def load(cls, path) -> "DistanceMatrix":
-        """Read a `.dmat` file of version 2 (float64) or version 1 (float32).
+        """Read a version 2 `.dmat` file: exactly the float64 distances `save` wrote.
 
-        The payload stays packed.  Any inconsistency between header and
-        payload raises a one-line ValueError naming the file.
+        A version 1 (float32) file, or any inconsistency between header and
+        payload, raises a one-line ValueError naming the file.
         """
         return cls(*_read_dmat(path))
 
 
-# stored dtype per .dmat format version; version 1 checksummed the payload only
-_DMAT_DTYPES = {1: "<f4", 2: "<f8"}
+def _check_keys(keys, prefix: str = "") -> None:
+    """The key rules of every matrix, built or loaded: a list of unique strings."""
+    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+        raise ValueError(f"{prefix}keys must be a list of strings")
+    if len(set(keys)) != len(keys):
+        raise ValueError(f"{prefix}keys are not unique")
 
 
 def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     """Keys and float64 upper triangle of a `.dmat` file, after every check.
 
-    One read; the payload stays a view of the file's bytes (a copy only when
-    a version 1 file is widened from float32).
+    One read; the payload stays a view of the file's bytes.  Checks run in
+    order: format, version, dtype and ordering, keys, n, size, checksum.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -148,28 +153,22 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
         raise ValueError(f"{path}: not a linkrisk distance matrix")
     version = header.get("version")
-    dtype = _DMAT_DTYPES.get(version) if isinstance(version, int) else None
-    if dtype is None:
+    if type(version) is int and version == 1:
+        raise ValueError(f"{path}: .dmat version 1 (float32) is no longer read; re-run linkrisk distances")
+    if type(version) is not int or version != 2:  # bool is not a version
         raise ValueError(f"{path}: unsupported .dmat version {version!r}")
-    if header.get("dtype") != dtype or header.get("ordering") != "row-major-upper":
-        raise ValueError(f"{path}: version {version} needs dtype {dtype} and ordering row-major-upper")
+    if header.get("dtype") != "<f8" or header.get("ordering") != "row-major-upper":
+        raise ValueError(f"{path}: version 2 needs dtype <f8 and ordering row-major-upper")
     n, keys = header.get("n"), header.get("keys")
-    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-        raise ValueError(f"{path}: keys must be a list of strings")
-    if len(set(keys)) != len(keys):
-        raise ValueError(f"{path}: keys are not unique")
-    if not isinstance(n, int) or n != len(keys):
+    _check_keys(keys, f"{path}: ")
+    if type(n) is not int or n != len(keys):
         raise ValueError(f"{path}: n = {n!r} but the header lists {len(keys)} keys")
-    expected = n * (n - 1) // 2 * np.dtype(dtype).itemsize
+    expected = n * (n - 1) // 2 * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    if version == 1:
-        digest = "sha256:" + hashlib.sha256(payload).hexdigest()
-    else:
-        digest = _dmat_checksum(header, payload)
-    if digest != header.get("checksum"):
+    if _dmat_checksum(header, payload) != header.get("checksum"):
         raise ValueError(f"{path}: checksum mismatch")
-    return keys, np.frombuffer(payload, dtype=dtype).astype(np.float64, copy=False)
+    return keys, np.frombuffer(payload, dtype="<f8")
 
 
 def _dmat_checksum(header: dict, payload) -> str:

@@ -139,10 +139,8 @@ class NormalizationConfig:
             raise ValueError("smilies must be nonempty")
 
     @classmethod
-    def default(cls, **overrides) -> "NormalizationConfig":
-        overrides.setdefault("stopwords", default_stopwords())
-        overrides.setdefault("smilies", default_smilies())
-        return cls(**overrides)
+    def default(cls) -> "NormalizationConfig":
+        return cls(stopwords=default_stopwords(), smilies=default_smilies())
 
 
 def _parse_wordlist(text: str) -> Set[str]:
@@ -363,8 +361,8 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
     """Read back a profile store written by `write_profiles`.
 
     `tokens` must be a list of strings and `n_comments`, if present, a
-    non-negative JSON integer.  A malformed line raises
-    ValueError("line N: ...").
+    non-negative JSON integer.  A malformed line, or a second line for the
+    same (author, community), raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -390,6 +388,8 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
             if type(n_comments) is not int or n_comments < 0:  # bool is not a count
                 raise ValueError(f"line {line_no}: 'n_comments' must be a non-negative integer")
             key = (rec["author"], rec["community"])
+            if key in profiles:
+                raise ValueError(f"line {line_no}: duplicate profile {key!r}")
             profiles[key] = TokenStream(profile_key=key, tokens=tokens, n_comments=n_comments)
     return profiles
 

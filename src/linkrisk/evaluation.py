@@ -114,26 +114,28 @@ class SynthCorpus:
     communities: Tuple[str, str]
 
 
+_SYNTH_COMMUNITIES = ("alpha", "beta")
+
+
 def synth_corpus(
     n_users: int,
     topics: int,
     comments_per_user: int = 60,
     rng_seed: int = 42,
     idiosyncrasy: float = 0.5,
-    communities: Tuple[str, str] = ("alpha", "beta"),
     topic_words: int = 50,
     idio_words: int = 8,
 ) -> SynthCorpus:
     """Generate paired community corpora with known cross-community links.
 
-    Every user writes in both communities.  A user's token distribution is
-    a mixture of the community's topic blend and a private vocabulary unique
-    to the user; the private weight is drawn per user around `idiosyncrasy`
-    (exactly 0 or 1 at the endpoints), so the knob moves the corpus between
-    unlinkable (0) and trivially linkable (1) while intermediate settings
-    produce a realistic spread of hard and easy profiles.  Comment counts
-    per user vary up to `comments_per_user`.  Output is fully determined by
-    `rng_seed`.
+    Every user writes in both communities, "alpha" and "beta".  A user's
+    token distribution is a mixture of the community's topic blend and a
+    private vocabulary unique to the user; the private weight is drawn per
+    user around `idiosyncrasy` (exactly 0 or 1 at the endpoints), so the
+    knob moves the corpus between unlinkable (0) and trivially linkable (1)
+    while intermediate settings produce a realistic spread of hard and easy
+    profiles.  Comment counts per user vary up to `comments_per_user`.
+    Output is fully determined by `rng_seed`.
     """
     if n_users < 2:
         raise ValueError("n_users must be >= 2")
@@ -180,7 +182,7 @@ def synth_corpus(
                 comments[side].append(
                     RawComment(
                         author_id=author,
-                        community_id=communities[side],
+                        community_id=_SYNTH_COMMUNITIES[side],
                         body=body,
                         created_at=stamp,
                     )
@@ -191,7 +193,7 @@ def synth_corpus(
         comments_a=comments[0],
         comments_b=comments[1],
         links=links,
-        communities=communities,
+        communities=_SYNTH_COMMUNITIES,
     )
 
 

@@ -145,10 +145,14 @@ def save_models(
 
 
 def load_models(path):
-    """Read back a model store written by `save_models`; a bad line raises ValueError("line N: ...")."""
+    """Read back a model store written by `save_models`.
+
+    A bad line, or a second record for a profile, a community or the global
+    model, raises ValueError("line N: ...").
+    """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     communities: Dict[str, UnigramModel] = {}
-    global_model = UnigramModel()
+    global_model = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -169,13 +173,20 @@ def load_models(path):
             if kind == "profile":
                 if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
                     raise ValueError(f"line {line_no}: profile key must be a list of two strings")
-                profiles[tuple(key)] = model
+                key = tuple(key)
+                if key in profiles:
+                    raise ValueError(f"line {line_no}: duplicate profile {key!r}")
+                profiles[key] = model
             elif kind == "community":
                 if not isinstance(key, str):
                     raise ValueError(f"line {line_no}: community key must be a string")
+                if key in communities:
+                    raise ValueError(f"line {line_no}: duplicate community {key!r}")
                 communities[key] = model
             elif kind == "global":
+                if global_model is not None:
+                    raise ValueError(f"line {line_no}: duplicate global model")
                 global_model = model
             else:
                 raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
-    return profiles, communities, global_model
+    return profiles, communities, UnigramModel() if global_model is None else global_model

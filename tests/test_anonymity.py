@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,8 +232,8 @@ def test_matrix_save_load_roundtrip(tmp_path):
     m.save(path)
     loaded = DistanceMatrix.load(path)
     assert loaded.keys == m.keys
-    # float32 storage: round trip within single precision
-    assert np.allclose(loaded.values, m.values, atol=1e-6)
+    # float64 storage: the round trip is exact
+    assert np.array_equal(loaded.values, m.values)
     assert np.array_equal(loaded.values, loaded.values.T)
 
 
@@ -277,26 +278,20 @@ def test_matrix_v2_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.values, m.values)
 
 
-def test_matrix_loads_version_1_float32_file(tmp_path):
-    keys = ["a", "b", "c"]
-    tri = np.array([0.1, 0.25, 0.7], dtype="<f4")
-    payload = tri.tobytes()
-    header = {
-        "format": "linkrisk-dmat",
-        "version": 1,
-        "n": 3,
-        "keys": keys,
-        "ordering": "row-major-upper",
-        "dtype": "<f4",
-        "checksum": "sha256:" + hashlib.sha256(payload).hexdigest(),
-    }
+def _v1_refusal(path):
+    return f"{path}: .dmat version 1 (float32) is no longer read; re-run linkrisk distances"
+
+
+def test_matrix_loads_version_1_float32_file(tmp_path, capsys):
+    """A version 1 file is refused as a whole, by the loader and by `anonymity --matrix`."""
     path = tmp_path / "v1.dmat"
-    _write_dmat(path, header, payload)
-    loaded = DistanceMatrix.load(path)
-    assert loaded.keys == keys
-    assert loaded.values.dtype == np.float64
-    assert loaded.values[0, 1] == np.float32(0.1) and loaded.values[2, 1] == np.float32(0.7)
-    assert loaded.distance("a", "c") == float(np.float32(0.25))
+    path.write_bytes(_v1_bytes(["a", "b", "c"], [0.1, 0.25, 0.7]))
+    with pytest.raises(ValueError) as info:
+        DistanceMatrix.load(path)
+    assert str(info.value) == _v1_refusal(path)
+    code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.25"])
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {_v1_refusal(path)}\n")
 
 
 # (header, payload) edits of a valid 3-key file and the message each must raise
@@ -332,6 +327,18 @@ DMAT_CORRUPTIONS = [
     pytest.param(
         lambda h, p: ({**h, "version": 3}, p), "unsupported .dmat version 3",
         id="unknown-version",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "version": True}, p), "unsupported .dmat version True",
+        id="boolean-version",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "version": 1}, p), "version 1 (float32) is no longer read; re-run linkrisk distances",
+        id="version-1",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "n": True, "keys": ["a"]}, b""), "n = True but the header lists 1 keys",
+        id="boolean-n",
     ),
     pytest.param(
         lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
@@ -475,21 +482,58 @@ def test_dmat_roundtrip_and_rows_property(case):
 
 
 @settings(max_examples=80, deadline=None)
-@given(packed_matrices())
-def test_dmat_version_1_rows_property(case):
+@given(packed_matrices(), st.integers(min_value=0, max_value=5))
+def test_dmat_version_1_rows_property(case, cut):
+    """Every version 1 file, even a truncated one, is refused before its payload is read."""
     keys, tri = case
+    blob = _v1_bytes(keys, tri)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "v1.dmat")
         with open(path, "wb") as fh:
-            fh.write(_v1_bytes(keys, tri))
+            fh.write(blob[:len(blob) - min(cut, 4 * len(tri))])  # the header stays whole
+        with mock.patch.object(anonymity.np, "frombuffer", side_effect=AssertionError("payload read")), \
+                pytest.raises(ValueError) as info:
+            DistanceMatrix.load(path)
+    assert str(info.value) == _v1_refusal(path)
+
+
+# keys as callers might pass them: repeats and non-strings included
+_any_keys = st.lists(st.one_of(st.text(alphabet="ab\u00e9", max_size=2), st.text(max_size=4),
+                               st.integers(-1, 1), st.none(), st.binary(max_size=1)), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_any_keys, st.data())
+def test_every_matrix_the_constructor_accepts_round_trips(keys, data):
+    size = len(keys) * (len(keys) - 1) // 2
+    tri = np.array(data.draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                      min_size=size, max_size=size)), dtype=np.float64)
+    valid = all(isinstance(k, str) for k in keys) and len(set(keys)) == len(keys)
+    if not valid:
+        with pytest.raises(ValueError, match="^keys (must be a list of strings|are not unique)$"):
+            DistanceMatrix(keys=keys, values=tri)
+        return
+    m = DistanceMatrix(keys=keys, values=tri)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.dmat")
+        m.save(path)
         loaded = DistanceMatrix.load(path)
-        rows = DistanceMatrix.load(path)
-    widened = _symmetric(len(keys), tri.astype("<f4").astype(np.float64))
-    assert loaded.keys == keys and rows.keys == keys
-    assert np.array_equal(loaded.values, widened)
-    for i, key in enumerate(keys):
-        assert np.array_equal(rows.row(key), loaded.values[i])
-    _assert_distance_reads_values(loaded)
+    assert loaded.keys == m.keys
+    assert np.array_equal(loaded.tri, m.tri)
+
+
+@pytest.mark.parametrize("keys, message", [
+    (["a", "a"], "keys are not unique"),
+    (("b", "a", "b"), "keys are not unique"),
+    (["a", 1], "keys must be a list of strings"),
+    ([None, None], "keys must be a list of strings"),
+], ids=["duplicate", "duplicate-tuple", "non-string", "non-string-duplicate"])
+def test_constructor_refuses_the_keys_load_refuses(keys, message):
+    n = len(keys)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DistanceMatrix(keys, [0.3] * (n * (n - 1) // 2))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DistanceMatrix(keys, np.zeros((n, n)))
 
 
 def _assert_distance_reads_values(m):

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -331,7 +332,8 @@ def test_shared_parser_gives_fresh_parser_results(tmp_path, capsys):
     "bad_line",
     ['{"author":"u1","tokens":["a"]}', '{"author":"u1","community":"alpha"}', '"u1"',
      '{"author":"u1","community":"alpha","n_comments":1,"tokens":["x",1]}',
-     '{"author":"u1","community":"alpha","n_comments":2.9,"tokens":["x"]}'],
+     '{"author":"u1","community":"alpha","n_comments":2.9,"tokens":["x"]}',
+     '{"author":"u0","community":"alpha","n_comments":1,"tokens":["y"]}'],
 )
 def test_malformed_profile_line_exits_one(tmp_path, capsys, command, bad_line):
     path = tmp_path / "profiles.jsonl"
@@ -371,6 +373,38 @@ def test_anonymity_matrix_and_models_agree_at_boundary_radii(tmp_path, capsys):
             assert from_matrix == from_models
             assert json.loads(from_matrix)["k"] == int(np.count_nonzero(
                 in_memory.values[in_memory.index_of(subject)] <= d))
+
+
+def test_eval_neighborhood_sizes_equal_anonymity_on_the_saved_matrix(tmp_path, capsys):
+    """`anonymity --matrix` on the saved `.dmat`, at each link's matching distance, gives eval's k."""
+    from linkrisk import evaluation, lm
+
+    corpus_dir, work = tmp_path / "c", tmp_path / "w"
+    run(capsys, "synth", "--users", "12", "--topics", "3", "--comments", "12", "--seed", "8",
+        "--out", str(corpus_dir))
+    both = tmp_path / "both.jsonl"
+    both.write_bytes((corpus_dir / "alpha.jsonl").read_bytes() + (corpus_dir / "beta.jsonl").read_bytes())
+    steps = [
+        ("ingest", "--input", str(both), "--min-comments", "1", "--min-profiles", "1", "--out", str(work)),
+        ("build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work)),
+        ("distances", "--models", str(work / "models.jsonl"), "--community", "alpha", "--out", str(work)),
+        ("eval", "--profiles", str(work / "profiles.jsonl"), "--community-a", "alpha",
+         "--community-b", "beta", "--out", str(work / "report")),
+    ]
+    assert [run(capsys, *argv)[0] for argv in steps] == [0, 0, 0, 0]
+
+    profiles, _, _ = lm.load_models(work / "models.jsonl")
+    side = {c: {a: m for (a, comm), m in profiles.items() if comm == c} for c in ("alpha", "beta")}
+    result = evaluation.run_experiment(side["alpha"], side["beta"], ks=[1])
+    expected = {(link.source, link.target): k for link, k in zip(result.links, result.anon_sizes)}
+    with open(work / "report" / "scatter.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(expected) == 12
+    for row in rows:
+        code, out, _ = run(capsys, "anonymity", "--matrix", str(work / "alpha.dmat"),
+                           "--subject", row["source"], "--d", row["matching_distance"])
+        assert code == 0
+        assert json.loads(out)["k"] == expected[(row["source"], row["target"])]
 
 
 def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import os
+import re
 import tempfile
 
 import pytest
@@ -131,6 +132,7 @@ def test_distribution_validate_rejects_bad_mass():
         '{"kind":"community","key":"c"}',
         '{"kind":"global","key":null,"counts":[1]}',
         "[1, 2]",
+        '{"kind":"global","key":null,"counts":{"b":2}}',
     ],
 )
 def test_load_models_rejects_record_without_key_or_counts(tmp_path, record):
@@ -156,6 +158,18 @@ def test_load_models_rejects_malformed_keys(tmp_path, record):
     path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n' + record + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match="^line 2: .* key must be "):
+        lm.load_models(path)
+
+
+@pytest.mark.parametrize("record, message", [
+    ('{"kind":"profile","key":["u","c"],"counts":{"b":2}}', "duplicate profile ('u', 'c')"),
+    ('{"kind":"community","key":"c","counts":{"b":2}}', "duplicate community 'c'"),
+], ids=["profile", "community"])
+def test_load_models_rejects_a_repeated_record(tmp_path, record, message):
+    path = tmp_path / "models.jsonl"
+    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n'
+                    '{"kind":"community","key":"c","counts":{"a":1}}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {message}") + "$"):
         lm.load_models(path)
 
 

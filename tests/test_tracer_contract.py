@@ -1,9 +1,10 @@
 """The benchmark's layer tracer still binds to the library it measures.
 
 `perfbench/spans.py` wraps the functions named in each layer's `__all__` and
-binds counters to argument names (`dists`, `dists_a`, `dists_b`) and result
-fields (`links`).  A rename in the library would otherwise show only in a
-benchmark run.  The tracer is imported as it is, never modified.
+binds counters to argument names (`dists`, `dists_a`, `dists_b`, the `path`
+of `lm.save_models` and `DistanceMatrix.save`) and result fields (`links`).
+A rename in the library would otherwise show only in a benchmark run.  The
+tracer is imported as it is, never modified.
 """
 
 import json
@@ -29,36 +30,65 @@ def _bindings(spans):
     return bound
 
 
-def test_tracer_counts_an_eval_run_and_restores_every_attribute(tmp_path, capsys, monkeypatch):
+def _traced(monkeypatch, argvs):
+    """Run each argv through `cli.dispatch` under the tracer; its layer metrics once removed."""
     monkeypatch.syspath_prepend(PERFBENCH)
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
     import spans
 
+    before = _bindings(spans)
+    tracer = spans.Tracer("contract")
+    tracer.install(LAYERS)
+    try:
+        codes = [cli.dispatch(argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    after = _bindings(spans)
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    assert codes == [0] * len(argvs)
+    return {name: value for name, (value, _) in spans.layer_metrics(tracer).items()}
+
+
+def _write_profiles(path, lines):
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+
+
+def test_tracer_counts_an_eval_run_and_restores_every_attribute(tmp_path, capsys, monkeypatch):
     na, nb, shared = 3, 4, 2
     profiles = tmp_path / "profiles.jsonl"
     lines = [{"author": f"u{i}", "community": "alpha", "n_comments": 1, "tokens": [f"t{i}", "x"]}
              for i in range(na)]
     lines += [{"author": f"u{i}", "community": "beta", "n_comments": 1, "tokens": [f"t{i}", "y"]}
               for i in range(na - shared, na - shared + nb)]
-    profiles.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    _write_profiles(profiles, lines)
 
-    before = _bindings(spans)
-    tracer = spans.Tracer("contract")
-    tracer.install(LAYERS)
-    try:
-        code = cli.dispatch(["eval", "--profiles", str(profiles), "--community-a", "alpha",
-                             "--community-b", "beta", "--k", "1,2", "--out", str(tmp_path / "out")])
-    finally:
-        tracer.uninstall()
+    layer = _traced(monkeypatch, [["eval", "--profiles", str(profiles), "--community-a", "alpha",
+                                   "--community-b", "beta", "--k", "1,2", "--out", str(tmp_path / "out")]])
     capsys.readouterr()
-    assert code == 0
-    after = _bindings(spans)
-    assert after.keys() == before.keys()
-    assert all(after[key] is before[key] for key in before)
-
-    layer = {name: value for name, (value, _) in spans.layer_metrics(tracer).items()}
     assert layer["metric.pairs"] == na * nb + na * (na - 1) // 2 + nb * (nb - 1) // 2
     assert layer["lm.to_distribution_calls"] == na + nb
     assert layer["evaluation.links"] == shared
     assert layer["cli.calls"] == 1
+    assert layer["cli.nonzero_exits"] == 0
+
+
+def test_tracer_counts_the_matrix_store_commands(tmp_path, capsys, monkeypatch):
+    n = 5
+    profiles = tmp_path / "profiles.jsonl"
+    _write_profiles(profiles, [{"author": f"u{i}", "community": "alpha", "n_comments": 1,
+                                "tokens": [f"t{i}", "x", "x"]} for i in range(n)])
+    models, dmat = tmp_path / "models.jsonl", tmp_path / "alpha.dmat"
+    queries = [(f"u{i}", d) for i in range(n) for d in ("0.0", "0.5", "1.0")]
+    layer = _traced(monkeypatch, [
+        ["build-models", "--profiles", str(profiles), "--out", str(tmp_path)],
+        ["distances", "--models", str(models), "--community", "alpha", "--out", str(tmp_path)],
+        *(["anonymity", "--matrix", str(dmat), "--subject", s, "--d", d] for s, d in queries),
+    ])
+    capsys.readouterr()
+    assert layer["anonymity.load_calls"] == len(queries)
+    assert layer["anonymity.dmat_bytes"] == os.path.getsize(dmat)
+    assert layer["lm.store_bytes"] == os.path.getsize(models)
+    assert layer["metric.pairs"] == n * (n - 1) // 2
+    assert layer["cli.calls"] == 2 + len(queries)
     assert layer["cli.nonzero_exits"] == 0
