@@ -39,9 +39,10 @@ class DistanceMatrix:
     Stored as `tri`, the row-major upper triangle without the diagonal (the
     `.dmat` payload, and what `metric.pairwise_distances` returns).  The
     constructor takes `values` as that triangle or as the n x n square, which
-    must be exactly symmetric with a zero diagonal, and refuses the keys that
-    `load` refuses.  `distance` reads one entry, `row` gathers n, and the
-    symmetric n x n `values` with its zero diagonal is built on first use.
+    must be exactly symmetric with a zero diagonal, and refuses the keys and
+    the distances (NaN, or outside [0, 1]) that `load` refuses.  `distance`
+    reads one entry, `row` gathers n, and the symmetric n x n `values` with
+    its zero diagonal is built on first use.
     """
 
     def __init__(self, keys: Sequence[str], values: np.ndarray):
@@ -60,6 +61,7 @@ class DistanceMatrix:
         self.tri = values
         if len(self.tri) != n * (n - 1) // 2:
             raise ValueError(f"{n} keys need {n * (n - 1) // 2} packed distances, got {len(self.tri)}")
+        _check_distances(self.tri)
         self._square = None
 
     @classmethod
@@ -134,11 +136,19 @@ def _check_keys(keys, prefix: str = "") -> None:
         raise ValueError(f"{prefix}keys are not unique")
 
 
+def _check_distances(tri: np.ndarray, prefix: str = "") -> None:
+    """The distance rule of every matrix, built or loaded: no NaN, every entry in [0, 1]."""
+    if len(tri) and not 0.0 <= tri.min() <= tri.max() <= 1.0:  # a NaN fails both comparisons
+        bad = tri[~((tri >= 0.0) & (tri <= 1.0))][0]
+        raise ValueError(f"{prefix}distance {bad} is not in [0, 1]")
+
+
 def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     """Keys and float64 upper triangle of a `.dmat` file, after every check.
 
     One read; the payload stays a view of the file's bytes.  Checks run in
-    order: format, version, dtype and ordering, keys, n, size, checksum.
+    order: format, version, dtype and ordering, keys, n, size, checksum,
+    distance range.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -168,7 +178,9 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
     if _dmat_checksum(header, payload) != header.get("checksum"):
         raise ValueError(f"{path}: checksum mismatch")
-    return keys, np.frombuffer(payload, dtype="<f8")
+    tri = np.frombuffer(payload, dtype="<f8")
+    _check_distances(tri, f"{path}: ")
+    return keys, tri
 
 
 def _dmat_checksum(header: dict, payload) -> str:

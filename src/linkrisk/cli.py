@@ -160,6 +160,9 @@ def _community_models(profiles: dict, community: str) -> dict:
     selected = {author: model for (author, comm), model in profiles.items() if comm == community}
     if not selected:
         raise ValueError(f"no profiles found for community {community!r}")
+    for author in sorted(selected):
+        if selected[author].total <= 0:  # a profile made only of stopwords has no distribution
+            raise ValueError(f"profile {author!r} in community {community!r} has no tokens")
     return selected
 
 

@@ -184,10 +184,10 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     a text file also ends lines at a lone carriage return unless it was
     opened with `newline="\n"`.  Bytes are decoded as UTF-8 one line at a
     time, so an undecodable line is a bad line like any other.
-    Each record needs `author`, `community`, and `body`; `created_at` is
-    optional.  In strict mode the first bad line raises ValueError with its
-    line number; in lenient mode bad lines are collected as
-    (line_number, message) pairs and skipped.
+    Each record needs `author`, `community`, and `body`, each a JSON
+    string; `created_at` is optional.  In strict mode the first bad line
+    raises ValueError with its line number; in lenient mode bad lines are
+    collected as (line_number, message) pairs and skipped.
     """
     if isinstance(stream, (bytes, str)):
         stream = stream.split("\n" if isinstance(stream, str) else b"\n")
@@ -205,11 +205,14 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
             missing = [k for k in ("author", "community", "body") if k not in rec]
             if missing:
                 raise ValueError(f"missing required field(s): {', '.join(missing)}")
+            for key in ("author", "community", "body"):
+                if not isinstance(rec[key], str):
+                    raise ValueError(f"{key!r} must be a string")
             created = rec.get("created_at")
             comment = RawComment(
-                author_id=str(rec["author"]),
-                community_id=str(rec["community"]),
-                body=str(rec["body"]),
+                author_id=rec["author"],
+                community_id=rec["community"],
+                body=rec["body"],
                 created_at=int(created) if created is not None else None,
             )
         except (ValueError, TypeError, OverflowError, RecursionError) as exc:

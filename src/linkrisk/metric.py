@@ -7,10 +7,12 @@ Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 
 The scalar `kl`, `js` and `distance` over token->probability mappings are
 the reference definition.  `pairwise_distances` and `cross_distances` share
-one vectorized row kernel whose memory is O(vocabulary + support entries);
-each pair is summed in a fixed token order, so results are bit-stable.
-`pairwise_distances` returns the packed upper triangle (the `.dmat`
-payload, scipy's condensed form).  Their `workers` argument has no effect.
+one row kernel that reads the target collection token-major, so a source row
+touches only the target entries sharing one of its tokens; memory is
+O(vocabulary + support entries).  Results are bit-stable: independent of
+the row split and the worker count, exactly symmetric, and exactly 0 for
+identical profiles.  `pairwise_distances` returns the packed upper triangle
+(the `.dmat` payload, scipy's condensed form).  `workers` has no effect.
 """
 
 from __future__ import annotations
@@ -95,7 +97,8 @@ class _CSR:
     """Positive probabilities of several distributions in compressed-row form.
 
     Row r holds `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the
-    matching `probs`; `sums` holds each row's mass.
+    matching `probs`; `sums` holds each row's mass, added in entry order as
+    the kernel adds its shared terms, so identical profiles give exactly 0.
     """
 
     def __init__(self, dists: Sequence, index: Mapping[str, int]):
@@ -118,38 +121,34 @@ class _CSR:
             pos = self.indptr[r + 1] = end
         self.ids = ids[:pos]
         self.probs = probs[:pos]
-        self.sums = _segment_sums(self.probs, self.indptr[:-1], np.diff(self.indptr))
+        self.sums = np.bincount(self.rows(), self.probs, n)
 
     def __len__(self) -> int:
         return len(self.indptr) - 1
 
-
-def _segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Pairwise sum of each consecutive run `values[starts[k]:starts[k] + lengths[k]]`.
-
-    The order depends only on the run itself; empty runs give 0.
-    """
-    out = np.zeros(len(lengths), dtype=np.float64)
-    nonempty = np.flatnonzero(lengths)
-    if len(nonempty):
-        out[nonempty] = np.add.reduceat(values, starts[nonempty])
-    return out
+    def rows(self) -> np.ndarray:
+        """The row of each entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
 
 def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairwise: bool) -> None:
     """Write sqrt-JS distances from each `src` row to `dst` rows into flat `out`, row after row.
 
-    Each source row is scattered into dense buffers of length `vocab_size`
-    (a presence mask and the probabilities; `buf` is read only where the
-    mask is set, so it is never cleared), and the mask is gathered at the
-    target entries.  Only shared tokens need the log terms; everything else
-    enters through the row masses.  With `pairwise`, row i is compared with
-    target rows j > i only, which fills `out` with the upper triangle.  A
-    target row's shared entries are summed as one run in ascending token
-    id, so a pair's value depends on that pair alone and is exactly symmetric.
+    A stable sort of `dst`'s entries by token id lists, for each token, the
+    target rows that hold it (ascending) and their probabilities; `ptr`
+    gives each token's range.  A source row expands the ranges of its own
+    tokens only, so log terms are taken on shared (token, target row) pairs
+    alone and every other entry enters through the row masses.  One
+    `bincount` adds a row's terms per target in ascending token id, so a
+    pair's value depends on that pair alone and is exactly symmetric.  With
+    `pairwise`, row i reads only targets j > i, filling the upper triangle.
     """
-    present = np.zeros(vocab_size, dtype=bool)
-    buf = np.empty(vocab_size, dtype=np.float64)
+    order = np.argsort(dst.ids, kind="stable")
+    rows, probs = dst.rows()[order], dst.probs[order]
+    del order  # the kernel's peak memory is these token-major copies
+    ptr = np.zeros(vocab_size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(dst.ids, minlength=vocab_size), out=ptr[1:])
+    cursor = ptr[:-1].copy()
     pos = 0
     for i in range(len(src)):
         first = i + 1 if pairwise else 0
@@ -157,26 +156,23 @@ def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairw
         if width <= 0:
             break
         lo, hi = src.indptr[i], src.indptr[i + 1]
-        src_ids = src.ids[lo:hi]
-        buf[src_ids] = src.probs[lo:hi]
-        present[src_ids] = True
-        t_lo = dst.indptr[first]
-        targets = dst.ids[t_lo:]
-        hit = np.flatnonzero(present[targets])
-        p = buf[targets[hit]]
-        q = dst.probs[t_lo:][hit]
-        # hits are ascending, so each target row's hits form one run
-        bounds = np.searchsorted(hit, dst.indptr[first:] - t_lo)
-        starts, lengths = bounds[:-1], np.diff(bounds)
+        tokens = src.ids[lo:hi]
+        if pairwise:  # cursor[t] is row i's own entry of t; read from just after it
+            cursor[tokens] += 1
+            starts = cursor[tokens]
+        else:
+            starts = ptr[tokens]
+        counts = ptr[tokens + 1] - starts
+        offsets = np.cumsum(counts) - counts
+        at = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
+        p = np.repeat(src.probs[lo:hi], counts)
+        q = probs[at]
         m2 = p + q
-        terms = p * np.log2(2.0 * p / m2) + q * np.log2(2.0 * q / m2)
-        shared = _segment_sums(terms, starts, lengths)
-        shared_p = _segment_sums(p, starts, lengths)
-        shared_q = _segment_sums(q, starts, lengths)
-        total = 0.5 * ((src.sums[i] - shared_p) + (dst.sums[first:] - shared_q) + shared)
+        terms = p * np.log2(2.0 * p / m2) + q * np.log2(2.0 * q / m2) - m2
+        shared = np.bincount(rows[at] - first, terms, width)
+        total = 0.5 * (src.sums[i] + dst.sums[first:] + shared)
         out[pos:pos + width] = np.sqrt(np.clip(total, 0.0, 1.0))
         pos += width
-        present[src_ids] = False
 
 
 def pairwise_distances(dists: Sequence, workers: int | None = None) -> np.ndarray:

@@ -294,6 +294,12 @@ def test_matrix_loads_version_1_float32_file(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {_v1_refusal(path)}\n")
 
 
+def _with_payload(header, values):
+    """A header and payload for `values` whose checksum holds, so only the values are wrong."""
+    payload = np.asarray(values, dtype="<f8").tobytes()
+    return {**header, "checksum": anonymity._dmat_checksum(header, payload)}, payload
+
+
 # (header, payload) edits of a valid 3-key file and the message each must raise
 DMAT_CORRUPTIONS = [
     pytest.param(
@@ -344,6 +350,22 @@ DMAT_CORRUPTIONS = [
         lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
         id="no-checksum",
     ),
+    pytest.param(
+        lambda h, p: _with_payload(h, [0.2, np.nan, 0.5]), "distance nan is not in [0, 1]",
+        id="nan-distance",
+    ),
+    pytest.param(
+        lambda h, p: _with_payload(h, [0.2, 1.5, 0.5]), "distance 1.5 is not in [0, 1]",
+        id="distance-above-one",
+    ),
+    pytest.param(
+        lambda h, p: _with_payload(h, [0.2, 0.6, -0.2]), "distance -0.2 is not in [0, 1]",
+        id="negative-distance",
+    ),
+    pytest.param(
+        lambda h, p: (h, np.array([0.2, 1.5, 0.5]).tobytes()), "checksum mismatch",
+        id="distance-above-one-and-checksum",
+    ),
 ]
 
 
@@ -358,6 +380,7 @@ def test_matrix_load_validates_header_and_payload(tmp_path, change, message):
     with pytest.raises(ValueError) as info:
         DistanceMatrix.load(path)
     assert message in str(info.value)
+    assert str(info.value).startswith(f"{path}: ")
     assert "\n" not in str(info.value)
 
 
@@ -589,6 +612,9 @@ def test_constructor_takes_the_square_or_the_packed_triangle(toy_matrix):
     for values in ([0.2, 0.6], np.zeros((2, 2)).ravel()):
         with pytest.raises(ValueError, match="^3 keys need 3 packed distances, got "):
             DistanceMatrix(keys=toy_matrix.keys, values=values)
+    for values, bad in (([np.nan, 1.5, -0.2], "nan"), ([0.2, 1.5, -0.2], "1.5"), ([0.2, 0.6, -0.2], "-0.2")):
+        with pytest.raises(ValueError, match=rf"^distance {bad} is not in \[0, 1\]$"):
+            DistanceMatrix(keys=toy_matrix.keys, values=values)
 
 
 @pytest.mark.parametrize("keys, square, message", [
@@ -598,7 +624,11 @@ def test_constructor_takes_the_square_or_the_packed_triangle(toy_matrix):
     (["a", "b"], [[0.0, 0.3], [0.4, 0.0]], "^distance square is not symmetric$"),
     (["a", "b"], [[0.1, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
     (["a", "b"], [[np.nan, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
-], ids=["too-large", "not-square", "three-dims", "asymmetric", "nonzero-diagonal", "nan-diagonal"])
+    (["a", "b"], [[0.0, np.nan], [np.nan, 0.0]], r"^distance nan is not in \[0, 1\]$"),
+    (["a", "b"], [[0.0, 1.5], [1.5, 0.0]], r"^distance 1.5 is not in \[0, 1\]$"),
+    (["a", "b"], [[0.0, -0.2], [-0.2, 0.0]], r"^distance -0.2 is not in \[0, 1\]$"),
+], ids=["too-large", "not-square", "three-dims", "asymmetric", "nonzero-diagonal", "nan-diagonal",
+        "nan-entry", "entry-above-one", "negative-entry"])
 def test_constructor_rejects_a_square_that_is_not_a_distance_matrix(keys, square, message):
     with pytest.raises(ValueError, match=message):
         DistanceMatrix(keys=keys, values=square)

@@ -670,6 +670,28 @@ def test_eval_with_a_single_target_profile_exits_one(tmp_path, capsys):
     assert not (tmp_path / "report").exists()
 
 
+def test_a_profile_without_tokens_is_named_by_each_model_reading_command(tmp_path, capsys):
+    src = tmp_path / "in.jsonl"
+    comments = [("u0", "a", "hello world"), ("u1", "a", "quiet night"), ("u2", "a", "the and of"),
+                ("u0", "b", "hello there"), ("u1", "b", "night sky")]
+    src.write_text("".join(json.dumps({"author": author, "community": community, "body": body}) + "\n"
+                           for author, community, body in comments), encoding="utf-8")
+    work = tmp_path / "w"
+    code, _, _ = run(capsys, "ingest", "--input", str(src), "--min-comments", "1", "--min-profiles", "1",
+                     "--out", str(work))
+    assert code == 0
+    message = "error: profile 'u2' in community 'a' has no tokens\n"
+    assert run(capsys, "eval", "--profiles", str(work / "profiles.jsonl"), "--community-a", "a",
+               "--community-b", "b", "--out", str(tmp_path / "report")) == (1, "", message)
+    assert not (tmp_path / "report").exists()
+    assert run(capsys, "build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work))[0] == 0
+    models = str(work / "models.jsonl")
+    assert run(capsys, "distances", "--models", models, "--community", "a",
+               "--out", str(tmp_path / "m")) == (1, "", message)
+    assert run(capsys, "anonymity", "--models", models, "--community", "a", "--subject", "u0",
+               "--d", "0.5") == (1, "", message)
+
+
 def _two_model_store(tmp_path):
     path = tmp_path / "models.jsonl"
     path.write_text(_PROFILE + '\n{"counts":{"g":1},"key":null,"kind":"global"}\n', encoding="utf-8")

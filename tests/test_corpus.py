@@ -189,6 +189,13 @@ def test_ingest_missing_field():
     result = corpus.ingest_jsonl('{"author":"a","body":"x"}', lenient=True)
     assert result.comments == []
     assert "community" in result.errors[0][1]
+    # a field that is present but not a JSON string is as bad as a missing one
+    for field, value in (("author", None), ("author", 7), ("community", [1]), ("body", None), ("body", 1.5)):
+        line = json.dumps({"author": "a", "community": "c", "body": "x", field: value})
+        result = corpus.ingest_jsonl(line, lenient=True)
+        assert result.comments == [] and result.errors == [(1, f"'{field}' must be a string")]
+        with pytest.raises(ValueError, match=f"^line 2: '{field}' must be a string$"):
+            corpus.ingest_jsonl('{"author":"a","community":"c","body":"x"}\n' + line)
 
 
 def test_ingest_created_at_and_bytes():

@@ -148,16 +148,19 @@ def test_matrices_match_50_digit_oracle():
     from test_acceptance import _js_oracle_50_digits
 
     rng = np.random.default_rng(15)
-    pool = [f"tok{i}" for i in range(30)]
-    left = [random_distribution(rng, pool, max_support=20) for _ in range(8)]
-    right = [random_distribution(rng, pool, max_support=20) for _ in range(6)]
-    grid = metric.cross_distances(left, right)
-    within = squareform(metric.pairwise_distances(left))
-    for i, p in enumerate(left):
-        for j, q in enumerate(right):
-            assert grid[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-9)
-        for j, q in enumerate(left):
-            assert within[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-9)
+    # short supports over a small pool, then long ones: a sum over hundreds
+    # of shared tokens must not lose digits either
+    for pool_size, max_support, n_left, n_right in ((30, 20, 8, 6), (1000, 600, 4, 3)):
+        pool = [f"tok{i}" for i in range(pool_size)]
+        left = [random_distribution(rng, pool, max_support=max_support) for _ in range(n_left)]
+        right = [random_distribution(rng, pool, max_support=max_support) for _ in range(n_right)]
+        grid = metric.cross_distances(left, right)
+        within = squareform(metric.pairwise_distances(left))
+        for i, p in enumerate(left):
+            for j, q in enumerate(right):
+                assert grid[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-13)
+            for j, q in enumerate(left):
+                assert within[i, j] == pytest.approx(math.sqrt(_js_oracle_50_digits(p, q)), abs=1e-13)
 
 
 def test_matrices_disjoint_supports_are_exactly_one():
