@@ -125,7 +125,11 @@ class DistanceMatrix:
         A version 1 (float32) file, or any inconsistency between header and
         payload, raises a one-line ValueError naming the file.
         """
-        return cls(*_read_dmat(path))
+        keys, tri = _read_dmat(path)
+        # _read_dmat ran the constructor's key and distance checks, naming the file
+        matrix = cls.__new__(cls)
+        matrix.keys, matrix.tri, matrix._square = keys, tri, None
+        return matrix
 
 
 def _check_keys(keys, prefix: str = "") -> None:

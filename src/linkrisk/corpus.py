@@ -185,7 +185,8 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
     opened with `newline="\n"`.  Bytes are decoded as UTF-8 one line at a
     time, so an undecodable line is a bad line like any other.
     Each record needs `author`, `community`, and `body`, each a JSON
-    string; `created_at` is optional.  In strict mode the first bad line
+    string; `created_at` is optional, a JSON integer or null (a boolean,
+    string or float makes the line bad).  In strict mode the first bad line
     raises ValueError with its line number; in lenient mode bad lines are
     collected as (line_number, message) pairs and skipped.
     """
@@ -209,14 +210,16 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
                 if not isinstance(rec[key], str):
                     raise ValueError(f"{key!r} must be a string")
             created = rec.get("created_at")
+            if created is not None and (isinstance(created, bool) or not isinstance(created, int)):
+                raise ValueError("'created_at' must be an integer or null")
             comment = RawComment(
                 author_id=rec["author"],
                 community_id=rec["community"],
                 body=rec["body"],
-                created_at=int(created) if created is not None else None,
+                created_at=created,
             )
-        except (ValueError, TypeError, OverflowError, RecursionError) as exc:
-            # OverflowError: created_at of 1e400; RecursionError: deeply nested JSON
+        except (ValueError, TypeError, RecursionError) as exc:
+            # RecursionError: deeply nested JSON
             if not lenient:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))

@@ -135,7 +135,13 @@ def synth_corpus(
     knob moves the corpus between unlinkable (0) and trivially linkable (1)
     while intermediate settings produce a realistic spread of hard and easy
     profiles.  Comment counts per user vary up to `comments_per_user`.
-    Output is fully determined by `rng_seed`.
+
+    Output is fully determined by `rng_seed`.  Words are drawn by inverse
+    CDF, as `Generator.choice` defines it: `cdf = p.cumsum()` divided by its
+    last entry, then `cdf.searchsorted(rng.random(n), side="right")`.
+    ValueError is raised for fewer than 2 users or topics, fewer than 4
+    comments per user, an idiosyncrasy outside [0, 1], and fewer than 1
+    topic word or private word, which leave no valid word distribution.
     """
     if n_users < 2:
         raise ValueError("n_users must be >= 2")
@@ -143,25 +149,31 @@ def synth_corpus(
         raise ValueError("topics must be >= 2")
     if comments_per_user < 4:
         raise ValueError("comments_per_user must be >= 4")
+    if topic_words < 1:
+        raise ValueError("topic_words must be >= 1")
+    if idio_words < 1:
+        raise ValueError("idio_words must be >= 1")
     if not 0.0 <= idiosyncrasy <= 1.0:
         raise ValueError("idiosyncrasy must be in [0, 1]")
 
     rng = np.random.default_rng(rng_seed)
-    topic_tokens = [f"t{t}w{w}" for t in range(topics) for w in range(topic_words)]
+    n_topic = topics * topic_words
+    # topic words, then a tail that holds the current user's private words
+    vocab = [f"t{t}w{w}" for t in range(topics) for w in range(topic_words)] + [""] * idio_words
     zipf = 1.0 / np.arange(1, topic_words + 1)
     zipf /= zipf.sum()
     mixes = rng.dirichlet(np.full(topics, 0.8), size=2)
     base = [np.concatenate([mix[t] * zipf for t in range(topics)]) for mix in mixes]
+    idio = 1.0 / np.arange(1, idio_words + 1)
+    idio /= idio.sum()
+    probs = np.empty(len(vocab))
 
     comments: Tuple[List[RawComment], List[RawComment]] = ([], [])
     links: List[GroundTruthLink] = []
     stamp = 1_400_000_000
     for u in range(n_users):
         author = f"u{u}"
-        idio_tokens = [f"u{u}x{j}" for j in range(idio_words)]
-        idio = 1.0 / np.arange(1, idio_words + 1)
-        idio /= idio.sum()
-        vocab = topic_tokens + idio_tokens
+        vocab[n_topic:] = [f"u{u}x{j}" for j in range(idio_words)]
         # spread private-vocabulary weights across users; exact at 0 and 1
         if 0.0 < idiosyncrasy < 1.0:
             weight = float(idiosyncrasy ** rng.uniform(1.0 / 3.0, 4.5))
@@ -171,22 +183,24 @@ def synth_corpus(
         n_first = total_comments // 2
         counts = (n_first, total_comments - n_first)
         for side in (0, 1):
-            probs = np.concatenate([(1.0 - weight) * base[side], weight * idio])
-            probs /= probs.sum()
-            lengths = rng.integers(6, 18, size=counts[side])
-            draws = rng.choice(len(vocab), size=int(lengths.sum()), p=probs)
+            np.multiply(base[side], 1.0 - weight, out=probs[:n_topic])
+            np.multiply(idio, weight, out=probs[n_topic:])
+            probs /= probs.sum()  # before the cumsum too: the drawn words depend on both roundings
+            lengths = rng.integers(6, 18, size=counts[side]).tolist()
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            words = [vocab[i] for i in cdf.searchsorted(rng.random(sum(lengths)), side="right").tolist()]
             pos = 0
             for length in lengths:
-                body = " ".join(vocab[i] for i in draws[pos : pos + int(length)])
-                pos += int(length)
                 comments[side].append(
                     RawComment(
                         author_id=author,
                         community_id=_SYNTH_COMMUNITIES[side],
-                        body=body,
+                        body=" ".join(words[pos : pos + length]),
                         created_at=stamp,
                     )
                 )
+                pos += length
                 stamp += 1
         links.append(GroundTruthLink(source=author, target=author))
     return SynthCorpus(
@@ -197,6 +211,9 @@ def synth_corpus(
     )
 
 
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def comments_to_jsonl(comments: Iterable[RawComment]) -> str:
     """Serialize comments as JSON lines (stable field order, byte-deterministic)."""
     lines = []
@@ -204,7 +221,7 @@ def comments_to_jsonl(comments: Iterable[RawComment]) -> str:
         rec = {"author": c.author_id, "community": c.community_id, "body": c.body}
         if c.created_at is not None:
             rec["created_at"] = c.created_at
-        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
+        lines.append(_encode_json(rec))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

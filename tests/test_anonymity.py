@@ -384,6 +384,19 @@ def test_matrix_load_validates_header_and_payload(tmp_path, change, message):
     assert "\n" not in str(info.value)
 
 
+def test_load_runs_each_check_once(tmp_path):
+    m = matrix_from({(0, 1): 0.2, (0, 2): 0.6, (1, 2): 0.5}, ["a", "b", "c"])
+    path = tmp_path / "m.dmat"
+    m.save(path)
+    with mock.patch.object(anonymity, "_check_keys", wraps=anonymity._check_keys) as keys, \
+            mock.patch.object(anonymity, "_check_distances", wraps=anonymity._check_distances) as dists:
+        loaded = DistanceMatrix.load(path)
+    assert keys.call_count == 1 and dists.call_count == 1
+    assert keys.call_args.args[1] == dists.call_args.args[1] == f"{path}: "
+    assert loaded.keys == m.keys and np.array_equal(loaded.tri, m.tri)
+    assert np.array_equal(loaded.values, m.values)
+
+
 def test_matrix_load_rejects_header_that_is_not_json(tmp_path):
     path = tmp_path / "junk.dmat"
     path.write_bytes(b"\xff\xfe not json\n\x00\x01")

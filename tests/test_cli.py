@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -261,6 +262,20 @@ def test_synth_invalid_sizes_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--users", "1", "--topics", "3", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "n_users" in err
+
+
+def test_synth_files_are_pinned(tmp_path, capsys):
+    code, out, _ = run(capsys, "synth", "--users", "12", "--topics", "3", "--comments", "16",
+                       "--seed", "7", "--idiosyncrasy", "0.3", "--out", str(tmp_path))
+    assert code == 0
+    assert out == "wrote 129 comments for 12 users\n"
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("alpha.jsonl", "beta.jsonl", "links.csv")}
+    assert digests == {
+        "alpha.jsonl": "a9eb5415686b11c0f1aa2e6ea294e2002772cd2b7f4b6da16a4d75aa3b2b6722",
+        "beta.jsonl": "9663d49625f18f466e387221081be27396336b67b5488787d727748c6620852a",
+        "links.csv": "495783ff4da46ab96a8e8a3500e89a3e39244d00c8f95e216ee173cf9032fe9f",
+    }
 
 
 def test_top_unigrams_record_without_key_exits_one(tmp_path, capsys):

@@ -204,6 +204,17 @@ def test_ingest_created_at_and_bytes():
     assert result.comments[0].created_at == 123
 
 
+@pytest.mark.parametrize("value", [True, False, "12", 12.9, 12.0, 1e400, [12], {"t": 12}])
+def test_ingest_created_at_must_be_an_integer_or_null(value):
+    line = json.dumps({"author": "a", "community": "c", "body": "x", "created_at": value})
+    result = corpus.ingest_jsonl(line, lenient=True)
+    assert result.comments == [] and result.errors == [(1, "'created_at' must be an integer or null")]
+    with pytest.raises(ValueError, match="^line 2: 'created_at' must be an integer or null$"):
+        corpus.ingest_jsonl('{"author":"a","community":"c","body":"x","created_at":null}\n' + line)
+    ok = corpus.ingest_jsonl(line.replace(json.dumps(value), "-7"))
+    assert ok.comments[0].created_at == -7
+
+
 def test_raw_comment_validates_keys():
     with pytest.raises(ValueError):
         corpus.RawComment(author_id="", community_id="c", body="")

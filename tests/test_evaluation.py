@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,6 +246,43 @@ def test_synth_rejects_bad_sizes():
         evaluation.synth_corpus(5, 3, comments_per_user=2)
     with pytest.raises(ValueError):
         evaluation.synth_corpus(5, 3, idiosyncrasy=1.5)
+    for words in (0, -1):
+        with pytest.raises(ValueError, match="topic_words must be >= 1"):
+            evaluation.synth_corpus(5, 3, topic_words=words)
+        with pytest.raises(ValueError, match="idio_words must be >= 1"):
+            evaluation.synth_corpus(5, 3, idio_words=words, idiosyncrasy=1.0)
+    with pytest.raises(ValueError, match="idio_words must be >= 1"):
+        evaluation.synth_corpus(5, 3, idio_words=0, idiosyncrasy=0.0)
+
+
+_AUDIT_SHAPE = dict(n_users=400, topics=40, comments_per_user=240, topic_words=2500, idio_words=50)
+
+
+@pytest.mark.parametrize(
+    "params, sides, digest",
+    [
+        (dict(n_users=500, topics=20, comments_per_user=60, rng_seed=42), "ab",
+         "7197dd006f57c43e269f717e872f447ff7705850b6879eef19f002a039fc0ae4"),
+        (dict(n_users=500, topics=20, comments_per_user=60, rng_seed=1009), "ab",
+         "bfe1ca77bc8381889c1fe9c6460474d6dd50163bbea1343179e2eb3cd329a04d"),
+        (dict(_AUDIT_SHAPE, rng_seed=42), "a",
+         "cb3c6dac96aac75a22669bc03dd44d36a0344e0d73db262c13f139e0d1ca2666"),
+        (dict(_AUDIT_SHAPE, rng_seed=1009), "a",
+         "206750c9564052d3694911f0e5e98b682e6946ca18a73afd87e3d0f9467baaa7"),
+        (dict(n_users=30, topics=5, comments_per_user=40, rng_seed=11, idiosyncrasy=0.0), "ab",
+         "6634371fa09a61b3eb47dec28223029df28dd8bde222c5742b9b30a07be5ea93"),
+        (dict(n_users=30, topics=5, comments_per_user=40, rng_seed=11, idiosyncrasy=1.0), "ab",
+         "68422c10ec43f9ee23f8b1cd1302e0af74dc7963f0d8bb28896f9889e183a936"),
+    ],
+    ids=["eval-synth500-42", "eval-synth500-1009", "audit-42", "audit-1009", "idio-0", "idio-1"],
+)
+def test_synth_output_is_pinned(params, sides, digest):
+    # The benchmark inputs and every seeded test corpus come from these bytes;
+    # a generator change that moves them is a change of inputs, not a speed-up.
+    corp = evaluation.synth_corpus(**params)
+    comments = corp.comments_a + (corp.comments_b if sides == "ab" else [])
+    text = evaluation.comments_to_jsonl(comments)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def _models_from(corp):
