@@ -251,10 +251,12 @@ def run_experiment(
     """Full linkability experiment between two communities.
 
     When `links` is omitted, authors present in both communities are paired
-    by shared pseudonym.  Every input check runs before any distance is
-    computed.  Each model is turned into a distribution once; the cross
-    matrix and each community's within matrix are computed once, and every
-    report is derived from them.  `workers` has no effect.
+    by shared pseudonym; every link must be a same-user link.  Every input
+    check runs before any distance is computed.  Each model is turned into
+    a distribution once, and each community is prepared once over one
+    vocabulary shared by both; the cross matrix and each community's within
+    matrix are computed once from those, and every report is derived from
+    them.  `workers` has no effect.
     """
     if not ks:
         raise ValueError("need at least one k")
@@ -270,6 +272,8 @@ def run_experiment(
     index_a = {k: i for i, k in enumerate(keys_a)}
     index_b = {k: i for i, k in enumerate(keys_b)}
     for link in links:
+        if not link.same_user:
+            raise ValueError(f"link {link.source!r} -> {link.target!r} is not a same-user link")
         if link.source not in index_a:
             raise ValueError(f"link source {link.source!r} not in source community")
         if link.target not in index_b:
@@ -280,10 +284,10 @@ def run_experiment(
     if len(keys_a) < 2:
         raise ValueError("need at least 2 profiles for within-community statistics")
 
-    dists_a, dists_b = _distributions(models_a), _distributions(models_b)
-    cross = metric.cross_distances(dists_a, dists_b)
-    within_a = DistanceMatrix.build(dict(zip(keys_a, dists_a)))
-    within_b = DistanceMatrix.build(dict(zip(keys_b, dists_b)))
+    a, b = metric._prepare(_distributions(models_a), _distributions(models_b))
+    cross = metric.cross_distances(a, b)
+    within_a = DistanceMatrix(keys_a, metric.pairwise_distances(a))
+    within_b = DistanceMatrix(keys_b, metric.pairwise_distances(b))
 
     source = np.array([index_a[link.source] for link in links], dtype=np.intp)
     target = np.array([index_b[link.target] for link in links], dtype=np.intp)

@@ -6,19 +6,21 @@ range (1 is reached exactly when the supports are disjoint); see Endres and
 Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 
 The scalar `kl`, `js` and `distance` over token->probability mappings are
-the reference definition.  `pairwise_distances` and `cross_distances` share
-one row kernel that reads the target collection token-major, so a source row
-touches only the target entries sharing one of its tokens; memory is
-O(vocabulary + support entries).  Results are bit-stable: independent of
-the row split and the worker count, exactly symmetric, and exactly 0 for
-identical profiles.  `pairwise_distances` returns the packed upper triangle
-(the `.dmat` payload, scipy's condensed form).  `workers` has no effect.
+the reference definition.  `pairwise_distances` and `cross_distances` read
+collections that `_prepare` builds once over one sorted vocabulary, row-major
+and token-major; collections it already built are read as they are.  Their
+row kernel expands only the target entries sharing a token with the source
+row; memory is O(vocabulary + support entries).  Results are bit-stable:
+independent of the row split and the worker count, exactly symmetric, and
+exactly 0 for identical profiles.  `pairwise_distances` returns the packed
+upper triangle (the `.dmat` payload, scipy's condensed form).  `workers`
+has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -85,70 +87,68 @@ def distance(p, q) -> float:
     return math.sqrt(js(p, q))
 
 
-def build_vocab_index(dists: Iterable) -> Dict[str, int]:
-    """Map every token appearing in `dists` to a stable id (sorted order)."""
-    vocab = set()
-    for d in dists:
-        vocab.update(_probs(d).keys())
-    return {tok: i for i, tok in enumerate(sorted(vocab))}
-
-
-class _CSR:
-    """Positive probabilities of several distributions in compressed-row form.
+class _Profiles(list):
+    """A list of distributions, prepared for the row kernel over a shared vocabulary.
 
     Row r holds `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the
-    matching `probs`; `sums` holds each row's mass, added in entry order as
-    the kernel adds its shared terms, so identical profiles give exactly 0.
+    matching positive `probs`; `sums` holds each row's mass, added in entry
+    order as the kernel adds its shared terms, so identical profiles give
+    exactly 0.  The token-major index holds token t's rows, ascending, in
+    `col_rows[colptr[t]:colptr[t+1]]` and their probabilities in `col_probs`.
     """
 
-    def __init__(self, dists: Sequence, index: Mapping[str, int]):
-        maps = [_probs(d) for d in dists]
-        n = len(maps)
-        capacity = sum(len(pm) for pm in maps)
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        ids = np.empty(capacity, dtype=np.int64)
-        probs = np.empty(capacity, dtype=np.float64)
+    def __init__(self, dists: Iterable, vocab: Mapping[str, int]):
+        super().__init__(dists)
+        self.vocab = vocab
+        maps = [_probs(d) for d in self]
+        self.indptr = np.zeros(len(maps) + 1, dtype=np.int64)
+        ids = np.empty(sum(len(pm) for pm in maps), dtype=np.int64)
+        probs = np.empty(len(ids), dtype=np.float64)
         pos = 0
         for r, pm in enumerate(maps):
-            row_ids = np.fromiter(map(index.__getitem__, pm), dtype=np.int64, count=len(pm))
+            row_ids = np.fromiter(map(vocab.__getitem__, pm), dtype=np.int64, count=len(pm))
             row_p = np.fromiter(pm.values(), dtype=np.float64, count=len(pm))
-            keep = row_p > 0.0
-            row_ids, row_p = row_ids[keep], row_p[keep]
             order = np.argsort(row_ids)
+            order = order[row_p[order] > 0.0]
             end = pos + len(order)
-            ids[pos:end] = row_ids[order]
-            probs[pos:end] = row_p[order]
+            ids[pos:end], probs[pos:end] = row_ids[order], row_p[order]
             pos = self.indptr[r + 1] = end
-        self.ids = ids[:pos]
-        self.probs = probs[:pos]
-        self.sums = np.bincount(self.rows(), self.probs, n)
+        self.ids, self.probs = ids[:pos], probs[:pos]
+        rows = np.repeat(np.arange(len(maps)), np.diff(self.indptr))
+        self.sums = np.bincount(rows, self.probs, len(maps))
+        self.colptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.ids, minlength=len(vocab)), out=self.colptr[1:])
+        order = np.argsort(self.ids, kind="stable")
+        self.col_rows = rows[order]
+        del rows  # preparing peaks at these copies: free the row of each entry first
+        self.col_probs = self.probs[order]
 
-    def __len__(self) -> int:
-        return len(self.indptr) - 1
 
-    def rows(self) -> np.ndarray:
-        """The row of each entry."""
-        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+def _prepare(*collections) -> tuple:
+    """Each collection as a `_Profiles`, all over one vocabulary.
+
+    Collections already prepared over one vocabulary are returned as they
+    are; otherwise all are prepared over their sorted tokens, so the ids
+    shared across collections keep each one's relative order.
+    """
+    if all(isinstance(c, _Profiles) and c.vocab is collections[0].vocab for c in collections):
+        return collections
+    tokens = set().union(*(_probs(d).keys() for collection in collections for d in collection))
+    vocab = {tok: i for i, tok in enumerate(sorted(tokens))}
+    return tuple(_Profiles(collection, vocab) for collection in collections)
 
 
-def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairwise: bool) -> None:
+def _distance_rows(src: _Profiles, dst: _Profiles, out: np.ndarray, pairwise: bool) -> None:
     """Write sqrt-JS distances from each `src` row to `dst` rows into flat `out`, row after row.
 
-    A stable sort of `dst`'s entries by token id lists, for each token, the
-    target rows that hold it (ascending) and their probabilities; `ptr`
-    gives each token's range.  A source row expands the ranges of its own
-    tokens only, so log terms are taken on shared (token, target row) pairs
-    alone and every other entry enters through the row masses.  One
+    A source row expands only its own tokens' ranges in `dst`'s prepared
+    token-major index (`colptr`), so log terms are taken on shared (token,
+    target row) pairs alone; other entries enter through the row masses.  One
     `bincount` adds a row's terms per target in ascending token id, so a
     pair's value depends on that pair alone and is exactly symmetric.  With
     `pairwise`, row i reads only targets j > i, filling the upper triangle.
     """
-    order = np.argsort(dst.ids, kind="stable")
-    rows, probs = dst.rows()[order], dst.probs[order]
-    del order  # the kernel's peak memory is these token-major copies
-    ptr = np.zeros(vocab_size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst.ids, minlength=vocab_size), out=ptr[1:])
-    cursor = ptr[:-1].copy()
+    cursor = dst.colptr[:-1].copy()
     pos = 0
     for i in range(len(src)):
         first = i + 1 if pairwise else 0
@@ -161,15 +161,15 @@ def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairw
             cursor[tokens] += 1
             starts = cursor[tokens]
         else:
-            starts = ptr[tokens]
-        counts = ptr[tokens + 1] - starts
+            starts = dst.colptr[tokens]
+        counts = dst.colptr[tokens + 1] - starts
         offsets = np.cumsum(counts) - counts
         at = np.repeat(starts - offsets, counts) + np.arange(counts.sum())
         p = np.repeat(src.probs[lo:hi], counts)
-        q = probs[at]
+        q = dst.col_probs[at]
         m2 = p + q
         terms = p * np.log2(2.0 * p / m2) + q * np.log2(2.0 * q / m2) - m2
-        shared = np.bincount(rows[at] - first, terms, width)
+        shared = np.bincount(dst.col_rows[at] - first, terms, width)
         total = 0.5 * (src.sums[i] + dst.sums[first:] + shared)
         out[pos:pos + width] = np.sqrt(np.clip(total, 0.0, 1.0))
         pos += width
@@ -177,17 +177,16 @@ def _distance_rows(src: _CSR, dst: _CSR, vocab_size: int, out: np.ndarray, pairw
 
 def pairwise_distances(dists: Sequence, workers: int | None = None) -> np.ndarray:
     """sqrt-JS distances of the pairs i < j, row by row: float64 of length n(n-1)/2."""
-    index = build_vocab_index(dists)
-    csr = _CSR(dists, index)
-    n = len(csr)
+    (profiles,) = _prepare(dists)
+    n = len(profiles)
     out = np.empty(n * (n - 1) // 2, dtype=np.float64)
-    _distance_rows(csr, csr, len(index), out, pairwise=True)
+    _distance_rows(profiles, profiles, out, pairwise=True)
     return out
 
 
 def cross_distances(dists_a: Sequence, dists_b: Sequence, workers: int | None = None) -> np.ndarray:
     """len(a) x len(b) matrix of sqrt-JS distances between two collections."""
-    index = build_vocab_index(list(dists_a) + list(dists_b))
-    out = np.zeros((len(dists_a), len(dists_b)), dtype=np.float64)
-    _distance_rows(_CSR(dists_a, index), _CSR(dists_b, index), len(index), out.reshape(-1), pairwise=False)
+    a, b = _prepare(dists_a, dists_b)
+    out = np.zeros((len(a), len(b)), dtype=np.float64)
+    _distance_rows(a, b, out.reshape(-1), pairwise=False)
     return out

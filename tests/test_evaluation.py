@@ -423,6 +423,8 @@ _EDGE_CASES = [
      [GroundTruthLink("u0", "u0")], _ONE, None, (1,)),
     ("one-target", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], None, _ONE, (1,)),
+    ("not-same-user", "link 'u0' -> 'u1' is not a same-user link",
+     [GroundTruthLink("u0", "u0"), GroundTruthLink("u0", "u1", same_user=False)], None, None, (1,)),
     # a one-profile target side is reported before a one-profile source side
     ("one-profile-both", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], _ONE, _ONE, (1,)),
@@ -469,6 +471,22 @@ def test_each_matrix_is_computed_once_per_call(monkeypatch):
     ma, mb, links = _paired_models(6, rng)
     evaluation.run_experiment(ma, mb, links, ks=(1, 2, 5))
     assert calls == {"cross": 1, "pairwise": 2}
+
+
+def test_each_community_is_prepared_once_over_one_vocabulary(monkeypatch):
+    built = []
+
+    class Counted(metric._Profiles):
+        def __init__(self, dists, vocab):
+            super().__init__(dists, vocab)
+            built.append(self)
+
+    monkeypatch.setattr(metric, "_Profiles", Counted)
+    rng = np.random.default_rng(66)
+    ma, mb, links = _paired_models(6, rng)
+    evaluation.run_experiment(ma, mb, links, ks=(1, 2, 5))
+    assert len(built) == 2
+    assert built[0].vocab is built[1].vocab
 
 
 # --- every report against a brute-force reference ----------------------------------------

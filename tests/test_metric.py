@@ -217,3 +217,29 @@ def test_pairwise_is_the_packed_upper_triangle_of_the_cross_matrix(n):
     packed = metric.pairwise_distances(dists)
     assert packed.dtype == np.float64 and packed.shape == (n * (n - 1) // 2,)
     assert np.array_equal(packed, metric.cross_distances(dists, dists)[np.triu_indices(n, 1)])
+
+
+# a's tokens are every other one of b's, so b-only tokens sit between a's in the shared vocabulary
+@pytest.mark.parametrize("na, nb", [(0, 4), (1, 4), (6, 0), (6, 1), (6, 9)])
+def test_prepared_collections_give_the_bits_of_raw_ones(na, nb):
+    rng = np.random.default_rng(20)
+    pool = [f"tok{i}" for i in range(40)]
+    dists_a = [random_distribution(rng, pool[::2], max_support=15) for _ in range(na)]
+    dists_b = [random_distribution(rng, pool, max_support=25) for _ in range(nb)]
+    a, b = metric._prepare(dists_a, dists_b)
+    assert a.vocab is b.vocab and list(a) == dists_a and list(b) == dists_b
+    assert all(x is y for x, y in zip(metric._prepare(a, b), (a, b)))
+    assert np.array_equal(metric.pairwise_distances(a), metric.pairwise_distances(dists_a))
+    assert np.array_equal(metric.pairwise_distances(b), metric.pairwise_distances(dists_b))
+    assert np.array_equal(metric.cross_distances(a, b), metric.cross_distances(dists_a, dists_b))
+
+
+def test_a_collection_prepared_over_another_vocabulary_is_prepared_again():
+    p, q = {"x": 0.5, "y": 0.5}, {"y": 0.25, "z": 0.75}
+    (alone,), (other,) = metric._prepare([p]), metric._prepare([q])  # y has id 1, then id 0
+    a, b = metric._prepare(alone, other)
+    assert a is not alone and b is not other and a.vocab is b.vocab
+    assert a.vocab == {"x": 0, "y": 1, "z": 2}
+    for left, right in [(alone, other), (alone, [q]), ([p], other)]:
+        assert metric.cross_distances(left, right)[0, 0] == pytest.approx(metric.distance(p, q),
+                                                                          abs=1e-12)

@@ -92,3 +92,32 @@ def test_tracer_counts_the_matrix_store_commands(tmp_path, capsys, monkeypatch):
     assert layer["metric.pairs"] == n * (n - 1) // 2
     assert layer["cli.calls"] == 2 + len(queries)
     assert layer["cli.nonzero_exits"] == 0
+
+
+def test_each_benchmark_sequence_yields_every_per_layer_metric(tmp_path, capsys, monkeypatch):
+    # perfbench/run.py reads every per_layer name of BENCHMARK.json from one workload's trace,
+    # so a layer call dropped from a sequence (lm.build_models in eval, say) fails that run
+    with open(os.path.join(PERFBENCH, os.pardir, "BENCHMARK.json"), encoding="utf-8") as fh:
+        wanted = {spec["name"] for spec in json.load(fh)["per_layer"]}
+    wanted -= {"metric.speedup_w2", "anonymity.boundary_disagreements", "trace.overhead_s"}  # run.py's own
+    corp = evaluation.synth_corpus(n_users=6, topics=2, comments_per_user=4, rng_seed=3)
+    comments = tmp_path / "all.jsonl"
+    comments.write_text(evaluation.comments_to_jsonl(corp.comments_a + corp.comments_b), encoding="utf-8")
+    ingest = ["ingest", "--input", str(comments), "--min-comments", "1", "--min-profiles", "1",
+              "--out", str(tmp_path / "ingest")]
+    profiles = str(tmp_path / "ingest" / "profiles.jsonl")
+    eval_run = _traced(monkeypatch, [ingest, [
+        "eval", "--profiles", profiles, "--community-a", "alpha", "--community-b", "beta",
+        "--k", "1,5", "--workers", "2", "--out", str(tmp_path / "report")]])
+    audit_run = _traced(monkeypatch, [
+        ingest,
+        ["build-models", "--profiles", profiles, "--out", str(tmp_path / "models")],
+        ["distances", "--models", str(tmp_path / "models" / "models.jsonl"), "--community", "alpha",
+         "--workers", "2", "--out", str(tmp_path / "matrix")],
+        ["anonymity", "--matrix", str(tmp_path / "matrix" / "alpha.dmat"),
+         "--subject", corp.links[0].source, "--d", "0.5", "--k", "2"],
+        ["bound", "--c", "0.5", "--d", "0.1", "--k", "2"],
+    ])
+    capsys.readouterr()
+    assert sorted(wanted - eval_run.keys()) == []
+    assert sorted(wanted - audit_run.keys()) == []
