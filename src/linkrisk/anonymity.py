@@ -162,7 +162,7 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     payload = memoryview(blob)[cut + 1:]
     try:
         header = json.loads(blob[:cut].decode("utf-8"))
-    except ValueError:
+    except (ValueError, RecursionError):  # RecursionError: deeply nested JSON
         header = None
     if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
         raise ValueError(f"{path}: not a linkrisk distance matrix")

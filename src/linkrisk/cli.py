@@ -47,7 +47,10 @@ def _config_value(action: argparse.Action, key: str, raw: str):
         if raw not in ("true", "false"):
             raise ValueError(f"config key {key!r} is a flag: expected true or false, got {raw!r}")
         return action.const if raw == "true" else action.default
-    value = action.type(raw) if action.type else raw
+    try:
+        value = action.type(raw) if action.type else raw
+    except ValueError:  # as argparse words it, with the key named
+        raise ValueError(f"config key {key!r}: invalid {action.type.__name__} value {raw!r}") from None
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(map(repr, action.choices))
         raise ValueError(f"config key {key!r}: invalid choice {raw!r} (choose from {choices})")
@@ -119,10 +122,10 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_build_models(args) -> int:
     streams = corpus.load_profiles(args.profiles)
-    profiles, communities, global_model = lm.build_models(streams)
+    profiles, communities, _ = lm.build_models(streams)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "models.jsonl")
-    lm.save_models(out_path, profiles, communities, global_model)
+    lm.save_models(out_path, profiles)
     _write_manifest(
         args.out,
         "build-models",
@@ -139,6 +142,10 @@ def _cmd_build_models(args) -> int:
 
 
 def _cmd_top_unigrams(args) -> int:
+    if args.kind != "global" and args.key is None:
+        raise ValueError(f"--kind {args.kind} needs --key")
+    if args.kind == "profile" and args.author is None:
+        raise ValueError("--kind profile needs --author")
     profiles, communities, global_model = lm.load_models(args.models)
     if args.kind == "global":
         model = global_model
@@ -254,12 +261,14 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    try:  # each k once, ascending: the values the CSVs hold
+        ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
+    except ValueError:
+        raise ValueError(f"--k takes comma-separated integers, got {args.k!r}") from None
     streams = corpus.load_profiles(args.profiles)
     profile_models, _, _ = lm.build_models(streams)
     models_a = _community_models(profile_models, args.community_a)
     models_b = _community_models(profile_models, args.community_b)
-    # each k once, ascending: the values the CSVs hold
-    ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     result = evaluation.run_experiment(
         models_a,
         models_b,

@@ -378,7 +378,7 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
                 raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
             if not isinstance(rec, dict):
                 raise ValueError(f"line {line_no}: profile record is not a JSON object")

@@ -381,10 +381,13 @@ def load_scenario(source) -> Dict[str, object]:
     """Load a scenario from a path, file object, or already-parsed dict."""
     if isinstance(source, dict):
         return source
-    if hasattr(source, "read"):
-        return json.load(source)
-    with open(source, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if hasattr(source, "read"):
+            return json.load(source)
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError as exc:  # deeply nested JSON
+        raise ValueError(f"scenario is not valid JSON ({exc})") from None
 
 
 def run_scenario(source) -> Dict[str, object]:

@@ -1,9 +1,11 @@
 """Unigram language models for profiles, communities, and the whole corpus.
 
 A model is a sparse token->count table; normalizing the counts by their sum
-yields the token distribution that the distance metric consumes.  Community
-models are the count-wise sum of their member profiles, and the global model
-is the sum of all communities.
+yields the token distribution that the distance metric consumes.  Only
+profile models are counted from tokens and stored: a community model is the
+count-wise sum of its member profiles, and the global model the sum of all
+communities, both summed by one function when models are built and when a
+store is loaded.
 """
 
 from __future__ import annotations
@@ -100,59 +102,53 @@ def top_k(model: UnigramModel, k: int) -> List[Tuple[str, int]]:
     return ranked[:k]
 
 
+def _aggregate(profiles: Mapping[ProfileKey, UnigramModel]) -> Tuple[Dict[str, UnigramModel], UnigramModel]:
+    """Community models summed over their profiles in sorted key order, then
+    the global model summed over the communities in sorted name order."""
+    communities: Dict[str, UnigramModel] = {}
+    for key in sorted(profiles):
+        communities.setdefault(key[1], UnigramModel()).merge_in(profiles[key])
+    return communities, merge(communities[name] for name in sorted(communities))
+
+
 def build_models(
     token_streams: Mapping[ProfileKey, Iterable[str]],
 ) -> Tuple[Dict[ProfileKey, UnigramModel], Dict[str, UnigramModel], UnigramModel]:
-    """Aggregate token streams into per-profile, per-community, and global models.
+    """Per-profile, per-community and global models of the token streams.
 
     `token_streams` maps (author, community) to an iterable of normalized
-    tokens (a TokenStream works too).  Aggregation follows sorted profile
-    keys so the result is identical no matter how the streams were produced.
+    tokens (a TokenStream works too).  Profiles are counted in sorted key
+    order and summed by `_aggregate`, so the result does not depend on how
+    the streams were produced.
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
-    communities: Dict[str, UnigramModel] = {}
-    global_model = UnigramModel()
     for key in sorted(token_streams):
         stream = token_streams[key]
-        tokens = stream.tokens if hasattr(stream, "tokens") else stream
-        model = UnigramModel.from_tokens(tokens)
-        profiles[key] = model
-        community = key[1]
-        if community not in communities:
-            communities[community] = UnigramModel()
-        communities[community].merge_in(model)
-    for name in sorted(communities):
-        global_model.merge_in(communities[name])
-    return profiles, communities, global_model
+        profiles[key] = UnigramModel.from_tokens(stream.tokens if hasattr(stream, "tokens") else stream)
+    return (profiles, *_aggregate(profiles))
 
 
-def save_models(
-    path,
-    profiles: Mapping[ProfileKey, UnigramModel],
-    communities: Mapping[str, UnigramModel],
-    global_model: UnigramModel,
-) -> None:
-    """Persist a model store as one JSON record per model."""
-    with open(path, "w", encoding="utf-8") as fh:
+def save_models(path, profiles: Mapping[ProfileKey, UnigramModel]) -> None:
+    """Persist the profile models, one JSON record per line in sorted key order.
+
+    Community and global models are not stored: `load_models` sums them
+    from the profiles.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(profiles):
             rec = {"kind": "profile", "key": list(key), "counts": profiles[key].counts}
             fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        for name in sorted(communities):
-            rec = {"kind": "community", "key": name, "counts": communities[name].counts}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-        rec = {"kind": "global", "key": None, "counts": global_model.counts}
-        fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_models(path):
     """Read back a model store written by `save_models`.
 
-    A bad line, or a second record for a profile, a community or the global
-    model, raises ValueError("line N: ...").
+    Returns the profile, community and global models, the last two summed
+    from the profiles by `_aggregate` as `build_models` sums them.  A bad
+    line, a second record for a profile, or a community or global record
+    (stored by earlier releases) raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
-    communities: Dict[str, UnigramModel] = {}
-    global_model = None
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -160,33 +156,21 @@ def load_models(path):
                 continue
             try:
                 rec = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
                 raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
             if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
                 raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
-            counts = rec["counts"]  # JSON object keys are strings already
+            kind, key, counts = rec.get("kind"), rec["key"], rec["counts"]  # JSON object keys are strings already
+            if kind in ("community", "global"):
+                raise ValueError(f"line {line_no}: {kind} models are no longer stored; re-run linkrisk build-models")
+            if kind != "profile":
+                raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
+            if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
+                raise ValueError(f"line {line_no}: profile key must be a list of two strings")
             if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
                 raise ValueError(f"line {line_no}: counts must be non-negative integers")
-            model = UnigramModel(counts=counts, total=sum(counts.values()))
-            kind = rec.get("kind")
-            key = rec["key"]
-            if kind == "profile":
-                if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
-                    raise ValueError(f"line {line_no}: profile key must be a list of two strings")
-                key = tuple(key)
-                if key in profiles:
-                    raise ValueError(f"line {line_no}: duplicate profile {key!r}")
-                profiles[key] = model
-            elif kind == "community":
-                if not isinstance(key, str):
-                    raise ValueError(f"line {line_no}: community key must be a string")
-                if key in communities:
-                    raise ValueError(f"line {line_no}: duplicate community {key!r}")
-                communities[key] = model
-            elif kind == "global":
-                if global_model is not None:
-                    raise ValueError(f"line {line_no}: duplicate global model")
-                global_model = model
-            else:
-                raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
-    return profiles, communities, UnigramModel() if global_model is None else global_model
+            key = tuple(key)
+            if key in profiles:
+                raise ValueError(f"line {line_no}: duplicate profile {key!r}")
+            profiles[key] = UnigramModel(counts=counts, total=sum(counts.values()))
+    return (profiles, *_aggregate(profiles))

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -190,7 +191,7 @@ def test_anonymity_requires_source(capsys):
 
 def test_top_unigrams_unknown_community(tmp_path, capsys):
     path = tmp_path / "models.jsonl"
-    path.write_text('{"kind":"global","key":null,"counts":{"a":1}}\n', encoding="utf-8")
+    path.write_text('{"kind":"profile","key":["u0","alpha"],"counts":{"a":1}}\n', encoding="utf-8")
     code, _, err = run(capsys, "top-unigrams", "--models", str(path), "--key", "nope")
     assert code == 1
     assert "unknown community" in err
@@ -318,7 +319,7 @@ def test_synth_links_csv_reads_back(tmp_path, capsys):
 
 def test_shared_parser_gives_fresh_parser_results(tmp_path, capsys):
     models = tmp_path / "models.jsonl"
-    models.write_text('{"kind":"global","key":null,"counts":{"a":3,"b":2,"c":1}}\n', encoding="utf-8")
+    models.write_text('{"kind":"profile","key":["u0","alpha"],"counts":{"a":3,"b":2,"c":1}}\n', encoding="utf-8")
     cfg = tmp_path / "opts.conf"
     cfg.write_text("k=1\n", encoding="utf-8")
     top = ("top-unigrams", "--models", str(models), "--kind", "global")
@@ -709,7 +710,7 @@ def test_a_profile_without_tokens_is_named_by_each_model_reading_command(tmp_pat
 
 def _two_model_store(tmp_path):
     path = tmp_path / "models.jsonl"
-    path.write_text(_PROFILE + '\n{"counts":{"g":1},"key":null,"kind":"global"}\n', encoding="utf-8")
+    path.write_text(_PROFILE + '\n{"counts":{"g":1},"key":["u1","beta"],"kind":"profile"}\n', encoding="utf-8")
     return path
 
 
@@ -733,7 +734,112 @@ def test_config_value_must_be_one_of_the_choices(tmp_path, capsys):
     assert err == "error: config key 'kind': invalid choice 'bogus' (choose from 'community', 'global', 'profile')\n"
     cfg.write_text("kind=global\n", encoding="utf-8")
     code, out, _ = run(capsys, "top-unigrams", "--models", str(path), "--config", str(cfg))
-    assert (code, out) == (0, "g\t1\n")
+    assert (code, out) == (0, "x\t2\ng\t1\ny\t1\n")
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (("bound", "--c", "0.2", "--d", "0.1", "--k", "5"), "workers=abc",
+     "config key 'workers': invalid int value 'abc'"),
+    (("synth", "--users", "3", "--topics", "2", "--out", "{out}"), "idiosyncrasy=oops",
+     "config key 'idiosyncrasy': invalid float value 'oops'"),
+], ids=["int", "float"])
+def test_config_value_of_the_wrong_type_names_its_key(tmp_path, capsys, argv, line, message):
+    cfg = tmp_path / "opts.conf"
+    cfg.write_text(line + "\n", encoding="utf-8")
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    assert run(capsys, *argv, "--config", str(cfg)) == (1, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--kind", "community"), "--kind community needs --key"),
+    (("--kind", "profile", "--key", "alpha"), "--kind profile needs --author"),
+    (("--kind", "profile", "--author", "u0"), "--kind profile needs --key"),
+], ids=["community-without-key", "profile-without-author", "profile-without-key"])
+def test_top_unigrams_names_a_missing_flag(tmp_path, capsys, flags, message):
+    path = _two_model_store(tmp_path)
+    assert run(capsys, "top-unigrams", "--models", str(path), *flags) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("record", [
+    '{"counts":{"x":2},"key":"alpha","kind":"community"}',
+    '{"counts":{"x":2},"key":null,"kind":"global"}',
+], ids=["community", "global"])
+@pytest.mark.parametrize("command", ["top-unigrams", "distances"])
+def test_a_store_with_a_community_or_global_record_is_refused(tmp_path, capsys, command, record):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + "\n" + record + "\n", encoding="utf-8")
+    argv = [command, "--models", str(path)]
+    if command == "top-unigrams":
+        argv += ["--key", "alpha"]
+    else:
+        argv += ["--community", "alpha", "--out", str(tmp_path / "out")]
+    kind = json.loads(record)["kind"]
+    message = f"error: line 2: {kind} models are no longer stored; re-run linkrisk build-models\n"
+    assert run(capsys, *argv) == (1, "", message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_community_record_that_contradicts_the_profiles_is_refused(tmp_path, capsys):
+    # the community record claims a token that no profile of the community holds
+    profiles = ('{"counts":{"x":2},"key":["u0","alpha"],"kind":"profile"}\n'
+                '{"counts":{"x":1,"z":3},"key":["u1","alpha"],"kind":"profile"}\n')
+    path = tmp_path / "models.jsonl"
+    path.write_text(profiles + '{"counts":{"y":100},"key":"alpha","kind":"community"}\n', encoding="utf-8")
+    message = "error: line 3: community models are no longer stored; re-run linkrisk build-models\n"
+    assert run(capsys, "top-unigrams", "--models", str(path), "--key", "alpha") == (1, "", message)
+    path.write_text(profiles, encoding="utf-8")
+    for flags in (("--key", "alpha"), ("--kind", "global")):
+        assert run(capsys, "top-unigrams", "--models", str(path), *flags) == (0, "x\t3\nz\t3\n", "")
+
+
+def test_top_unigrams_equal_counts_summed_from_the_profile_store(tmp_path, capsys):
+    corpus_dir, work = tmp_path / "c", tmp_path / "w"
+    assert run(capsys, "synth", "--users", "8", "--topics", "3", "--comments", "10", "--seed", "5",
+               "--out", str(corpus_dir))[0] == 0
+    combined = tmp_path / "all.jsonl"
+    combined.write_text((corpus_dir / "alpha.jsonl").read_text(encoding="utf-8")
+                        + (corpus_dir / "beta.jsonl").read_text(encoding="utf-8"), encoding="utf-8")
+    assert run(capsys, "ingest", "--input", str(combined), "--min-comments", "1", "--min-profiles", "1",
+               "--out", str(work))[0] == 0
+    assert run(capsys, "build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work))[0] == 0
+    references = {"global": Counter()}
+    with open(work / "profiles.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            rec = json.loads(line)
+            references.setdefault(rec["community"], Counter()).update(rec["tokens"])
+            references["global"].update(rec["tokens"])
+    assert set(references) == {"global", "alpha", "beta"}
+    for name, counts in references.items():
+        flags = ("--kind", "global") if name == "global" else ("--key", name)
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        expected = "".join(f"{token}\t{count}\n" for token, count in ranked)
+        assert run(capsys, "top-unigrams", "--models", str(work / "models.jsonl"), *flags,
+                   "-k", str(len(counts))) == (0, expected, "")
+
+
+@pytest.mark.parametrize("command, message", [
+    (("eval", "--profiles", "{file}", "--community-a", "alpha", "--community-b", "beta", "--out", "{out}"),
+     "line 1: not valid JSON ("),
+    (("build-models", "--profiles", "{file}", "--out", "{out}"), "line 1: not valid JSON ("),
+    (("top-unigrams", "--models", "{file}", "--kind", "global"), "line 1: not valid JSON ("),
+    (("distances", "--models", "{file}", "--community", "alpha", "--out", "{out}"), "line 1: not valid JSON ("),
+    (("anonymity", "--models", "{file}", "--community", "alpha", "--subject", "u0", "--d", "0.5"),
+     "line 1: not valid JSON ("),
+    (("anonymity", "--matrix", "{file}", "--subject", "u0", "--d", "0.5"),
+     "{file}: not a linkrisk distance matrix\n"),
+    (("framework", "run", "{file}"), "scenario is not valid JSON ("),
+], ids=["eval", "build-models", "top-unigrams", "distances", "anonymity-models", "anonymity-matrix",
+        "framework-run"])
+def test_deeply_nested_json_exits_one_with_one_line(tmp_path, capsys, command, message):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    argv = [arg.format(file=path, out=tmp_path / "out") for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.format(file=path))
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
@@ -788,6 +894,18 @@ def test_eval_without_any_k_exits_one(tmp_path, capsys, ks):
     )
     assert (code, out) == (1, "")
     assert err == "error: need at least one k\n"
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("ks", ["1,abc", "1.5", "5,,x"])
+def test_eval_k_that_is_not_an_integer_names_the_option(tmp_path, capsys, ks):
+    path = tmp_path / "profiles.jsonl"
+    _eval_profiles(path)
+    code, out, err = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "beta", "--k", ks, "--out", str(tmp_path / "report"),
+    )
+    assert (code, out, err) == (1, "", f"error: --k takes comma-separated integers, got {ks!r}\n")
     assert not (tmp_path / "report").exists()
 
 

@@ -1,6 +1,7 @@
 import os
 import re
 import tempfile
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -106,14 +107,15 @@ def test_save_load_roundtrip(tmp_path):
         ("bob", "lost"): ["b"],
         ("carol", "cooking"): ["c", "d"],
     }
-    profiles, communities, global_model = lm.build_models(streams)
+    built = lm.build_models(streams)
     path = tmp_path / "models.jsonl"
-    lm.save_models(path, profiles, communities, global_model)
-    p2, c2, g2 = lm.load_models(path)
-    assert {k: m.counts for k, m in p2.items()} == {k: m.counts for k, m in profiles.items()}
-    assert {k: m.counts for k, m in c2.items()} == {k: m.counts for k, m in communities.items()}
-    assert g2.counts == global_model.counts
-    assert g2.total == global_model.total
+    lm.save_models(path, built[0])
+    assert lm.load_models(path) == built
+    assert path.read_text(encoding="utf-8") == (
+        '{"counts":{"a":2,"b":1},"key":["alice","lost"],"kind":"profile"}\n'
+        '{"counts":{"b":1},"key":["bob","lost"],"kind":"profile"}\n'
+        '{"counts":{"c":1,"d":1},"key":["carol","cooking"],"kind":"profile"}\n'
+    )
 
 
 def test_distribution_validate_rejects_bad_mass():
@@ -137,7 +139,7 @@ def test_distribution_validate_rejects_bad_mass():
 )
 def test_load_models_rejects_record_without_key_or_counts(tmp_path, record):
     path = tmp_path / "models.jsonl"
-    path.write_text('{"kind":"global","key":null,"counts":{"a":1}}\n' + record + "\n",
+    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n' + record + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match="^line 2: "):
         lm.load_models(path)
@@ -150,7 +152,6 @@ def test_load_models_rejects_record_without_key_or_counts(tmp_path, record):
         '{"kind":"profile","key":["a"],"counts":{"a":1}}',
         '{"kind":"profile","key":["a","b","c"],"counts":{"a":1}}',
         '{"kind":"profile","key":["a",1],"counts":{"a":1}}',
-        '{"kind":"community","key":["a","b"],"counts":{"a":1}}',
     ],
 )
 def test_load_models_rejects_malformed_keys(tmp_path, record):
@@ -163,19 +164,17 @@ def test_load_models_rejects_malformed_keys(tmp_path, record):
 
 @pytest.mark.parametrize("record, message", [
     ('{"kind":"profile","key":["u","c"],"counts":{"b":2}}', "duplicate profile ('u', 'c')"),
-    ('{"kind":"community","key":"c","counts":{"b":2}}', "duplicate community 'c'"),
-], ids=["profile", "community"])
+], ids=["profile"])
 def test_load_models_rejects_a_repeated_record(tmp_path, record, message):
     path = tmp_path / "models.jsonl"
-    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n'
-                    '{"kind":"community","key":"c","counts":{"a":1}}\n' + record + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="^" + re.escape(f"line 3: {message}") + "$"):
+    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n' + record + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"line 2: {message}") + "$"):
         lm.load_models(path)
 
 
 def test_load_models_rejects_an_unknown_kind(tmp_path):
     path = tmp_path / "models.jsonl"
-    path.write_text('{"kind":"global","key":null,"counts":{"a":1}}\n'
+    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n'
                     '{"kind":"author","key":"u","counts":{"a":1}}\n', encoding="utf-8")
     with pytest.raises(ValueError, match="^line 2: unknown model kind 'author'$"):
         lm.load_models(path)
@@ -188,14 +187,17 @@ def test_load_models_rejects_an_unknown_kind(tmp_path):
     max_size=6,
 ))
 def test_model_store_roundtrip(streams):
-    profiles, communities, global_model = lm.build_models(streams)
+    built = lm.build_models(streams)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "models.jsonl")
-        lm.save_models(path, profiles, communities, global_model)
-        loaded_profiles, loaded_communities, loaded_global = lm.load_models(path)
-    for saved, loaded in ((profiles, loaded_profiles), (communities, loaded_communities),
-                          ({None: global_model}, {None: loaded_global})):
-        assert sorted(loaded, key=repr) == sorted(saved, key=repr)
-        for key, model in saved.items():
-            assert loaded[key].counts == model.counts
-            assert loaded[key].total == model.total
+        lm.save_models(path, built[0])
+        loaded = lm.load_models(path)
+    # UnigramModel compares counts and totals; the dicts compare their keys
+    assert loaded == built
+    profiles, communities, global_model = loaded
+    assert set(communities) == {community for _, community in profiles}
+    for name, model in communities.items():
+        members = [m for (_, community), m in profiles.items() if community == name]
+        assert model.counts == dict(sum((Counter(m.counts) for m in members), Counter()))
+        assert model.total == sum(m.total for m in members)
+    assert global_model.total == sum(m.total for m in profiles.values())
