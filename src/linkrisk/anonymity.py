@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -134,7 +135,7 @@ class DistanceMatrix:
 
 def _check_keys(keys, prefix: str = "") -> None:
     """The key rules of every matrix, built or loaded: a list of unique strings."""
-    if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+    if not isinstance(keys, list) or not all(map(isinstance, keys, repeat(str))):
         raise ValueError(f"{prefix}keys must be a list of strings")
     if len(set(keys)) != len(keys):
         raise ValueError(f"{prefix}keys are not unique")

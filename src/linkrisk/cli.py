@@ -30,9 +30,12 @@ def _write_manifest(outdir: str, command: str, inputs: dict, params: dict, outpu
 
 def _load_config(path: str) -> dict:
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:

@@ -5,6 +5,12 @@ stripping, diacritic cleanup, URL-to-hostname replacement, punctuation
 removal (smilies and hostnames survive), collapsing of long character runs,
 whitespace tokenization, and stopword removal.
 
+The first four steps look across chunks and run on the whole comment.  The
+last three act on one whitespace chunk at a time, so they run once per
+distinct chunk per `NormalizationConfig`: the config remembers each chunk's
+token (at most `_TAIL_CACHE_MAX` chunks; past that it forgets them all and
+starts again), and equal tokens come back as one shared string.
+
 Markdown handling is a pragmatic subset (emphasis, links, headings, lists,
 tables, blockquotes, inline and fenced code); layout markers are unwrapped
 around their text, while embedded content such as code blocks and quoted
@@ -63,6 +69,8 @@ _MD_DIGIT_DOT = re.compile(r"\.(?<=\d\.)")  # finds the "." first: digits are co
 _MAX_CHAR_REPEAT = 3  # longer runs of one character are cut to this length
 _REPEAT = re.compile(r"(.)\1{%d,}" % _MAX_CHAR_REPEAT, re.DOTALL)
 
+_TAIL_CACHE_MAX = 1 << 18  # chunks one config remembers before it forgets them all
+
 _URL = re.compile(r"(?:[a-z][a-z0-9+.\-]*://|(?<![\w.])www\.)\S+")
 _HOST_JUNK = re.compile(r"[^\w.\-]")
 
@@ -86,6 +94,49 @@ class _DeletionTable(dict):
 
 _PUNCTUATION = _DeletionTable(lambda ch: unicodedata.category(ch)[0] in ("P", "S"))
 _COMBINING = _DeletionTable(unicodedata.combining)
+
+
+def _chunk_token(chunk: str, smilies, stopwords) -> str:
+    """The tail of `normalize` for one whitespace chunk: its token, or "" if none.
+
+    Drops Unicode P*/S* characters except in a smiley and between sentinels,
+    cuts runs of one character to `_MAX_CHAR_REPEAT`, then drops stopwords.
+    Chunk by chunk gives the tokens these steps give on the chunks joined by
+    single spaces: deleting P*/S* characters never makes whitespace, no run
+    of one character crosses a single space, and stopwords are whole tokens.
+    """
+    if chunk in smilies:
+        token = chunk
+    elif _SENTINEL in chunk:
+        parts = chunk.split(_SENTINEL)
+        parts[::2] = [part.translate(_PUNCTUATION) for part in parts[::2]]
+        token = "".join(parts)
+    else:
+        token = chunk.translate(_PUNCTUATION)
+    token = _REPEAT.sub(lambda m: m.group(1) * _MAX_CHAR_REPEAT, token)
+    return "" if token in stopwords else token
+
+
+class _ChunkTokens(dict):
+    """Chunk -> `_chunk_token` of one config, filled in as chunks are seen.
+
+    Equal tokens are stored as one shared string.  Past `_TAIL_CACHE_MAX`
+    chunks the table is emptied and fills again.
+    """
+
+    def __init__(self, smilies, stopwords):
+        super().__init__()
+        self._smilies = smilies
+        self._stopwords = stopwords
+        self._shared: Dict[str, str] = {}
+
+    def __missing__(self, chunk: str) -> str:
+        if len(self) >= _TAIL_CACHE_MAX:
+            self.clear()
+            self._shared.clear()
+        token = _chunk_token(chunk, self._smilies, self._stopwords)
+        token = self[chunk] = self._shared.setdefault(token, token)
+        return token
 
 
 @dataclass
@@ -131,12 +182,14 @@ class NormalizationConfig:
 
     stopwords: frozenset = frozenset()
     smilies: frozenset = frozenset()
+    _chunk_tokens: _ChunkTokens = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "stopwords", frozenset(self.stopwords))
         object.__setattr__(self, "smilies", frozenset(s.lower() for s in self.smilies))
         if not self.smilies:
             raise ValueError("smilies must be nonempty")
+        object.__setattr__(self, "_chunk_tokens", _ChunkTokens(self.smilies, self.stopwords))
 
     @classmethod
     def default(cls) -> "NormalizationConfig":
@@ -152,7 +205,11 @@ def _parse_wordlist(text: str) -> Set[str]:
 def load_wordlist(path) -> Set[str]:
     """Read a word list file in the format of the packaged lists."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _parse_wordlist(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return _parse_wordlist(text)
 
 
 def _packaged_list(name: str) -> Set[str]:
@@ -283,37 +340,6 @@ def _replace_urls(text: str) -> str:
     return _URL.sub(repl, text)
 
 
-def _strip_punctuation(text: str, smilies) -> str:
-    # drop Unicode P*/S* characters except in smilies and between sentinels
-    chunks = text.split()
-    if _SENTINEL not in text and smilies.isdisjoint(chunks):
-        return " ".join(text.translate(_PUNCTUATION).split())
-    # runs of plain chunks go through one translate call each
-    kept, plain = [], []
-    for chunk in chunks:
-        if chunk not in smilies and _SENTINEL not in chunk:
-            plain.append(chunk)
-            continue
-        if plain:
-            kept.extend(" ".join(plain).translate(_PUNCTUATION).split())
-            plain.clear()
-        if chunk in smilies:
-            kept.append(chunk)
-            continue
-        parts = chunk.split(_SENTINEL)
-        parts[::2] = [part.translate(_PUNCTUATION) for part in parts[::2]]
-        chunk = "".join(parts)
-        if chunk:
-            kept.append(chunk)
-    if plain:
-        kept.extend(" ".join(plain).translate(_PUNCTUATION).split())
-    return " ".join(kept)
-
-
-def _collapse_repeats(text: str) -> str:
-    return _REPEAT.sub(lambda m: m.group(1) * _MAX_CHAR_REPEAT, text)
-
-
 def normalize(body: str, cfg: NormalizationConfig) -> List[str]:
     """Run the full pipeline over one comment body.
 
@@ -324,9 +350,7 @@ def normalize(body: str, cfg: NormalizationConfig) -> List[str]:
     text = _strip_markdown(text, cfg.smilies)
     text = _strip_diacritics(text)
     text = _replace_urls(text)
-    text = _strip_punctuation(text, cfg.smilies)
-    text = _collapse_repeats(text)
-    return [tok for tok in text.split() if tok not in cfg.stopwords]
+    return list(filter(None, map(cfg._chunk_tokens.__getitem__, text.split())))
 
 
 def aggregate_profiles(
@@ -367,13 +391,17 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
     """Read back a profile store written by `write_profiles`.
 
     `tokens` must be a list of strings and `n_comments`, if present, a
-    non-negative JSON integer.  A malformed line, or a second line for the
-    same (author, community), raises ValueError("line N: ...").
+    non-negative JSON integer.  Lines end at line feeds and are decoded as
+    UTF-8 one at a time.  A malformed line, or a second line for the same
+    (author, community), raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             if not line:
                 continue
             try:

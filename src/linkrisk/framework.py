@@ -388,6 +388,8 @@ def load_scenario(source) -> Dict[str, object]:
             return json.load(fh)
     except RecursionError as exc:  # deeply nested JSON
         raise ValueError(f"scenario is not valid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{getattr(source, 'name', source)}: {exc}") from None
 
 
 def run_scenario(source) -> Dict[str, object]:

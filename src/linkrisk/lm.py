@@ -144,14 +144,18 @@ def load_models(path):
     """Read back a model store written by `save_models`.
 
     Returns the profile, community and global models, the last two summed
-    from the profiles by `_aggregate` as `build_models` sums them.  A bad
-    line, a second record for a profile, or a community or global record
-    (stored by earlier releases) raises ValueError("line N: ...").
+    from the profiles by `_aggregate` as `build_models` sums them.  Lines
+    end at line feeds and are decoded as UTF-8 one at a time.  A bad line,
+    a second record for a profile, or a community or global record (stored
+    by earlier releases) raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
             if not line:
                 continue
             try:

@@ -842,6 +842,42 @@ def test_deeply_nested_json_exits_one_with_one_line(tmp_path, capsys, command, m
     assert not (tmp_path / "out").exists()
 
 
+_PROFILE_LINE = b'{"author":"u0","community":"alpha","n_comments":1,"tokens":["x"]}'
+
+
+@pytest.mark.parametrize("command, content, message", [
+    (("eval", "--profiles", "{file}", "--community-a", "alpha", "--community-b", "beta", "--out", "{out}"),
+     "profiles", "line 3: "),
+    (("build-models", "--profiles", "{file}", "--out", "{out}"), "profiles", "line 3: "),
+    (("top-unigrams", "--models", "{file}", "--kind", "global"), "models", "line 3: "),
+    (("distances", "--models", "{file}", "--community", "alpha", "--out", "{out}"), "models", "line 3: "),
+    (("anonymity", "--models", "{file}", "--community", "alpha", "--subject", "u0", "--d", "0.5"),
+     "models", "line 3: "),
+    (("bound", "--config", "{file}", "--c", "0.2", "--d", "0.1", "--k", "5"), "config", "{file}:3: "),
+    (("ingest", "--input", "{file}", "--stopwords", "{file}", "--out", "{out}"), "words", "{file}: "),
+    (("ingest", "--input", "{file}", "--smilies", "{file}", "--out", "{out}"), "words", "{file}: "),
+    (("framework", "run", "{file}"), "scenario", "{file}: "),
+], ids=["eval", "build-models", "top-unigrams", "distances", "anonymity-models", "config", "stopwords",
+        "smilies", "framework-run"])
+def test_a_byte_that_is_not_utf8_is_named_by_line_or_file(tmp_path, capsys, command, content, message):
+    lines = {
+        "profiles": [_PROFILE_LINE, _PROFILE_LINE.replace(b"u0", b"u1")],
+        "models": [_PROFILE.encode(), _PROFILE.encode().replace(b"u0", b"u1")],
+        "config": [b"# options", b"c = 0.2"],
+        "words": [b"# words", b"word"],
+        "scenario": [b"{", b'  "attributes": [],'],
+    }[content]
+    path = tmp_path / "input"
+    path.write_bytes(b"\n".join(lines) + b'\n"caf\xff"\n')
+    argv = [arg.format(file=path, out=tmp_path / "out") for arg in command]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: " + message.format(file=path))
+    assert "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_skips_comments_and_blank_lines(tmp_path, capsys):
     cfg = tmp_path / "opts.conf"
     cfg.write_text("# matching distance\n\nc = 0.2\n   \n  # radius\nd=0.1\n", encoding="utf-8")

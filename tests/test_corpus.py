@@ -1,6 +1,9 @@
+import dataclasses
+import hashlib
 import io
 import json
 import os
+import random
 import re
 import tempfile
 import types
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkrisk import corpus
+from linkrisk import cli, corpus
 
 
 @pytest.fixture(scope="module")
@@ -498,6 +501,55 @@ def test_normalize_is_total_and_matches_reference_for_any_config(cfg, body):
     assert all(tok and tok == "".join(tok.split()) for tok in tokens)
 
 
+# --- the per-chunk memo of a config ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TRICKY_TEXT, max_size=8))
+def test_a_warm_config_normalizes_as_a_fresh_one(cfg, bodies):
+    warm = dataclasses.replace(cfg)
+    first = [corpus.normalize(body, warm) for body in bodies]
+    again = [corpus.normalize(body, warm) for body in bodies]
+    fresh = [corpus.normalize(body, dataclasses.replace(cfg)) for body in bodies]
+    assert first == again == fresh
+    # equal tokens are one shared string
+    shared = {}
+    for tok in (tok for tokens in first + again for tok in tokens):
+        assert shared.setdefault(tok, tok) is tok
+
+
+def test_a_bounded_memo_changes_no_output(cfg, monkeypatch):
+    rng = random.Random(5)
+    words = ["kw", "Kw!", "kwww", "the", ":)", "www.x.y", "\x00", "caf\u00e9", "**b**", "a,b"]
+    comments = [corpus.RawComment(f"u{rng.randrange(4)}", "c", " ".join(rng.choices(words, k=6)))
+                for _ in range(200)]
+    unbounded = corpus.aggregate_profiles(comments, dataclasses.replace(cfg))
+    bounded = dataclasses.replace(cfg)
+    sizes = []
+    chunk_token = corpus._chunk_token
+
+    def recording(chunk, smilies, stopwords):
+        sizes.append(len(bounded._chunk_tokens))
+        return chunk_token(chunk, smilies, stopwords)
+
+    monkeypatch.setattr(corpus, "_TAIL_CACHE_MAX", 2)
+    monkeypatch.setattr(corpus, "_chunk_token", recording)
+    assert corpus.aggregate_profiles(comments, bounded) == unbounded
+    assert len(sizes) > len(words)  # the memo was emptied and filled again
+    # each insert finds fewer entries than the bound, so the memo never holds more
+    assert max(sizes) < 2 and len(bounded._chunk_tokens) <= 2
+
+
+def test_the_memo_leaves_equality_hash_and_repr_alone(cfg):
+    used, unused = dataclasses.replace(cfg), dataclasses.replace(cfg)
+    before = repr(used)
+    corpus.normalize("some words, *more* words :) http://x.org", used)
+    assert len(used._chunk_tokens) > 0
+    assert used == unused and hash(used) == hash(unused)
+    assert repr(used) == before == f"NormalizationConfig(stopwords={used.stopwords!r}, smilies={used.smilies!r})"
+    assert len(dataclasses.replace(used)._chunk_tokens) == 0
+
+
 _JSON_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8),
     st.lists(st.integers(), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
@@ -626,3 +678,61 @@ def test_ingest_splits_only_what_it_is_given_to_split(tmp_path):
             text = corpus.ingest_jsonl(fh, lenient=True)
         assert text == corpus.ingest_jsonl(lines, lenient=True)
         assert len(lines) == 2 and [c.author_id for c in text.comments] == ["a", "b"]
+
+
+# --- pinned output of a messy corpus -----------------------------------------------
+
+_MESSY_SYLLABLES = ("ka", "lo", "mi", "ne", "ru", "ta", "shi", "po", "an", "el", "gra", "ton")
+_MESSY_PIECES = (
+    "*{w}*", "**{w}**", "_{w}_", "__{w}__", "~~{w}~~", "`{w}`", "[{w}](http://{h}/{w})",
+    "[{w}]( https://{h}:8080/a?b=1 )", "\n# {w}\n", "\n## {w} ##\n", "\n- {w}\n", "\n3. {w}\n",
+    "\n> {w} said\n", "\n```\n{w} = 1\n```\n", "\n    {w}()\n", "\n| {w} | {w} |\n|---|:-:|\n",
+    "\n---\n", "http://{h}/{w}", "https://u:p@{h}:80/x#f", "www.{h}", "({w}: www.{h}/{w})",
+    "x.www.{w}", "{w}!!!!!!", "{w}{w}{w}", "sooooo", "HAHAHAHA", "caf\u00e9", "cafe\u0301",
+    "A\u030angstrom", "na\u00efve", "\ufb01ne", "\u05b0{w}", "\x00{w}\x00", "\x02", "\x00www.{h}\x00",
+    "{w}\u2014{w}", "\u20ac5", "{w}\u2026", "\u00a0", "\u3000", "\x85", "\t", "{w},", "{w}.", "'{w}'",
+    "the", "and", "of", "It", "\U0001f600",
+)
+_MESSY_HOSTS = ("example.com", "news.example.org", "wiki-site.net", "r\u00e9seau.fr", "a.b")
+
+
+def _messy_lines(seed, n_comments=3000, n_authors=25, n_bad=30):
+    """A seeded markup-heavy JSONL corpus of 2 communities, with malformed lines mixed in."""
+    rng = random.Random(seed)
+    words = ["".join(rng.choices(_MESSY_SYLLABLES, k=rng.randint(1, 3))) for _ in range(300)]
+    smilies = _SMILIES + [s.upper() for s in _SMILIES]
+    lines = []
+    for n in range(n_comments):
+        parts = []
+        for _ in range(rng.randint(0, 14)):
+            roll = rng.random()
+            if roll < 0.4:
+                word = rng.choice(words)
+                parts.append(word.capitalize() if rng.random() < 0.2 else word)
+            elif roll < 0.55:
+                parts.append(rng.choice(smilies))
+            else:
+                parts.append(rng.choice(_MESSY_PIECES).format(w=rng.choice(words), h=rng.choice(_MESSY_HOSTS)))
+        rec = {"author": f"u{rng.randrange(n_authors)}", "community": rng.choice(("alpha", "beta")),
+               "body": rng.choice((" ", "", "  ")).join(parts) if rng.random() < 0.1 else " ".join(parts),
+               "created_at": 1_400_000_000 + n}
+        lines.append(json.dumps(rec, ensure_ascii=rng.random() < 0.5).encode("utf-8"))
+    bad = (b'{"author": "u1", "community": "alpha", "body": "caf\xff"}', b'{"author": "u1",',
+           b'{"author": "u1", "community": "alpha"}', b'{"author": "u1", "community": "beta", "body": 7}',
+           b'{"author": "u1", "community": "beta", "body": "x", "created_at": true}', b'["not", "an", "object"]')
+    for n in range(n_bad):
+        lines.insert(rng.randrange(len(lines) + 1), bad[n % len(bad)])
+    return lines
+
+
+def test_messy_corpus_profiles_are_pinned(tmp_path, capsys):
+    src = tmp_path / "comments.jsonl"
+    src.write_bytes(b"\n".join(_messy_lines(2024)) + b"\n")
+    out = tmp_path / "out"
+    code = cli.dispatch(["ingest", "--input", str(src), "--min-comments", "1", "--min-profiles", "1",
+                         "--lenient", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0 and "kept 50 of 50 profiles" in captured.out
+    assert "skipped 30 malformed line(s)" in captured.err
+    digest = hashlib.sha256((out / "profiles.jsonl").read_bytes()).hexdigest()
+    assert digest == "2cd960b16a995aa7d772924298f42a475e7f8215bad642c6e20ad304b1552c86"
