@@ -305,6 +305,7 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
     `c` is the matching distance between the true pair, `d` the convergence
     radius of the anonymous neighborhood, `k` its size.  Both are distances:
     c in (0, 1] (undefined at c = 0) and d in [0, 1]; NaN is rejected.
+    A k too large for `k - 1` to fit in a float gives the limit t = 1.
     """
     if c <= 0.0:
         raise ValueError("bound undefined at zero matching distance")
@@ -314,7 +315,10 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
         raise ValueError("d must be in [0, 1]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    t = 1.0 - c / (c + (k - 1) * (c + d))
+    try:
+        t = 1.0 - c / (c + (k - 1) * (c + d))
+    except OverflowError:  # k - 1 beyond the float range
+        t = 1.0
     return MatchingBound(c=c, d=d, k=k, t=t)
 
 

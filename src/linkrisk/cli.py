@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import hashlib
 import json
 import os
 import sys
@@ -26,6 +27,14 @@ def _write_manifest(outdir: str, command: str, inputs: dict, params: dict, outpu
     with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 def _load_config(path: str) -> dict:
@@ -269,7 +278,8 @@ def _cmd_eval(args) -> int:
     except ValueError:
         raise ValueError(f"--k takes comma-separated integers, got {args.k!r}") from None
     streams = corpus.load_profiles(args.profiles)
-    profile_models, _, _ = lm.build_models(streams)
+    profile_models = lm.build_models(streams)[0]
+    del streams  # the token lists are counted; free them before the matrices
     models_a = _community_models(profile_models, args.community_a)
     models_b = _community_models(profile_models, args.community_b)
     result = evaluation.run_experiment(
@@ -279,8 +289,8 @@ def _cmd_eval(args) -> int:
         community_a=args.community_a,
         community_b=args.community_b,
     )
-    metadata = {
-        "profiles": args.profiles,
+    metadata = {  # content, not path: the file is the same wherever the input lives
+        "profiles_sha256": _file_sha256(args.profiles),
         "community_a": args.community_a,
         "community_b": args.community_b,
         "k": ks,

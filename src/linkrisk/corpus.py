@@ -298,16 +298,28 @@ def _strip_markdown(text: str, smilies) -> str:
             placeholders[key] = part
             parts[i] = key
     text = "".join(parts)
-    text = _MD_FENCE.sub(" ", text)
-    text = _MD_INDENT_CODE.sub(" ", text)
-    text = _MD_INLINE_CODE.sub(" ", text)
-    text = _MD_QUOTE.sub(" ", text)
-    text = _MD_LINK.sub(r"\1 \2", text)
-    text = _MD_TABLE_SEP.sub(" ", text)
-    text = _MD_HR.sub(" ", text)
-    text = _MD_LIST.sub("", text)
-    text = _MD_HEADING.sub("", text)
-    text = _MD_EMPHASIS.sub(r"\2", text)
+    # each pass runs only if the text as it stands holds a substring its
+    # pattern needs; earlier passes insert spaces, so no test may look ahead
+    if "```" in text:
+        text = _MD_FENCE.sub(" ", text)
+    if "    " in text or "\t" in text:
+        text = _MD_INDENT_CODE.sub(" ", text)
+    if "`" in text:
+        text = _MD_INLINE_CODE.sub(" ", text)
+    if ">" in text:
+        text = _MD_QUOTE.sub(" ", text)
+    if "](" in text:
+        text = _MD_LINK.sub(r"\1 \2", text)
+    if "|" in text:
+        text = _MD_TABLE_SEP.sub(" ", text)
+    if "-" in text or "*" in text or "_" in text:
+        text = _MD_HR.sub(" ", text)
+    if "-" in text or "*" in text or "+" in text or _MD_DIGIT_DOT.search(text):
+        text = _MD_LIST.sub("", text)
+    if "#" in text:
+        text = _MD_HEADING.sub("", text)
+    if "*" in text or "_" in text or "~~" in text:
+        text = _MD_EMPHASIS.sub(r"\2", text)
     text = text.replace("|", " ")
     for key, smiley in placeholders.items():
         text = text.replace(key, smiley)
@@ -393,9 +405,12 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
     `tokens` must be a list of strings and `n_comments`, if present, a
     non-negative JSON integer.  Lines end at line feeds and are decoded as
     UTF-8 one at a time.  A malformed line, or a second line for the same
-    (author, community), raises ValueError("line N: ...").
+    (author, community), raises ValueError("line N: ...").  Equal tokens
+    come back as one shared string across all profiles, so the returned
+    streams hold each distinct token once.
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
+    shared: Dict[str, str] = {}
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
@@ -424,6 +439,7 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
             key = (rec["author"], rec["community"])
             if key in profiles:
                 raise ValueError(f"line {line_no}: duplicate profile {key!r}")
+            tokens = list(map(shared.setdefault, tokens, tokens))
             profiles[key] = TokenStream(profile_key=key, tokens=tokens, n_comments=n_comments)
     return profiles
 

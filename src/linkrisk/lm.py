@@ -11,6 +11,7 @@ store is loaded.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple
 
@@ -59,17 +60,22 @@ class UnigramModel:
         return model
 
     def add(self, tokens: Iterable[str]) -> None:
-        counts = self.counts
-        n = 0
-        for tok in tokens:
-            counts[tok] = counts.get(tok, 0) + 1
-            n += 1
-        self.total += n
+        """Count `tokens` in.
+
+        `collections.Counter` does the per-token counting in C; tokens not
+        counted before are keyed after those already counted, in the order
+        they are first seen.
+        """
+        counted = Counter(tokens)
+        self.merge_in(UnigramModel(counts=counted, total=counted.total()))
 
     def merge_in(self, other: "UnigramModel") -> None:
         counts = self.counts
-        for tok, c in other.counts.items():
-            counts[tok] = counts.get(tok, 0) + c
+        if counts:
+            for tok, c in other.counts.items():
+                counts[tok] = counts.get(tok, 0) + c
+        else:  # what the loop would give, in one call
+            counts.update(other.counts)
         self.total += other.total
 
 

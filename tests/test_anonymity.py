@@ -179,6 +179,14 @@ def test_matching_bound_values():
     assert anonymity.matching_bound(1.0, 1.0, 2).t == pytest.approx(2 / 3)
 
 
+@pytest.mark.parametrize("exponent", [17, 308, 309, 400])
+def test_matching_bound_reaches_its_limit_for_a_huge_k(exponent):
+    # from 10**309 on, k - 1 does not fit in a float
+    k = 10**exponent
+    assert anonymity.matching_bound(0.5, 0.1, k).t == 1.0
+    assert anonymity.matching_bound(1e-300, 0.0, k).t == 1.0
+
+
 def test_matching_bound_errors():
     with pytest.raises(ValueError, match="zero matching distance"):
         anonymity.matching_bound(0.0, 0.1, 3)

@@ -28,6 +28,10 @@ def test_bound_k_one_is_zero(capsys):
     assert "t = 0.000000" in out
 
 
+def test_bound_k_too_large_for_a_float_prints_the_limit(capsys):
+    assert run(capsys, "bound", "--c", "0.5", "--d", "0.1", "--k", "9" * 400) == (0, "t = 1.000000\n", "")
+
+
 def test_bound_zero_c_is_runtime_error(capsys):
     code, _, err = run(capsys, "bound", "--c", "0", "--d", "0.1", "--k", "5")
     assert code == 1
@@ -918,6 +922,27 @@ def test_eval_records_each_k_once_in_ascending_order(tmp_path, capsys):
     assert [row.split(",")[0] for row in rows] == ["1", "5"]
     bins = (report / "precision_bins.csv").read_text().splitlines()[1:]
     assert sorted({row.split(",")[0] for row in bins}) == ["1", "5"]
+
+
+def test_eval_metadata_does_not_depend_on_where_the_profiles_live(tmp_path, capsys):
+    original = tmp_path / "profiles.jsonl"
+    _eval_profiles(original)
+    metadata = []
+    for place in ("here", "there/deeper"):
+        path = tmp_path / place / "profiles.jsonl"
+        path.parent.mkdir(parents=True)
+        path.write_bytes(original.read_bytes())
+        report = tmp_path / place / "report"
+        code, _, _ = run(
+            capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+            "--community-b", "beta", "--out", str(report),
+        )
+        assert code == 0
+        metadata.append((report / "metadata.json").read_bytes())
+        assert json.loads((report / "manifest.json").read_text())["inputs"]["profiles"] == str(path)
+    assert metadata[0] == metadata[1]
+    digest = hashlib.sha256(original.read_bytes()).hexdigest()
+    assert json.loads(metadata[0])["profiles_sha256"] == digest
 
 
 @pytest.mark.parametrize("ks", [",", "", " , "])

@@ -16,6 +16,23 @@ def test_from_tokens_counts():
     assert model.total == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]) | st.text(max_size=3), max_size=20),
+                min_size=1, max_size=4))
+def test_counting_matches_a_plain_loop(batches):
+    model = lm.UnigramModel.from_tokens(batches[0])
+    for tokens in batches[1:]:
+        model.add(iter(tokens))  # onto the counts so far; an iterator is read once
+    counts, total = {}, 0
+    for tokens in batches:
+        for tok in tokens:
+            counts[tok] = counts.get(tok, 0) + 1
+            total += 1
+    assert type(model.counts) is dict
+    assert list(model.counts.items()) == list(counts.items())  # same keys in the same order
+    assert model.total == total
+
+
 def test_merge_additivity():
     a = lm.UnigramModel.from_tokens(["a"])
     b = lm.UnigramModel.from_tokens(["b"])
