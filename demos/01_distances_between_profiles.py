@@ -25,7 +25,7 @@ for name, model in models.items():
 print("\n== distributions ==")
 dists = {name: lm.to_distribution(m) for name, m in models.items()}
 for name, dist in dists.items():
-    rounded = {t: round(p, 3) for t, p in sorted(dist.probs.items())}
+    rounded = {t: round(p, 3) for t, p in sorted(dist.items())}
     print(f"{name:>6}: {rounded}")
 
 print("\n== divergences ==")

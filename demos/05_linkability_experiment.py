@@ -26,10 +26,7 @@ models_a = {a: m for (a, c), m in profile_models.items() if c == corp.communitie
 models_b = {a: m for (a, c), m in profile_models.items() if c == corp.communities[1]}
 
 print("\nrunning the experiment (distance matrices + rankings)...")
-result = evaluation.run_experiment(
-    models_a, models_b, ks=(1, 5, 10, 20),
-    community_a=corp.communities[0], community_b=corp.communities[1],
-)
+result = evaluation.run_experiment(models_a, models_b, ks=(1, 5, 10, 20))
 
 print("\n== distance statistics ==")
 for scope, stats in (("within A", result.stats_within_a),

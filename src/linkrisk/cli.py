@@ -204,7 +204,11 @@ def _cmd_distances(args) -> int:
 
 
 def _cmd_anonymity(args) -> int:
+    if args.k is not None and args.k < 1:
+        raise ValueError("k must be >= 1")
     if args.matrix:
+        if args.models or args.community:
+            raise ValueError("give either --matrix or --models with --community, not both")
         matrix = anonymity.DistanceMatrix.load(args.matrix)
     else:
         if not args.models or not args.community:
@@ -212,8 +216,6 @@ def _cmd_anonymity(args) -> int:
         profiles, _, _ = lm.load_models(args.models)
         matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
     result = anonymity.convergent_subset(matrix, args.subject, args.d)
-    if args.k is not None and args.k < 1:
-        raise ValueError("k must be >= 1")
     report = {
         "subject": result.subject,
         "d": result.d,
@@ -277,18 +279,14 @@ def _cmd_eval(args) -> int:
         ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     except ValueError:
         raise ValueError(f"--k takes comma-separated integers, got {args.k!r}") from None
+    if args.community_a == args.community_b:
+        raise ValueError(f"--community-a and --community-b must differ, both are {args.community_a!r}")
     streams = corpus.load_profiles(args.profiles)
     profile_models = lm.build_models(streams)[0]
     del streams  # the token lists are counted; free them before the matrices
     models_a = _community_models(profile_models, args.community_a)
     models_b = _community_models(profile_models, args.community_b)
-    result = evaluation.run_experiment(
-        models_a,
-        models_b,
-        ks=ks,
-        community_a=args.community_a,
-        community_b=args.community_b,
-    )
+    result = evaluation.run_experiment(models_a, models_b, ks=ks)
     metadata = {  # content, not path: the file is the same wherever the input lives
         "profiles_sha256": _file_sha256(args.profiles),
         "community_a": args.community_a,

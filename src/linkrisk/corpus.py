@@ -159,7 +159,6 @@ class RawComment:
 class TokenStream:
     """Normalized tokens of all comments of one (author, community) profile."""
 
-    profile_key: ProfileKey
     tokens: List[str] = field(default_factory=list)
     n_comments: int = 0
 
@@ -379,7 +378,7 @@ def aggregate_profiles(
         key = (comment.author_id, comment.community_id)
         stream = profiles.get(key)
         if stream is None:
-            stream = profiles[key] = TokenStream(profile_key=key)
+            stream = profiles[key] = TokenStream()
         stream.tokens.extend(normalize(comment.body, cfg))
         stream.n_comments += 1
     return {key: profiles[key] for key in sorted(profiles)}
@@ -440,7 +439,7 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
             if key in profiles:
                 raise ValueError(f"line {line_no}: duplicate profile {key!r}")
             tokens = list(map(shared.setdefault, tokens, tokens))
-            profiles[key] = TokenStream(profile_key=key, tokens=tokens, n_comments=n_comments)
+            profiles[key] = TokenStream(tokens=tokens, n_comments=n_comments)
     return profiles
 
 

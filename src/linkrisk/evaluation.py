@@ -98,7 +98,7 @@ def rank_candidates(
 ) -> List[Tuple[str, float]]:
     """Target profiles ordered by ascending distance, ties by key ascending."""
     source_dist = lm.as_distribution(source_model)
-    if not getattr(source_dist, "probs", source_dist):
+    if not source_dist:
         raise ValueError("source model is empty")
     row = metric.cross_distances([source_dist], _distributions(target_models))[0]
     ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
@@ -227,8 +227,6 @@ def comments_to_jsonl(comments: Iterable[RawComment]) -> str:
 
 @dataclass
 class ExperimentResult:
-    community_a: str
-    community_b: str
     links: List[GroundTruthLink]
     stats_within_a: Dict[str, float]
     stats_within_b: Dict[str, float]
@@ -245,8 +243,6 @@ def run_experiment(
     links: Optional[Sequence[GroundTruthLink]] = None,
     ks: Sequence[int] = DEFAULT_KS,
     workers: int | None = None,
-    community_a: str = "a",
-    community_b: str = "b",
 ) -> "ExperimentResult":
     """Full linkability experiment between two communities.
 
@@ -307,8 +303,6 @@ def run_experiment(
         rows.append(ScatterRow(link.source, link.target, avg_other, float(d)))
     below = sum(1 for r in rows if r.below_diagonal)
     return ExperimentResult(
-        community_a=community_a,
-        community_b=community_b,
         links=links,
         stats_within_a=_stats(within_a.tri),
         stats_within_b=_stats(within_b.tri),

@@ -1,7 +1,8 @@
 """Unigram language models for profiles, communities, and the whole corpus.
 
 A model is a sparse token->count table; normalizing the counts by their sum
-yields the token distribution that the distance metric consumes.  Only
+yields the token distribution that the distance metric consumes, a plain
+dict from each token of positive count to its probability.  Only
 profile models are counted from tokens and stored: a community model is the
 count-wise sum of its member profiles, and the global model the sum of all
 communities, both summed by one function when models are built and when a
@@ -17,7 +18,6 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 __all__ = [
     "UnigramModel",
-    "Distribution",
     "build_models",
     "to_distribution",
     "as_distribution",
@@ -28,22 +28,6 @@ __all__ = [
 ]
 
 ProfileKey = Tuple[str, str]  # (author_id, community_id)
-
-
-@dataclass
-class Distribution:
-    """Sparse token->probability map; entries are positive and sum to one."""
-
-    probs: Dict[str, float]
-
-    def validate(self, tol: float = 1e-12) -> None:
-        total = 0.0
-        for token, p in sorted(self.probs.items()):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"probability out of (0,1] for {token!r}: {p}")
-            total += p
-        if abs(total - 1.0) > tol:
-            raise ValueError(f"probabilities sum to {total}, not 1")
 
 
 @dataclass
@@ -87,16 +71,16 @@ def merge(models: Iterable[UnigramModel]) -> UnigramModel:
     return out
 
 
-def to_distribution(model: UnigramModel) -> Distribution:
-    """Normalize counts into frequencies.  Raises on an empty model."""
+def to_distribution(model: UnigramModel) -> Dict[str, float]:
+    """Token->probability dict of the positive-count tokens.  Raises on an empty model."""
     if model.total <= 0:
         raise ValueError("empty model: cannot normalize zero total count")
     total = float(model.total)
-    return Distribution({tok: c / total for tok, c in model.counts.items() if c > 0})
+    return {tok: c / total for tok, c in model.counts.items() if c > 0}
 
 
 def as_distribution(model):
-    """Normalize a `UnigramModel`; a distribution or mapping passes through as is."""
+    """Normalize a `UnigramModel`; a token->probability mapping passes through as is."""
     return to_distribution(model) if isinstance(model, UnigramModel) else model
 
 

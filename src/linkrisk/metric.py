@@ -5,16 +5,17 @@ distributions lies in [0, 1] and its square root is a metric on the same
 range (1 is reached exactly when the supports are disjoint); see Endres and
 Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 
-The scalar `kl`, `js` and `distance` over token->probability mappings are
-the reference definition.  `pairwise_distances` and `cross_distances` read
-collections that `_prepare` builds once over one sorted vocabulary, row-major
-and token-major; collections it already built are read as they are.  Their
-row kernel expands only the target entries sharing a token with the source
-row; memory is O(vocabulary + support entries).  Results are bit-stable:
-independent of the row split and the worker count, exactly symmetric, and
-exactly 0 for identical profiles.  `pairwise_distances` returns the packed
-upper triangle (the `.dmat` payload, scipy's condensed form).  `workers`
-has no effect.
+A distribution is a token->probability mapping, such as the dict
+`lm.to_distribution` returns; every function here reads it as a mapping.
+The scalar `kl`, `js` and `distance` are the reference definition.
+`pairwise_distances` and `cross_distances` read collections that `_prepare`
+builds once over one sorted vocabulary, row-major and token-major;
+collections it already built are read as they are.  Their row kernel expands
+only the target entries sharing a token with the source row; memory is
+O(vocabulary + support entries).  Results are bit-stable: independent of the
+row split and the worker count, exactly symmetric, and exactly 0 for
+identical profiles.  `pairwise_distances` returns the packed upper triangle
+(the `.dmat` payload, scipy's condensed form).  `workers` has no effect.
 """
 
 from __future__ import annotations
@@ -33,31 +34,25 @@ __all__ = [
 ]
 
 
-def _probs(dist) -> Mapping[str, float]:
-    # accept either a raw mapping or an object exposing .probs
-    return dist.probs if hasattr(dist, "probs") else dist
-
-
-def kl(p, q) -> float:
+def kl(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Kullback-Leibler divergence KL(P || Q) in bits.
 
     Requires support(P) to be contained in support(Q); raises ValueError
     otherwise.  Terms absent from P contribute zero.
     """
-    pp, qp = _probs(p), _probs(q)
     total = 0.0
-    for token in sorted(pp):
-        pv = pp[token]
+    for token in sorted(p):
+        pv = p[token]
         if pv <= 0.0:
             continue
-        qv = qp.get(token, 0.0)
+        qv = q.get(token, 0.0)
         if qv <= 0.0:
             raise ValueError(f"KL undefined: token {token!r} in P but not in Q")
         total += pv * math.log2(pv / qv)
     return total
 
 
-def js(p, q) -> float:
+def js(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Jensen-Shannon divergence in bits, in [0, 1].
 
     JS(P, Q) = KL(P||M)/2 + KL(Q||M)/2 with M = (P+Q)/2.  Tokens missing
@@ -65,11 +60,10 @@ def js(p, q) -> float:
     contributes p*log2(2) to that side's KL term since M(token) = p/2.
     The result is clamped into [0, 1] to absorb last-ulp rounding.
     """
-    pp, qp = _probs(p), _probs(q)
     total = 0.0
-    for token in sorted(pp.keys() | qp.keys()):
-        pv = pp.get(token, 0.0)
-        qv = qp.get(token, 0.0)
+    for token in sorted(p.keys() | q.keys()):
+        pv = p.get(token, 0.0)
+        qv = q.get(token, 0.0)
         m = 0.5 * (pv + qv)
         if m <= 0.0:
             continue
@@ -82,13 +76,13 @@ def js(p, q) -> float:
     return min(1.0, max(0.0, total))
 
 
-def distance(p, q) -> float:
+def distance(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Square-root Jensen-Shannon distance, a metric in [0, 1]."""
     return math.sqrt(js(p, q))
 
 
 class _Profiles(list):
-    """A list of distributions, prepared for the row kernel over a shared vocabulary.
+    """A list of token->probability mappings, prepared for the row kernel over a shared vocabulary.
 
     Row r holds `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the
     matching positive `probs`; `sums` holds each row's mass, added in entry
@@ -97,15 +91,14 @@ class _Profiles(list):
     `col_rows[colptr[t]:colptr[t+1]]` and their probabilities in `col_probs`.
     """
 
-    def __init__(self, dists: Iterable, vocab: Mapping[str, int]):
+    def __init__(self, dists: Iterable[Mapping[str, float]], vocab: Mapping[str, int]):
         super().__init__(dists)
         self.vocab = vocab
-        maps = [_probs(d) for d in self]
-        self.indptr = np.zeros(len(maps) + 1, dtype=np.int64)
-        ids = np.empty(sum(len(pm) for pm in maps), dtype=np.int64)
+        self.indptr = np.zeros(len(self) + 1, dtype=np.int64)
+        ids = np.empty(sum(map(len, self)), dtype=np.int64)
         probs = np.empty(len(ids), dtype=np.float64)
         pos = 0
-        for r, pm in enumerate(maps):
+        for r, pm in enumerate(self):
             row_ids = np.fromiter(map(vocab.__getitem__, pm), dtype=np.int64, count=len(pm))
             row_p = np.fromiter(pm.values(), dtype=np.float64, count=len(pm))
             order = np.argsort(row_ids)
@@ -114,8 +107,8 @@ class _Profiles(list):
             ids[pos:end], probs[pos:end] = row_ids[order], row_p[order]
             pos = self.indptr[r + 1] = end
         self.ids, self.probs = ids[:pos], probs[:pos]
-        rows = np.repeat(np.arange(len(maps)), np.diff(self.indptr))
-        self.sums = np.bincount(rows, self.probs, len(maps))
+        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
+        self.sums = np.bincount(rows, self.probs, len(self))
         self.colptr = np.zeros(len(vocab) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.ids, minlength=len(vocab)), out=self.colptr[1:])
         order = np.argsort(self.ids, kind="stable")
@@ -133,7 +126,7 @@ def _prepare(*collections) -> tuple:
     """
     if all(isinstance(c, _Profiles) and c.vocab is collections[0].vocab for c in collections):
         return collections
-    tokens = set().union(*(_probs(d).keys() for collection in collections for d in collection))
+    tokens = set().union(*(d.keys() for collection in collections for d in collection))
     vocab = {tok: i for i, tok in enumerate(sorted(tokens))}
     return tuple(_Profiles(collection, vocab) for collection in collections)
 

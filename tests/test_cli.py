@@ -450,18 +450,35 @@ def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
                   '"subject": "a"}\n'
 
 
-def test_anonymity_k_below_one_exits_one_after_the_other_checks(tmp_path, capsys):
+def test_anonymity_k_below_one_exits_one_before_the_other_checks(tmp_path, capsys):
     from linkrisk.anonymity import DistanceMatrix
 
     path = tmp_path / "m.dmat"
     DistanceMatrix(keys=["a", "b"], values=[0.3]).save(path)
+    junk = tmp_path / "junk.dmat"
+    junk.write_bytes(b"not a matrix\n")
+    missing = str(tmp_path / "missing.jsonl")  # never read: the matrix is not built
     for k in ("0", "-3"):
-        for subject, d, message in (("nobody", "2.0", "d must be in [0, 1]"),
-                                    ("nobody", "0.5", "unknown profile 'nobody'"),
-                                    ("a", "0.5", "k must be >= 1")):
-            code, out, err = run(capsys, "anonymity", "--matrix", str(path), "--subject", subject,
-                                 "--d", d, "--k", k)
-            assert (code, out, err) == (1, "", f"error: {message}\n")
+        for source, subject, d in ((["--matrix", str(junk)], "a", "0.5"),
+                                   (["--matrix", str(path)], "nobody", "2.0"),
+                                   (["--matrix", str(path)], "nobody", "0.5"),
+                                   (["--matrix", str(path)], "a", "0.5"),
+                                   (["--models", missing, "--community", "alpha"], "a", "0.5"),
+                                   ([], "a", "0.5")):
+            code, out, err = run(capsys, "anonymity", *source, "--subject", subject, "--d", d, "--k", k)
+            assert (code, out, err) == (1, "", "error: k must be >= 1\n")
+
+
+@pytest.mark.parametrize("extra", [["--models", "m.jsonl"], ["--community", "beta"],
+                                   ["--models", "m.jsonl", "--community", "beta"]])
+def test_anonymity_refuses_a_matrix_together_with_models_or_community(tmp_path, capsys, extra):
+    from linkrisk.anonymity import DistanceMatrix
+
+    path = tmp_path / "alpha.dmat"
+    DistanceMatrix(keys=["a", "b"], values=[0.3]).save(path)
+    code, out, err = run(capsys, "anonymity", "--matrix", str(path), *extra, "--subject", "a", "--d", "0.5")
+    assert (code, out) == (1, "")
+    assert err == "error: give either --matrix or --models with --community, not both\n"
 
 
 def _two_line_corpus(path):
@@ -943,6 +960,18 @@ def test_eval_metadata_does_not_depend_on_where_the_profiles_live(tmp_path, caps
     assert metadata[0] == metadata[1]
     digest = hashlib.sha256(original.read_bytes()).hexdigest()
     assert json.loads(metadata[0])["profiles_sha256"] == digest
+
+
+def test_eval_refuses_one_community_on_both_sides(tmp_path, capsys):
+    path = tmp_path / "profiles.jsonl"
+    _eval_profiles(path)
+    code, out, err = run(
+        capsys, "eval", "--profiles", str(path), "--community-a", "alpha",
+        "--community-b", "alpha", "--out", str(tmp_path / "report"),
+    )
+    assert (code, out) == (1, "")
+    assert err == "error: --community-a and --community-b must differ, both are 'alpha'\n"
+    assert not (tmp_path / "report").exists()
 
 
 @pytest.mark.parametrize("ks", [",", "", " , "])

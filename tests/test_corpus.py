@@ -230,7 +230,7 @@ def test_raw_comment_validates_keys():
 
 
 def _stream(n_comments):
-    return corpus.TokenStream(profile_key=("u", "c"), tokens=["t"], n_comments=n_comments)
+    return corpus.TokenStream(tokens=["t"], n_comments=n_comments)
 
 
 def test_aggregate_profiles_orders_and_counts(cfg):
@@ -248,21 +248,21 @@ def test_aggregate_profiles_orders_and_counts(cfg):
 
 def test_filter_drops_profile_below_min_comments():
     profiles = {
-        ("a", "c"): corpus.TokenStream(("a", "c"), ["t"], n_comments=99),
-        ("b", "c"): corpus.TokenStream(("b", "c"), ["t"], n_comments=100),
+        ("a", "c"): corpus.TokenStream(["t"], n_comments=99),
+        ("b", "c"): corpus.TokenStream(["t"], n_comments=100),
     }
     kept = corpus.filter_interesting(profiles, min_comments=100, min_profiles=1)
     assert set(kept) == {("b", "c")}
 
 
 def test_filter_zero_thresholds_identity():
-    profiles = {("a", "c"): corpus.TokenStream(("a", "c"), [], n_comments=0)}
+    profiles = {("a", "c"): corpus.TokenStream([], n_comments=0)}
     assert corpus.filter_interesting(profiles, 0, 0) == profiles
 
 
 def test_filter_community_threshold_inclusive():
     profiles = {
-        (f"u{i}", "c"): corpus.TokenStream((f"u{i}", "c"), ["t"], n_comments=100)
+        (f"u{i}", "c"): corpus.TokenStream(["t"], n_comments=100)
         for i in range(100)
     }
     kept = corpus.filter_interesting(profiles, min_comments=100, min_profiles=100)
@@ -273,8 +273,8 @@ def test_filter_community_threshold_inclusive():
 
 def test_filter_community_dropped_after_profile_qualification():
     profiles = {
-        ("a", "c"): corpus.TokenStream(("a", "c"), ["t"], n_comments=100),
-        ("b", "c"): corpus.TokenStream(("b", "c"), ["t"], n_comments=5),
+        ("a", "c"): corpus.TokenStream(["t"], n_comments=100),
+        ("b", "c"): corpus.TokenStream(["t"], n_comments=5),
     }
     kept = corpus.filter_interesting(profiles, min_comments=100, min_profiles=2)
     assert kept == {}
@@ -282,8 +282,8 @@ def test_filter_community_dropped_after_profile_qualification():
 
 def test_filter_exclude_communities():
     profiles = {
-        ("a", "big"): corpus.TokenStream(("a", "big"), ["t"], n_comments=10),
-        ("a", "ok"): corpus.TokenStream(("a", "ok"), ["t"], n_comments=10),
+        ("a", "big"): corpus.TokenStream(["t"], n_comments=10),
+        ("a", "ok"): corpus.TokenStream(["t"], n_comments=10),
     }
     kept = corpus.filter_interesting(profiles, 1, 1, exclude_communities=["big"])
     assert set(kept) == {("a", "ok")}
@@ -294,8 +294,8 @@ def test_filter_exclude_communities():
 
 def test_profiles_roundtrip(tmp_path):
     profiles = {
-        ("a", "c"): corpus.TokenStream(("a", "c"), ["x", "y"], n_comments=2),
-        ("b", "d"): corpus.TokenStream(("b", "d"), [], n_comments=1),
+        ("a", "c"): corpus.TokenStream(["x", "y"], n_comments=2),
+        ("b", "d"): corpus.TokenStream([], n_comments=1),
     }
     path = tmp_path / "profiles.jsonl"
     corpus.write_profiles(profiles, path)
@@ -656,7 +656,7 @@ def test_lenient_ingest_of_bytes_never_raises(lines):
 ))
 def test_profile_store_roundtrip(streams):
     profiles = {
-        key: corpus.TokenStream(profile_key=key, tokens=tokens, n_comments=n)
+        key: corpus.TokenStream(tokens=tokens, n_comments=n)
         for key, (tokens, n) in streams.items()
     }
     with tempfile.TemporaryDirectory() as tmp:

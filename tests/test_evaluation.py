@@ -10,10 +10,6 @@ from linkrisk.evaluation import GroundTruthLink
 from conftest import random_distribution
 
 
-def dist(probs):
-    return lm.Distribution(dict(probs))
-
-
 # --- distance statistics ------------------------------------------------------
 
 
@@ -22,30 +18,30 @@ def _stats_of(ma, mb, links=None):
 
 
 def test_stats_identical_profiles():
-    models = {"a": dist({"x": 1.0}), "b": dist({"x": 1.0})}
+    models = {"a": {"x": 1.0}, "b": {"x": 1.0}}
     result = _stats_of(models, dict(models))
     zeros = {"min": 0.0, "max": 0.0, "mean": 0.0}
     assert result.stats_within_a == result.stats_within_b == result.stats_across == zeros
 
 
 def test_stats_disjoint_profiles():
-    models = {"a": dist({"x": 1.0}), "b": dist({"y": 1.0})}
+    models = {"a": {"x": 1.0}, "b": {"y": 1.0}}
     stats = _stats_of(models, dict(models)).stats_within_a
     assert stats["min"] == pytest.approx(1.0, abs=1e-12)
     assert stats["mean"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stats_requires_two_profiles():
-    two = {"a": dist({"x": 1.0}), "b": dist({"y": 1.0})}
+    two = {"a": {"x": 1.0}, "b": {"y": 1.0}}
     with pytest.raises(ValueError, match="need at least 2 profiles for within-community"):
-        _stats_of({"a": dist({"x": 1.0})}, two)
+        _stats_of({"a": {"x": 1.0}}, two)
     with pytest.raises(ValueError, match="no ground-truth links"):
         _stats_of(two, {})
 
 
 def test_stats_across_two_communities():
-    ma = {"a": dist({"x": 1.0}), "d": dist({"x": 1.0})}
-    mb = {"b": dist({"x": 1.0}), "c": dist({"y": 1.0})}
+    ma = {"a": {"x": 1.0}, "d": {"x": 1.0}}
+    mb = {"b": {"x": 1.0}, "c": {"y": 1.0}}
     stats = _stats_of(ma, mb, [GroundTruthLink("a", "b")]).stats_across
     assert stats["min"] == 0.0
     assert stats["max"] == pytest.approx(1.0, abs=1e-12)
@@ -56,10 +52,10 @@ def test_stats_across_two_communities():
 
 
 def test_rank_exact_copy_first():
-    source = dist({"x": 0.5, "y": 0.5})
+    source = {"x": 0.5, "y": 0.5}
     targets = {
-        "copy": dist({"x": 0.5, "y": 0.5}),
-        "other": dist({"z": 1.0}),
+        "copy": {"x": 0.5, "y": 0.5},
+        "other": {"z": 1.0},
     }
     ranked = evaluation.rank_candidates(source, targets)
     assert ranked[0][0] == "copy"
@@ -67,30 +63,30 @@ def test_rank_exact_copy_first():
 
 
 def test_rank_empty_targets():
-    assert evaluation.rank_candidates(dist({"x": 1.0}), {}) == []
+    assert evaluation.rank_candidates({"x": 1.0}, {}) == []
 
 
 def test_rank_orders_by_distance():
-    source = dist({"x": 1.0})
+    source = {"x": 1.0}
     targets = {
-        "far": dist({"z": 1.0}),
-        "near": dist({"x": 0.9, "z": 0.1}),
-        "mid": dist({"x": 0.5, "z": 0.5}),
+        "far": {"z": 1.0},
+        "near": {"x": 0.9, "z": 0.1},
+        "mid": {"x": 0.5, "z": 0.5},
     }
     ranked = [key for key, _ in evaluation.rank_candidates(source, targets)]
     assert ranked == ["near", "mid", "far"]
 
 
 def test_rank_ties_broken_by_key():
-    source = dist({"x": 1.0})
-    targets = {"b": dist({"x": 1.0}), "a": dist({"x": 1.0})}
+    source = {"x": 1.0}
+    targets = {"b": {"x": 1.0}, "a": {"x": 1.0}}
     ranked = [key for key, _ in evaluation.rank_candidates(source, targets)]
     assert ranked == ["a", "b"]
 
 
 def test_rank_rejects_empty_source():
     with pytest.raises(ValueError):
-        evaluation.rank_candidates(dist({}), {"a": dist({"x": 1.0})})
+        evaluation.rank_candidates({}, {"a": {"x": 1.0}})
 
 
 # --- precision -------------------------------------------------------------------
@@ -153,8 +149,8 @@ def test_bins_partition_all_links():
 
 
 def test_single_pair_single_bin():
-    ma = {"u0": dist({"x": 1.0}), "u1": dist({"q": 1.0})}
-    mb = {"u0": dist({"x": 0.9, "y": 0.1}), "u1": dist({"z": 1.0})}
+    ma = {"u0": {"x": 1.0}, "u1": {"q": 1.0}}
+    mb = {"u0": {"x": 0.9, "y": 0.1}, "u1": {"z": 1.0}}
     result = evaluation.run_experiment(ma, mb, [GroundTruthLink("u0", "u0")], ks=(1,))
     report = result.bin_reports[1]
     assert len(report.bins) == 1
@@ -181,8 +177,8 @@ def test_scatter_matching_below_average_for_split_halves():
 
 def test_scatter_adversarial_point_above_diagonal():
     # source u0 equals the non-matching target u1, not its own counterpart
-    ma = {"u0": dist({"x": 1.0}), "u1": dist({"w": 1.0})}
-    mb = {"u0": dist({"z": 1.0}), "u1": dist({"x": 1.0})}
+    ma = {"u0": {"x": 1.0}, "u1": {"w": 1.0}}
+    mb = {"u0": {"z": 1.0}, "u1": {"x": 1.0}}
     report = _scatter([GroundTruthLink("u0", "u0")], ma, mb)
     row = report.rows[0]
     assert row.matching > row.avg_nonmatching
@@ -210,8 +206,8 @@ def test_scatter_rows_match_matrix_recomputation():
 
 
 def test_scatter_needs_two_targets():
-    ma = {"u0": dist({"x": 1.0}), "u1": dist({"y": 1.0})}
-    mb = {"u0": dist({"x": 1.0})}
+    ma = {"u0": {"x": 1.0}, "u1": {"y": 1.0}}
+    mb = {"u0": {"x": 1.0}}
     with pytest.raises(ValueError, match="target community needs at least 2 profiles"):
         _scatter([GroundTruthLink("u0", "u0")], ma, mb)
 
@@ -311,7 +307,7 @@ def test_synth_idiosyncrasy_extremes():
 def test_run_experiment_and_csvs(tmp_path):
     corp = evaluation.synth_corpus(12, 3, comments_per_user=16, rng_seed=5)
     ma, mb = _models_from(corp)
-    result = evaluation.run_experiment(ma, mb, ks=(1, 5), community_a="alpha", community_b="beta")
+    result = evaluation.run_experiment(ma, mb, ks=(1, 5))
     assert set(result.precisions) == {1, 5}
     assert result.precisions[5] >= result.precisions[1]
     assert len(result.scatter.rows) == 12
@@ -404,12 +400,12 @@ def test_scatter_csv_quotes_ids_with_delimiters(tmp_path):
 
 
 def _two_sides():
-    ma = {"u0": dist({"x": 1.0}), "u1": dist({"x": 0.5, "y": 0.5})}
-    mb = {"u0": dist({"x": 0.9, "y": 0.1}), "u1": dist({"z": 1.0})}
+    ma = {"u0": {"x": 1.0}, "u1": {"x": 0.5, "y": 0.5}}
+    mb = {"u0": {"x": 0.9, "y": 0.1}, "u1": {"z": 1.0}}
     return ma, mb
 
 
-_ONE = {"u0": dist({"x": 1.0})}
+_ONE = {"u0": {"x": 1.0}}
 # (case, message, links, models_a, models_b, ks); None takes the side from _two_sides
 _EDGE_CASES = [
     ("k-zero", "k must be >= 1", [GroundTruthLink("u0", "u0")], None, None, (0,)),
@@ -501,13 +497,13 @@ _BASE = st.dictionaries(
 def _experiments(draw):
     """Two communities drawn from a few base distributions, so that ties occur."""
     bases = draw(st.lists(_BASE, min_size=1, max_size=4))
-    dists = [dist({tok: c / sum(b.values()) for tok, c in b.items()}) for b in bases]
+    dists = [{tok: c / sum(b.values()) for tok, c in b.items()} for b in bases]
     pick = st.integers(min_value=0, max_value=len(dists) - 1)
     # up to 24 profiles a side, so neighborhoods fill more than one bin
     names = st.lists(st.sampled_from([f"k{i}" for i in range(30)]), min_size=2, max_size=24,
                      unique=True)
-    ma = {key: dist(dict(dists[draw(pick)].probs)) for key in draw(names)}
-    mb = {key: dist(dict(dists[draw(pick)].probs)) for key in draw(names)}
+    ma = {key: dists[draw(pick)] for key in draw(names)}
+    mb = {key: dists[draw(pick)] for key in draw(names)}
     links = draw(st.lists(
         st.tuples(st.sampled_from(sorted(ma)), st.sampled_from(sorted(mb))), min_size=1, max_size=30,
     ))
@@ -553,8 +549,8 @@ def _check_scatter(report, expected):
 def test_reports_match_a_brute_force_reference(experiment):
     ma, mb, links, ks = experiment
     precisions, bins, sizes, scatter = _reference(ma, mb, links, ks)
-    result = evaluation.run_experiment(ma, mb, links, ks=ks, community_a="ca", community_b="cb")
-    assert (result.community_a, result.community_b, result.links) == ("ca", "cb", links)
+    result = evaluation.run_experiment(ma, mb, links, ks=ks)
+    assert result.links == links
     assert result.precisions == precisions
     assert result.anon_sizes == sizes
     assert {k: r.k for k, r in result.bin_reports.items()} == {k: k for k in ks}

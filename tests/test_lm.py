@@ -1,10 +1,11 @@
+import math
 import os
 import re
 import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrisk import lm
@@ -44,14 +45,12 @@ def test_merge_additivity():
 def test_to_distribution_values():
     model = lm.UnigramModel.from_tokens(["a", "a", "b"])
     dist = lm.to_distribution(model)
-    assert dist.probs["a"] == pytest.approx(2 / 3)
-    assert dist.probs["b"] == pytest.approx(1 / 3)
-    dist.validate()
+    assert dist == {"a": pytest.approx(2 / 3), "b": pytest.approx(1 / 3)}
 
 
 def test_to_distribution_point_mass():
     model = lm.UnigramModel(counts={"a": 5}, total=5)
-    assert lm.to_distribution(model).probs == {"a": 1.0}
+    assert lm.to_distribution(model) == {"a": 1.0}
 
 
 def test_to_distribution_empty_model_errors():
@@ -66,9 +65,9 @@ def test_merged_distribution_is_count_weighted_mixture():
     da, db, dm = (lm.to_distribution(m) for m in (a, b, merged))
     wa = a.total / merged.total
     wb = b.total / merged.total
-    for token in set(da.probs) | set(db.probs):
-        expected = wa * da.probs.get(token, 0.0) + wb * db.probs.get(token, 0.0)
-        assert dm.probs[token] == pytest.approx(expected, abs=1e-12)
+    for token in set(da) | set(db):
+        expected = wa * da.get(token, 0.0) + wb * db.get(token, 0.0)
+        assert dm[token] == pytest.approx(expected, abs=1e-12)
 
 
 def test_top_k_ordering_and_ties():
@@ -112,7 +111,7 @@ def test_build_models_accepts_token_streams():
     from linkrisk.corpus import TokenStream
 
     streams = {
-        ("a", "c"): TokenStream(profile_key=("a", "c"), tokens=["x", "x"], n_comments=2),
+        ("a", "c"): TokenStream(tokens=["x", "x"], n_comments=2),
     }
     profiles, _, _ = lm.build_models(streams)
     assert profiles[("a", "c")].counts == {"x": 2}
@@ -135,13 +134,20 @@ def test_save_load_roundtrip(tmp_path):
     )
 
 
-def test_distribution_validate_rejects_bad_mass():
-    with pytest.raises(ValueError):
-        lm.Distribution({"a": 0.5, "b": 0.6}).validate()
-    with pytest.raises(ValueError):
-        lm.Distribution({"a": 1.5}).validate()
-    with pytest.raises(ValueError):
-        lm.Distribution({"a": 0.0, "b": 1.0}).validate()
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), st.integers(min_value=0, max_value=10**9), max_size=12))
+@example({"a": 0, "b": 0})
+def test_to_distribution_is_a_plain_dict_of_the_positive_counts(counts):
+    model = lm.UnigramModel(counts=counts, total=sum(counts.values()))
+    if model.total == 0:  # no tokens, or only zero counts
+        with pytest.raises(ValueError, match="empty model"):
+            lm.to_distribution(model)
+        return
+    dist = lm.to_distribution(model)
+    assert type(dist) is dict
+    assert list(dist) == [tok for tok, c in counts.items() if c > 0]
+    assert all(0.0 < p <= 1.0 for p in dist.values())
+    assert math.fsum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize(

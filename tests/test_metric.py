@@ -128,14 +128,6 @@ def test_cross_distances_match_scalar():
             assert grid[i, j] == pytest.approx(metric.distance(left[i], right[j]), abs=1e-12)
 
 
-def test_distribution_object_accepted():
-    from linkrisk.lm import Distribution
-
-    p = Distribution({"a": 1.0})
-    q = Distribution({"a": 0.5, "b": 0.5})
-    assert metric.js(p, q) == pytest.approx(JS_POINT_VS_HALF, abs=1e-9)
-
-
 def test_js_point_masses_at_same_token():
     assert metric.js({"a": 1.0}, {"a": 1.0}) == 0.0
     assert math.isclose(metric.distance({"a": 1.0}, {"a": 1.0}), 0.0)

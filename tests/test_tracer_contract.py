@@ -67,6 +67,8 @@ def test_tracer_counts_an_eval_run_and_restores_every_attribute(tmp_path, capsys
                                    "--community-b", "beta", "--k", "1,2", "--out", str(tmp_path / "out")]])
     capsys.readouterr()
     assert layer["metric.pairs"] == na * nb + na * (na - 1) // 2 + nb * (nb - 1) // 2
+    # two tokens per profile: the cross matrix reads 4*6 + 3*8 entries, the within matrices 2*6 and 3*8
+    assert layer["metric.support_elems"] == 84
     assert layer["lm.to_distribution_calls"] == na + nb
     assert layer["evaluation.links"] == shared
     assert layer["cli.calls"] == 1
