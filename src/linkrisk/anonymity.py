@@ -67,9 +67,14 @@ class DistanceMatrix:
 
     @classmethod
     def build(cls, models: Mapping[str, object], workers: int | None = None) -> "DistanceMatrix":
-        """Compute the matrix for a key->model mapping; `workers` has no effect."""
+        """Compute the matrix for a key->model mapping; `workers` has no effect.
+
+        Each model is turned into a distribution as it is packed, so one
+        distribution is alive at a time.
+        """
         keys = sorted(models)
-        return cls(keys, metric.pairwise_distances([lm.as_distribution(models[k]) for k in keys]))
+        (profiles,) = metric._prepare(lm.as_distribution(models[k]) for k in keys)
+        return cls(keys, metric.pairwise_distances(profiles))
 
     @property
     def values(self) -> np.ndarray:

@@ -154,6 +154,8 @@ def _cmd_build_models(args) -> int:
 
 
 def _cmd_top_unigrams(args) -> int:
+    if args.k < 0:
+        raise ValueError("k must be >= 0")
     if args.kind != "global" and args.key is None:
         raise ValueError(f"--kind {args.kind} needs --key")
     if args.kind == "profile" and args.author is None:
@@ -186,7 +188,7 @@ def _community_models(profiles: dict, community: str) -> dict:
 
 
 def _cmd_distances(args) -> int:
-    profiles, _, _ = lm.load_models(args.models)
+    profiles = lm._load_profile_models(args.models)
     selected = _community_models(profiles, args.community)
     matrix = anonymity.DistanceMatrix.build(selected)
     os.makedirs(args.out, exist_ok=True)
@@ -206,6 +208,8 @@ def _cmd_distances(args) -> int:
 def _cmd_anonymity(args) -> int:
     if args.k is not None and args.k < 1:
         raise ValueError("k must be >= 1")
+    if not 0.0 <= args.d <= 1.0:  # NaN included
+        raise ValueError("d must be in [0, 1]")
     if args.matrix:
         if args.models or args.community:
             raise ValueError("give either --matrix or --models with --community, not both")
@@ -213,7 +217,7 @@ def _cmd_anonymity(args) -> int:
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")
-        profiles, _, _ = lm.load_models(args.models)
+        profiles = lm._load_profile_models(args.models)
         matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
     result = anonymity.convergent_subset(matrix, args.subject, args.d)
     report = {
@@ -279,6 +283,10 @@ def _cmd_eval(args) -> int:
         ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     except ValueError:
         raise ValueError(f"--k takes comma-separated integers, got {args.k!r}") from None
+    if not ks:
+        raise ValueError("need at least one k")
+    if ks[0] < 1:
+        raise ValueError("k must be >= 1")
     if args.community_a == args.community_b:
         raise ValueError(f"--community-a and --community-b must differ, both are {args.community_a!r}")
     streams = corpus.load_profiles(args.profiles)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -85,8 +85,9 @@ class ScatterReport:
     fraction_below: float
 
 
-def _distributions(models: Mapping[str, object]) -> list:
-    return [lm.as_distribution(models[key]) for key in sorted(models)]
+def _distributions(models: Mapping[str, object]) -> Iterator[Mapping[str, float]]:
+    """Each model's distribution in sorted key order, made as `metric._prepare` reads it."""
+    return (lm.as_distribution(models[key]) for key in sorted(models))
 
 
 def _stats(values: np.ndarray) -> Dict[str, float]:
@@ -100,7 +101,8 @@ def rank_candidates(
     source_dist = lm.as_distribution(source_model)
     if not source_dist:
         raise ValueError("source model is empty")
-    row = metric.cross_distances([source_dist], _distributions(target_models))[0]
+    source, targets = metric._prepare([source_dist], _distributions(target_models))
+    row = metric.cross_distances(source, targets)[0]
     ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
@@ -249,10 +251,10 @@ def run_experiment(
     When `links` is omitted, authors present in both communities are paired
     by shared pseudonym; every link must be a same-user link.  Every input
     check runs before any distance is computed.  Each model is turned into
-    a distribution once, and each community is prepared once over one
-    vocabulary shared by both; the cross matrix and each community's within
-    matrix are computed once from those, and every report is derived from
-    them.  `workers` has no effect.
+    a distribution once, one at a time as it is packed, and each community
+    is prepared once over one vocabulary shared by both; the cross matrix
+    and each community's within matrix are computed once from those, and
+    every report is derived from them.  `workers` has no effect.
     """
     if not ks:
         raise ValueError("need at least one k")

@@ -6,7 +6,7 @@ dict from each token of positive count to its probability.  Only
 profile models are counted from tokens and stored: a community model is the
 count-wise sum of its member profiles, and the global model the sum of all
 communities, both summed by one function when models are built and when a
-store is loaded.
+store is loaded for a caller that needs them.
 """
 
 from __future__ import annotations
@@ -134,10 +134,21 @@ def load_models(path):
     """Read back a model store written by `save_models`.
 
     Returns the profile, community and global models, the last two summed
-    from the profiles by `_aggregate` as `build_models` sums them.  Lines
-    end at line feeds and are decoded as UTF-8 one at a time.  A bad line,
-    a second record for a profile, or a community or global record (stored
-    by earlier releases) raises ValueError("line N: ...").
+    from the profiles by `_aggregate` as `build_models` sums them.  A caller
+    that needs the profile models alone reads them with
+    `_load_profile_models`, which raises as described there, and skips the
+    sums.
+    """
+    profiles = _load_profile_models(path)
+    return (profiles, *_aggregate(profiles))
+
+
+def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
+    """The profile models of a model store written by `save_models`.
+
+    Lines end at line feeds and are decoded as UTF-8 one at a time.  A bad
+    line, a second record for a profile, or a community or global record
+    (stored by earlier releases) raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     with open(path, "rb") as fh:
@@ -167,4 +178,4 @@ def load_models(path):
             if key in profiles:
                 raise ValueError(f"line {line_no}: duplicate profile {key!r}")
             profiles[key] = UnigramModel(counts=counts, total=sum(counts.values()))
-    return (profiles, *_aggregate(profiles))
+    return profiles

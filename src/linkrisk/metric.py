@@ -9,8 +9,11 @@ A distribution is a token->probability mapping, such as the dict
 `lm.to_distribution` returns; every function here reads it as a mapping.
 The scalar `kl`, `js` and `distance` are the reference definition.
 `pairwise_distances` and `cross_distances` read collections that `_prepare`
-builds once over one sorted vocabulary, row-major and token-major;
-collections it already built are read as they are.  Their row kernel expands
+packs once over one sorted vocabulary, row-major and token-major;
+collections it already packed are read as they are.  `_prepare` reads each
+collection once and keeps only the packed arrays, so a caller that passes a
+generator of distributions holds one of them at a time, and a packed
+collection gives each row back as a dict when iterated.  The row kernel expands
 only the target entries sharing a token with the source row; memory is
 O(vocabulary + support entries).  Results are bit-stable: independent of the
 row split and the worker count, exactly symmetric, and exactly 0 for
@@ -21,7 +24,7 @@ identical profiles.  `pairwise_distances` returns the packed upper triangle
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -81,54 +84,78 @@ def distance(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     return math.sqrt(js(p, q))
 
 
-class _Profiles(list):
-    """A list of token->probability mappings, prepared for the row kernel over a shared vocabulary.
+class _Profiles:
+    """A collection of distributions packed for the row kernel over a shared vocabulary.
 
-    Row r holds `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the
-    matching positive `probs`; `sums` holds each row's mass, added in entry
-    order as the kernel adds its shared terms, so identical profiles give
-    exactly 0.  The token-major index holds token t's rows, ascending, in
+    Only the packed arrays and the vocabulary are kept, never the mappings
+    themselves.  `vocab` maps each token to its id, in id order.  Row r holds
+    `ids[indptr[r]:indptr[r+1]]` (token ids, ascending) and the matching
+    positive `probs`; `sums` holds each row's mass, added in entry order as
+    the kernel adds its shared terms, so identical profiles give exactly 0.
+    The token-major index holds token t's rows, ascending, in
     `col_rows[colptr[t]:colptr[t+1]]` and their probabilities in `col_probs`.
+    `len()` is the row count, and iterating yields each row as a fresh
+    token->probability dict.
     """
 
-    def __init__(self, dists: Iterable[Mapping[str, float]], vocab: Mapping[str, int]):
-        super().__init__(dists)
+    def __init__(self, rows: Sequence[tuple], vocab: Mapping[str, int]):
+        """Pack `rows`, each a token list and the float64 array of their probabilities."""
         self.vocab = vocab
-        self.indptr = np.zeros(len(self) + 1, dtype=np.int64)
-        ids = np.empty(sum(map(len, self)), dtype=np.int64)
+        self.indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        ids = np.empty(sum(len(row_p) for _, row_p in rows), dtype=np.int64)
         probs = np.empty(len(ids), dtype=np.float64)
         pos = 0
-        for r, pm in enumerate(self):
-            row_ids = np.fromiter(map(vocab.__getitem__, pm), dtype=np.int64, count=len(pm))
-            row_p = np.fromiter(pm.values(), dtype=np.float64, count=len(pm))
+        for r, (tokens, row_p) in enumerate(rows):
+            row_ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
             order = np.argsort(row_ids)
             order = order[row_p[order] > 0.0]
             end = pos + len(order)
             ids[pos:end], probs[pos:end] = row_ids[order], row_p[order]
             pos = self.indptr[r + 1] = end
         self.ids, self.probs = ids[:pos], probs[:pos]
-        rows = np.repeat(np.arange(len(self)), np.diff(self.indptr))
-        self.sums = np.bincount(rows, self.probs, len(self))
+        entry_rows = np.repeat(np.arange(len(rows)), np.diff(self.indptr))
+        self.sums = np.bincount(entry_rows, self.probs, len(rows))
         self.colptr = np.zeros(len(vocab) + 1, dtype=np.int64)
         np.cumsum(np.bincount(self.ids, minlength=len(vocab)), out=self.colptr[1:])
         order = np.argsort(self.ids, kind="stable")
-        self.col_rows = rows[order]
-        del rows  # preparing peaks at these copies: free the row of each entry first
+        self.col_rows = entry_rows[order]
+        del entry_rows  # preparing peaks at these copies: free the row of each entry first
         self.col_probs = self.probs[order]
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self) -> Iterator[dict]:
+        names = list(self.vocab)
+        bounds = self.indptr.tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield dict(zip(map(names.__getitem__, self.ids[lo:hi].tolist()), self.probs[lo:hi].tolist()))
+
+
+def _compact(dist: Mapping[str, float]) -> tuple:
+    """A distribution as its token list and the float64 array of their probabilities."""
+    return list(dist), np.fromiter(dist.values(), dtype=np.float64, count=len(dist))
 
 
 def _prepare(*collections) -> tuple:
     """Each collection as a `_Profiles`, all over one vocabulary.
 
     Collections already prepared over one vocabulary are returned as they
-    are; otherwise all are prepared over their sorted tokens, so the ids
-    shared across collections keep each one's relative order.
+    are.  Otherwise each collection is read once, and each distribution
+    becomes a compact row as it arrives, so a generator of distributions
+    needs only one alive at a time; all are then packed over the sorted
+    tokens of every row, so the ids shared across collections keep each
+    one's relative order.
     """
     if all(isinstance(c, _Profiles) and c.vocab is collections[0].vocab for c in collections):
         return collections
-    tokens = set().union(*(d.keys() for collection in collections for d in collection))
+    # map holds no distribution once it is compacted, while a for loop would
+    # hold the last one until the next arrives
+    rows = [list(map(_compact, collection)) for collection in collections]
+    tokens = set().union(*(row_tokens for compact in rows for row_tokens, _ in compact))
     vocab = {tok: i for i, tok in enumerate(sorted(tokens))}
-    return tuple(_Profiles(collection, vocab) for collection in collections)
+    del tokens
+    return tuple(_Profiles(compact, vocab) for compact in rows)
 
 
 def _distance_rows(src: _Profiles, dst: _Profiles, out: np.ndarray, pairwise: bool) -> None:

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from linkrisk import cli
+from linkrisk import cli, lm
 
 
 def run(capsys, *argv):
@@ -434,13 +434,17 @@ def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
     DistanceMatrix(keys=["a", "b"], values=np.array([[0.0, 0.3], [0.3, 0.0]])).save(path)
     junk = tmp_path / "junk.dmat"
     junk.write_bytes(b"not a matrix\n")
+    missing = str(tmp_path / "missing.jsonl")  # never read: d is checked first
     cases = [
-        (junk, "nobody", "2.0", "not a linkrisk distance matrix"),
-        (path, "nobody", "2.0", "d must be in [0, 1]"),
-        (path, "nobody", "0.5", "unknown profile 'nobody'"),
+        (["--matrix", str(junk)], "nobody", "2.0", "d must be in [0, 1]"),
+        (["--matrix", str(junk)], "nobody", "nan", "d must be in [0, 1]"),
+        (["--models", missing, "--community", "alpha"], "a", "2.0", "d must be in [0, 1]"),
+        (["--matrix", str(junk)], "nobody", "0.5", "not a linkrisk distance matrix"),
+        (["--matrix", str(path)], "nobody", "2.0", "d must be in [0, 1]"),
+        (["--matrix", str(path)], "nobody", "0.5", "unknown profile 'nobody'"),
     ]
-    for matrix, subject, d, message in cases:
-        code, out, err = run(capsys, "anonymity", "--matrix", str(matrix), "--subject", subject, "--d", d)
+    for source, subject, d, message in cases:
+        code, out, err = run(capsys, "anonymity", *source, "--subject", subject, "--d", d)
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
     code, out, _ = run(capsys, "anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.3",
@@ -782,6 +786,43 @@ def test_top_unigrams_names_a_missing_flag(tmp_path, capsys, flags, message):
     assert run(capsys, "top-unigrams", "--models", str(path), *flags) == (1, "", f"error: {message}\n")
 
 
+def test_top_unigrams_refuses_a_negative_k_before_it_reads_the_models(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jsonl")
+    for flags in (("--key", "alpha"), ("--kind", "global"), ()):
+        assert run(capsys, "top-unigrams", "--models", missing, *flags, "-k", "-1") == \
+            (1, "", "error: k must be >= 0\n")
+    path = _two_model_store(tmp_path)
+    assert run(capsys, "top-unigrams", "--models", str(path), "--key", "alpha", "-k", "0") == (0, "", "")
+
+
+def test_only_top_unigrams_sums_the_community_and_global_models(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + '\n{"counts":{"x":1,"z":3},"key":["u1","alpha"],"kind":"profile"}\n'
+                    '{"counts":{"g":1},"key":["u2","beta"],"kind":"profile"}\n', encoding="utf-8")
+    aggregate = lm._aggregate
+
+    def refuse(profiles):
+        raise AssertionError("community and global models summed")
+
+    monkeypatch.setattr(lm, "_aggregate", refuse)
+    assert run(capsys, "distances", "--models", str(path), "--community", "alpha",
+               "--out", str(tmp_path / "out")) == (0, f"2 profiles -> {tmp_path / 'out' / 'alpha.dmat'}\n", "")
+    code, out, _ = run(capsys, "anonymity", "--models", str(path), "--community", "alpha",
+                       "--subject", "u0", "--d", "1.0")
+    assert (code, json.loads(out)["members"]) == (0, ["u0", "u1"])
+    summed = []
+
+    def counted(profiles):
+        summed.append(len(profiles))
+        return aggregate(profiles)
+
+    monkeypatch.setattr(lm, "_aggregate", counted)
+    assert run(capsys, "top-unigrams", "--models", str(path), "--key", "alpha") == (0, "x\t3\nz\t3\ny\t1\n", "")
+    assert run(capsys, "top-unigrams", "--models", str(path), "--kind", "global") == \
+        (0, "x\t3\nz\t3\ng\t1\ny\t1\n", "")
+    assert summed == [3, 3]
+
+
 @pytest.mark.parametrize("record", [
     '{"counts":{"x":2},"key":"alpha","kind":"community"}',
     '{"counts":{"x":2},"key":null,"kind":"global"}',
@@ -996,6 +1037,20 @@ def test_eval_k_that_is_not_an_integer_names_the_option(tmp_path, capsys, ks):
         "--community-b", "beta", "--k", ks, "--out", str(tmp_path / "report"),
     )
     assert (code, out, err) == (1, "", f"error: --k takes comma-separated integers, got {ks!r}\n")
+    assert not (tmp_path / "report").exists()
+
+
+@pytest.mark.parametrize("ks, message", [
+    ("", "need at least one k"), (" , ", "need at least one k"),
+    ("0", "k must be >= 1"), ("5,-2", "k must be >= 1"),
+])
+def test_eval_refuses_a_bad_k_before_it_reads_the_profiles(tmp_path, capsys, ks, message):
+    missing = tmp_path / "missing.jsonl"
+    code, out, err = run(
+        capsys, "eval", "--profiles", str(missing), "--community-a", "alpha",
+        "--community-b", "beta", "--k", ks, "--out", str(tmp_path / "report"),
+    )
+    assert (code, out, err) == (1, "", f"error: {message}\n")
     assert not (tmp_path / "report").exists()
 
 

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from linkrisk import corpus, evaluation, lm, metric
+from linkrisk.anonymity import DistanceMatrix
 from linkrisk.evaluation import GroundTruthLink
-from conftest import random_distribution
+from conftest import LiveDistributions, random_distribution
 
 
 # --- distance statistics ------------------------------------------------------
@@ -483,6 +484,20 @@ def test_each_community_is_prepared_once_over_one_vocabulary(monkeypatch):
     evaluation.run_experiment(ma, mb, links, ks=(1, 2, 5))
     assert len(built) == 2
     assert built[0].vocab is built[1].vocab
+
+
+def test_matrices_are_built_with_one_distribution_alive_at_a_time(monkeypatch):
+    live = LiveDistributions()
+    to_distribution = lm.to_distribution
+    monkeypatch.setattr(lm, "to_distribution", lambda model: live.track(to_distribution(model)))
+    rng = np.random.default_rng(67)
+    pool = [f"t{i}" for i in range(20)]
+    ma, mb = ({f"u{i}": lm.UnigramModel.from_tokens(rng.choice(pool, size=8).tolist()) for i in range(n)}
+              for n in (5, 6))
+    DistanceMatrix.build(ma)
+    evaluation.run_experiment(ma, mb, ks=(1, 2))
+    assert live.alive_at_handout == [0] * (5 + 5 + 6)
+    assert all(ref() is None for ref in live.refs)
 
 
 # --- every report against a brute-force reference ----------------------------------------

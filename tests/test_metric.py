@@ -5,7 +5,7 @@ import pytest
 from scipy.spatial.distance import squareform
 
 from linkrisk import metric
-from conftest import random_distribution
+from conftest import LiveDistributions, random_distribution
 
 # frozen from a 60-digit evaluation of the defining formulas (mpmath)
 JS_POINT_VS_HALF = 0.31127812445913286
@@ -223,6 +223,20 @@ def test_prepared_collections_give_the_bits_of_raw_ones(na, nb):
     assert all(x is y for x, y in zip(metric._prepare(a, b), (a, b)))
     assert np.array_equal(metric.pairwise_distances(a), metric.pairwise_distances(dists_a))
     assert np.array_equal(metric.pairwise_distances(b), metric.pairwise_distances(dists_b))
+    assert np.array_equal(metric.cross_distances(a, b), metric.cross_distances(dists_a, dists_b))
+
+
+def test_prepare_holds_one_distribution_of_a_generator_at_a_time():
+    rng = np.random.default_rng(21)
+    pool = [f"tok{i}" for i in range(40)]
+    dists_a = [random_distribution(rng, pool, max_support=15) for _ in range(7)]
+    dists_b = [random_distribution(rng, pool, max_support=25) for _ in range(5)]
+    live = LiveDistributions()
+    a, b = metric._prepare((live.track(d) for d in dists_a), (live.track(d) for d in dists_b))
+    assert live.alive_at_handout == [0] * 12
+    assert all(ref() is None for ref in live.refs)
+    assert len(a) == 7 and len(b) == 5
+    assert list(a) == dists_a and list(b) == dists_b
     assert np.array_equal(metric.cross_distances(a, b), metric.cross_distances(dists_a, dists_b))
 
 

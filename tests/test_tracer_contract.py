@@ -96,6 +96,23 @@ def test_tracer_counts_the_matrix_store_commands(tmp_path, capsys, monkeypatch):
     assert layer["cli.nonzero_exits"] == 0
 
 
+def test_tracer_counts_a_matrix_built_from_the_model_store(tmp_path, capsys, monkeypatch):
+    # DistanceMatrix.build hands pairwise_distances a prepared collection; the tracer counts its rows
+    n = 4
+    profiles = tmp_path / "profiles.jsonl"
+    _write_profiles(profiles, [{"author": f"u{i}", "community": "alpha", "n_comments": 1,
+                                "tokens": [f"t{j}" for j in range(i + 1)]} for i in range(n)])
+    _traced(monkeypatch, [["build-models", "--profiles", str(profiles), "--out", str(tmp_path)]])
+    layer = _traced(monkeypatch, [["anonymity", "--models", str(tmp_path / "models.jsonl"),
+                                   "--community", "alpha", "--subject", "u0", "--d", "0.5"]])
+    capsys.readouterr()
+    assert layer["metric.pairs"] == n * (n - 1) // 2
+    # supports 1, 2, 3 and 4: each row is read against the other n - 1
+    assert layer["metric.support_elems"] == (n - 1) * 10
+    assert layer["lm.to_distribution_calls"] == n
+    assert layer["cli.calls"] == 1
+
+
 def test_each_benchmark_sequence_yields_every_per_layer_metric(tmp_path, capsys, monkeypatch):
     # perfbench/run.py reads every per_layer name of BENCHMARK.json from one workload's trace,
     # so a layer call dropped from a sequence (lm.build_models in eval, say) fails that run
