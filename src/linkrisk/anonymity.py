@@ -19,6 +19,7 @@ from typing import List, Mapping, Sequence, Tuple
 import numpy as np
 
 from . import lm, metric
+from .corpus import _encode_json
 
 __all__ = [
     "DistanceMatrix",
@@ -72,9 +73,8 @@ class DistanceMatrix:
         Each model is turned into a distribution as it is packed, so one
         distribution is alive at a time.
         """
-        keys = sorted(models)
-        (profiles,) = metric._prepare(lm.as_distribution(models[k]) for k in keys)
-        return cls(keys, metric.pairwise_distances(profiles))
+        (profiles,) = metric._prepare(lm._distributions(models))
+        return cls(sorted(models), metric.pairwise_distances(profiles))
 
     @property
     def values(self) -> np.ndarray:
@@ -120,7 +120,7 @@ class DistanceMatrix:
         }
         header["checksum"] = _dmat_checksum(header, payload)
         with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+            fh.write(_encode_json(header).encode("utf-8"))
             fh.write(b"\n")
             fh.write(payload)
 
@@ -196,7 +196,7 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
 def _dmat_checksum(header: dict, payload) -> str:
     """sha256 over the canonical header without its checksum, a newline, and the payload."""
     fields = {k: v for k, v in header.items() if k != "checksum"}
-    digest = hashlib.sha256(json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8"))
+    digest = hashlib.sha256(_encode_json(fields).encode("utf-8"))
     digest.update(b"\n")
     digest.update(payload)
     return "sha256:" + digest.hexdigest()

@@ -24,9 +24,7 @@ from . import anonymity, corpus, evaluation, framework, lm
 
 def _write_manifest(outdir: str, command: str, inputs: dict, params: dict, outputs: dict) -> None:
     manifest = {"command": command, "inputs": inputs, "params": params, "outputs": outputs}
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    corpus._write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _file_sha256(path: str) -> str:
@@ -411,10 +409,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("framework", parents=[common], help="attribute-level privacy scenarios")
     fsub = p.add_subparsers(dest="framework_command", metavar="ACTION")
-    frun = fsub.add_parser("run", parents=[common], help="evaluate a scenario file")
+    # --config and --workers go before the action: `_apply_config` reads them from this parser
+    frun = fsub.add_parser("run", help="evaluate a scenario file")
     frun.add_argument("scenario", help="scenario JSON file")
     frun.set_defaults(func=_cmd_framework, framework_command="run")
-    fimp = fsub.add_parser("impossibility", parents=[common], help="maximal posterior-shift construction")
+    fimp = fsub.add_parser("impossibility", help="maximal posterior-shift construction")
     fimp.set_defaults(func=_cmd_framework, framework_command="impossibility")
     p.set_defaults(func=_cmd_framework, framework_command=None)
     subs["framework"] = p

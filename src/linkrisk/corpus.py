@@ -15,6 +15,10 @@ Markdown handling is a pragmatic subset (emphasis, links, headings, lists,
 tables, blockquotes, inline and fenced code); layout markers are unwrapped
 around their text, while embedded content such as code blocks and quoted
 text is deleted outright.  Unrecognized syntax passes through as plain text.
+
+It also owns what every store and sidecar shares: the store reader
+`_store_records`, the canonical JSON encoder `_encode_json` (store lines,
+synthetic comments, `.dmat` headers) and the sidecar writer `_write_json`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from importlib import resources
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "RawComment",
@@ -384,18 +388,50 @@ def aggregate_profiles(
     return {key: profiles[key] for key in sorted(profiles)}
 
 
+_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # canonical JSON
+
+
+def _write_records(path, records: Iterable[dict]) -> None:
+    """Write each record as one canonical JSON line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rec in records:
+            fh.write(_encode_json(rec) + "\n")
+
+
+def _write_json(path, obj) -> None:
+    """Write a JSON sidecar (a manifest or metadata): sorted keys, indented, newline-terminated."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def _store_records(path) -> Iterator[Tuple[int, object]]:
+    """(line number, parsed JSON value) of each nonblank line of a store.
+
+    Lines end at line feeds and are decoded as UTF-8 one at a time.  A line
+    that does not decode, or is not valid JSON, raises ValueError("line N: ...").
+    """
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: {exc}") from None
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
+                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
+            yield line_no, rec
+
+
 def write_profiles(profiles: Mapping[ProfileKey, TokenStream], path) -> None:
     """Persist token streams, one JSON record per profile, sorted by key."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(profiles):
-            stream = profiles[key]
-            rec = {
-                "author": key[0],
-                "community": key[1],
-                "n_comments": stream.n_comments,
-                "tokens": stream.tokens,
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_records(path, (
+        {"author": author, "community": community, "n_comments": stream.n_comments, "tokens": stream.tokens}
+        for (author, community), stream in sorted(profiles.items())
+    ))
 
 
 def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
@@ -410,36 +446,25 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
     shared: Dict[str, str] = {}
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
-            if not isinstance(rec, dict):
-                raise ValueError(f"line {line_no}: profile record is not a JSON object")
-            missing = [k for k in ("author", "community", "tokens") if k not in rec]
-            if missing:
-                raise ValueError(f"line {line_no}: missing required field(s): {', '.join(missing)}")
-            if not (isinstance(rec["author"], str) and isinstance(rec["community"], str)):
-                raise ValueError(f"line {line_no}: 'author' and 'community' must be strings")
-            tokens = rec["tokens"]
-            if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
-                raise ValueError(f"line {line_no}: 'tokens' must be a list of strings")
-            n_comments = rec.get("n_comments", 0)
-            if type(n_comments) is not int or n_comments < 0:  # bool is not a count
-                raise ValueError(f"line {line_no}: 'n_comments' must be a non-negative integer")
-            key = (rec["author"], rec["community"])
-            if key in profiles:
-                raise ValueError(f"line {line_no}: duplicate profile {key!r}")
-            tokens = list(map(shared.setdefault, tokens, tokens))
-            profiles[key] = TokenStream(tokens=tokens, n_comments=n_comments)
+    for line_no, rec in _store_records(path):
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {line_no}: profile record is not a JSON object")
+        missing = [k for k in ("author", "community", "tokens") if k not in rec]
+        if missing:
+            raise ValueError(f"line {line_no}: missing required field(s): {', '.join(missing)}")
+        if not (isinstance(rec["author"], str) and isinstance(rec["community"], str)):
+            raise ValueError(f"line {line_no}: 'author' and 'community' must be strings")
+        tokens = rec["tokens"]
+        if not (isinstance(tokens, list) and all(isinstance(tok, str) for tok in tokens)):
+            raise ValueError(f"line {line_no}: 'tokens' must be a list of strings")
+        n_comments = rec.get("n_comments", 0)
+        if type(n_comments) is not int or n_comments < 0:  # bool is not a count
+            raise ValueError(f"line {line_no}: 'n_comments' must be a non-negative integer")
+        key = (rec["author"], rec["community"])
+        if key in profiles:
+            raise ValueError(f"line {line_no}: duplicate profile {key!r}")
+        tokens = list(map(shared.setdefault, tokens, tokens))
+        profiles[key] = TokenStream(tokens=tokens, n_comments=n_comments)
     return profiles
 
 

@@ -15,15 +15,14 @@ single source and serves as the brute-force reference for it.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import lm, metric
 from .anonymity import DistanceMatrix
-from .corpus import RawComment
+from .corpus import RawComment, _encode_json, _write_json
 
 __all__ = [
     "GroundTruthLink",
@@ -85,11 +84,6 @@ class ScatterReport:
     fraction_below: float
 
 
-def _distributions(models: Mapping[str, object]) -> Iterator[Mapping[str, float]]:
-    """Each model's distribution in sorted key order, made as `metric._prepare` reads it."""
-    return (lm.as_distribution(models[key]) for key in sorted(models))
-
-
 def _stats(values: np.ndarray) -> Dict[str, float]:
     return {"min": float(values.min()), "max": float(values.max()), "mean": float(values.mean())}
 
@@ -101,7 +95,7 @@ def rank_candidates(
     source_dist = lm.as_distribution(source_model)
     if not source_dist:
         raise ValueError("source model is empty")
-    source, targets = metric._prepare([source_dist], _distributions(target_models))
+    source, targets = metric._prepare([source_dist], lm._distributions(target_models))
     row = metric.cross_distances(source, targets)[0]
     ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
@@ -213,9 +207,6 @@ def synth_corpus(
     )
 
 
-_encode_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def comments_to_jsonl(comments: Iterable[RawComment]) -> str:
     """Serialize comments as JSON lines (stable field order, byte-deterministic)."""
     lines = []
@@ -282,7 +273,7 @@ def run_experiment(
     if len(keys_a) < 2:
         raise ValueError("need at least 2 profiles for within-community statistics")
 
-    a, b = metric._prepare(_distributions(models_a), _distributions(models_b))
+    a, b = metric._prepare(lm._distributions(models_a), lm._distributions(models_b))
     cross = metric.cross_distances(a, b)
     within_a = DistanceMatrix(keys_a, metric.pairwise_distances(a))
     within_b = DistanceMatrix(keys_b, metric.pairwise_distances(b))
@@ -377,7 +368,5 @@ def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[d
     meta = dict(metadata or {})
     meta.setdefault("links", len(result.links))
     meta.setdefault("fraction_below_diagonal", result.scatter.fraction_below)
-    with open(out("metadata.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(out("metadata.json"), meta)
     return written

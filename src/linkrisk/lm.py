@@ -11,10 +11,11 @@ store is loaded for a caller that needs them.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Tuple
+
+from .corpus import ProfileKey, _store_records, _write_records
 
 __all__ = [
     "UnigramModel",
@@ -27,9 +28,6 @@ __all__ = [
     "load_models",
 ]
 
-ProfileKey = Tuple[str, str]  # (author_id, community_id)
-
-
 @dataclass
 class UnigramModel:
     """Token counts plus their running total for one profile or community."""
@@ -39,19 +37,13 @@ class UnigramModel:
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "UnigramModel":
-        model = cls()
-        model.add(tokens)
-        return model
+        """Count `tokens` into a new model.
 
-    def add(self, tokens: Iterable[str]) -> None:
-        """Count `tokens` in.
-
-        `collections.Counter` does the per-token counting in C; tokens not
-        counted before are keyed after those already counted, in the order
-        they are first seen.
+        `collections.Counter` does the per-token counting in C; the counts
+        are a plain dict keyed in the order tokens are first seen.
         """
         counted = Counter(tokens)
-        self.merge_in(UnigramModel(counts=counted, total=counted.total()))
+        return cls(counts=dict(counted), total=counted.total())
 
     def merge_in(self, other: "UnigramModel") -> None:
         counts = self.counts
@@ -82,6 +74,11 @@ def to_distribution(model: UnigramModel) -> Dict[str, float]:
 def as_distribution(model):
     """Normalize a `UnigramModel`; a token->probability mapping passes through as is."""
     return to_distribution(model) if isinstance(model, UnigramModel) else model
+
+
+def _distributions(models: Mapping[str, object]) -> Iterator[Mapping[str, float]]:
+    """Each model's distribution in sorted key order, made as `metric._prepare` reads it."""
+    return (as_distribution(models[key]) for key in sorted(models))
 
 
 def top_k(model: UnigramModel, k: int) -> List[Tuple[str, int]]:
@@ -124,10 +121,9 @@ def save_models(path, profiles: Mapping[ProfileKey, UnigramModel]) -> None:
     Community and global models are not stored: `load_models` sums them
     from the profiles.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(profiles):
-            rec = {"kind": "profile", "key": list(key), "counts": profiles[key].counts}
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_records(path, (
+        {"kind": "profile", "key": list(key), "counts": model.counts} for key, model in sorted(profiles.items())
+    ))
 
 
 def load_models(path):
@@ -151,31 +147,20 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
     (stored by earlier releases) raises ValueError("line N: ...").
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
-            if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
-                raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
-            kind, key, counts = rec.get("kind"), rec["key"], rec["counts"]  # JSON object keys are strings already
-            if kind in ("community", "global"):
-                raise ValueError(f"line {line_no}: {kind} models are no longer stored; re-run linkrisk build-models")
-            if kind != "profile":
-                raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
-            if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
-                raise ValueError(f"line {line_no}: profile key must be a list of two strings")
-            if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
-                raise ValueError(f"line {line_no}: counts must be non-negative integers")
-            key = tuple(key)
-            if key in profiles:
-                raise ValueError(f"line {line_no}: duplicate profile {key!r}")
-            profiles[key] = UnigramModel(counts=counts, total=sum(counts.values()))
+    for line_no, rec in _store_records(path):
+        if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
+            raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
+        kind, key, counts = rec.get("kind"), rec["key"], rec["counts"]  # JSON object keys are strings already
+        if kind in ("community", "global"):
+            raise ValueError(f"line {line_no}: {kind} models are no longer stored; re-run linkrisk build-models")
+        if kind != "profile":
+            raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
+        if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
+            raise ValueError(f"line {line_no}: profile key must be a list of two strings")
+        if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
+            raise ValueError(f"line {line_no}: counts must be non-negative integers")
+        key = tuple(key)
+        if key in profiles:
+            raise ValueError(f"line {line_no}: duplicate profile {key!r}")
+        profiles[key] = UnigramModel(counts=counts, total=sum(counts.values()))
     return profiles

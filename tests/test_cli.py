@@ -85,6 +85,19 @@ def test_framework_without_action_exits_two(capsys):
     assert code == 2
 
 
+def test_framework_reads_its_options_before_the_action(capsys):
+    code, out, err = run(capsys, "framework", "--config", "/nonexistent/linkrisk.conf", "impossibility")
+    assert (code, out) == (1, "")
+    assert "/nonexistent/linkrisk.conf" in err
+
+
+@pytest.mark.parametrize("option", [("--config", "/nonexistent/linkrisk.conf"), ("--workers", "2")])
+def test_framework_option_after_the_action_is_a_usage_error(capsys, option):
+    code, out, err = run(capsys, "framework", "impossibility", *option)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+
+
 def test_framework_run_scenario(tmp_path, capsys):
     scenario = {
         "attributes": ["job"],

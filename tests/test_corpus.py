@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import io
 import json
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkrisk import cli, corpus
+from linkrisk import anonymity, cli, corpus, evaluation, lm
 
 
 @pytest.fixture(scope="module")
@@ -389,6 +390,54 @@ def test_load_profiles_rejects_malformed_lines(tmp_path):
             corpus.load_profiles(path)
         assert message in str(info.value)
         assert "\n" not in str(info.value)
+
+
+_GOOD_RECORDS = {
+    corpus.load_profiles: b'{"author":"u0","community":"c","n_comments":1,"tokens":["a"]}',
+    lm.load_models: b'{"counts":{"a":1},"key":["u0","c"],"kind":"profile"}',
+}
+
+
+@pytest.mark.parametrize("bad, message", [
+    (b'"caf\xff"', "line 4: 'utf-8' codec can't decode byte 0xff in position 4: invalid start byte"),
+    (b"{oops", "line 4: not valid JSON (Expecting property name enclosed in double quotes: "
+               "line 1 column 2 (char 1))"),
+    (b"[" * 100_000, "line 4: not valid JSON (maximum recursion depth exceeded"),
+    (b"\n \t\n]", "line 6: not valid JSON (Expecting value: line 1 column 1 (char 0))"),
+], ids=["not-utf8", "invalid-json", "nested-too-deep", "more-blank-lines"])
+def test_profile_and_model_stores_refuse_a_line_alike(tmp_path, bad, message):
+    # blank lines around a good record count toward the line number and are skipped
+    path = tmp_path / "store.jsonl"
+    errors = []
+    for reader, good in _GOOD_RECORDS.items():
+        path.write_bytes(b"\n" + good + b"\n \t\n" + bad + b"\n")
+        with pytest.raises(ValueError) as info:
+            reader(path)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(message)
+    assert "\n" not in errors[0]
+
+
+def test_every_store_and_header_line_is_canonical_json(tmp_path):
+    canonical = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    profiles = {
+        ("u1", "c"): corpus.TokenStream(["z", "café", "z"], n_comments=2),
+        ("u0", "c"): corpus.TokenStream([" ", "a"], n_comments=1),
+    }
+    corpus.write_profiles(profiles, tmp_path / "profiles.jsonl")
+    models = lm.build_models(profiles)[0]
+    lm.save_models(tmp_path / "models.jsonl", models)
+    comments = [corpus.RawComment("u0", "c", "bödy \"q\"", created_at=7), corpus.RawComment("u1", "c", "x")]
+    (tmp_path / "comments.jsonl").write_text(evaluation.comments_to_jsonl(comments), encoding="utf-8")
+    anonymity.DistanceMatrix.build({"u0": models[("u0", "c")], "u1": models[("u1", "c")]}).save(tmp_path / "c.dmat")
+    lines = []
+    for name in ("profiles.jsonl", "models.jsonl", "comments.jsonl"):
+        lines += (tmp_path / name).read_bytes().decode("utf-8").split("\n")[:-1]
+    lines.append((tmp_path / "c.dmat").read_bytes().split(b"\n", 1)[0].decode("utf-8"))
+    assert len(lines) == 7
+    for line in lines:
+        assert line == canonical(json.loads(line))
 
 
 # --- reference loops: the normalization steps before translate tables ----------

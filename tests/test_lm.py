@@ -21,9 +21,7 @@ def test_from_tokens_counts():
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]) | st.text(max_size=3), max_size=20),
                 min_size=1, max_size=4))
 def test_counting_matches_a_plain_loop(batches):
-    model = lm.UnigramModel.from_tokens(batches[0])
-    for tokens in batches[1:]:
-        model.add(iter(tokens))  # onto the counts so far; an iterator is read once
+    model = lm.UnigramModel.from_tokens(tok for tokens in batches for tok in tokens)  # read once
     counts, total = {}, 0
     for tokens in batches:
         for tok in tokens:
