@@ -12,7 +12,6 @@ computed by one single-threaded vectorized kernel.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -246,19 +245,12 @@ def _cmd_synth(args) -> int:
         idiosyncrasy=args.idiosyncrasy,
     )
     os.makedirs(args.out, exist_ok=True)
-    name_a, name_b = corp.communities
-    paths = {}
-    for name, comments in ((name_a, corp.comments_a), (name_b, corp.comments_b)):
-        path = os.path.join(args.out, f"{name}.jsonl")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(evaluation.comments_to_jsonl(comments))
-        paths[name] = path
+    paths = {name: os.path.join(args.out, f"{name}.jsonl") for name in corp.communities}
+    for path, comments in zip(paths.values(), (corp.comments_a, corp.comments_b)):
+        corpus._write_records(path, map(evaluation._comment_record, comments))
     links_path = os.path.join(args.out, "links.csv")
-    with open(links_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["source", "target", "same_user"])
-        for link in corp.links:
-            writer.writerow([link.source, link.target, int(link.same_user)])
+    corpus._write_csv(links_path, ["source", "target", "same_user"],
+                      ([link.source, link.target, int(link.same_user)] for link in corp.links))
     _write_manifest(
         args.out,
         "synth",

@@ -16,13 +16,14 @@ tables, blockquotes, inline and fenced code); layout markers are unwrapped
 around their text, while embedded content such as code blocks and quoted
 text is deleted outright.  Unrecognized syntax passes through as plain text.
 
-It also owns what every store and sidecar shares: the store reader
-`_store_records`, the canonical JSON encoder `_encode_json` (store lines,
-synthetic comments, `.dmat` headers) and the sidecar writer `_write_json`.
+It also owns the store reader `_store_records`, the canonical JSON encoder
+`_encode_json`, and the one writer per text format: `_write_records` (JSON
+lines), `_write_json` (manifest and metadata sidecars) and `_write_csv`.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import re
@@ -403,6 +404,14 @@ def _write_json(path, obj) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) -> None:
+    """Write a header and rows as CSV: "\\n" line ends, fields quoted only where needed."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _store_records(path) -> Iterator[Tuple[int, object]]:

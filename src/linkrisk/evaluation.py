@@ -14,7 +14,7 @@ single source and serves as the brute-force reference for it.
 
 from __future__ import annotations
 
-import csv
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -22,7 +22,7 @@ import numpy as np
 
 from . import lm, metric
 from .anonymity import DistanceMatrix
-from .corpus import RawComment, _encode_json, _write_json
+from .corpus import RawComment, _encode_json, _write_csv, _write_json
 
 __all__ = [
     "GroundTruthLink",
@@ -41,6 +41,7 @@ __all__ = [
 
 BIN_WIDTH = 10
 DEFAULT_KS = (1, 5, 10, 20)
+_REPORT_FILES = ("stats.csv", "scatter.csv", "precision_overall.csv", "precision_bins.csv", "metadata.json")
 
 
 @dataclass(frozen=True)
@@ -207,15 +208,17 @@ def synth_corpus(
     )
 
 
+def _comment_record(c: RawComment) -> dict:
+    """A comment as the JSON record `ingest` reads."""
+    rec = {"author": c.author_id, "community": c.community_id, "body": c.body}
+    if c.created_at is not None:
+        rec["created_at"] = c.created_at
+    return rec
+
+
 def comments_to_jsonl(comments: Iterable[RawComment]) -> str:
     """Serialize comments as JSON lines (stable field order, byte-deterministic)."""
-    lines = []
-    for c in comments:
-        rec = {"author": c.author_id, "community": c.community_id, "body": c.body}
-        if c.created_at is not None:
-            rec["created_at"] = c.created_at
-        lines.append(_encode_json(rec))
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([_encode_json(_comment_record(c)) + "\n" for c in comments])
 
 
 @dataclass
@@ -322,51 +325,28 @@ def _bins(sizes: np.ndarray, hits: np.ndarray, k: int) -> PrecisionReport:
 def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[dict] = None) -> List[str]:
     """Write stats/scatter/precision CSVs plus a JSON metadata sidecar.
 
-    Floats are rendered with repr so identical results are identical bytes.
-    Profile ids in `scatter.csv` are quoted by the `csv` module where needed.
+    Floats are rendered with repr so identical results are identical bytes;
+    `metadata` entries win over the `links` and `fraction_below_diagonal` counts.
     """
-    import os
-
     os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def out(name: str) -> str:
-        path = os.path.join(outdir, name)
-        written.append(path)
-        return path
-
-    with open(out("stats.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("scope,min,max,mean\n")
-        for scope, stats in (
-            ("within_a", result.stats_within_a),
-            ("within_b", result.stats_within_b),
-            ("across", result.stats_across),
-        ):
-            fh.write(f"{scope},{stats['min']!r},{stats['max']!r},{stats['mean']!r}\n")
-
-    with open(out("scatter.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["source", "target", "avg_nonmatching_distance", "matching_distance", "below_diagonal"]
-        )
-        for r in result.scatter.rows:
-            writer.writerow(
-                [r.source, r.target, repr(r.avg_nonmatching), repr(r.matching), int(r.below_diagonal)]
-            )
-
-    with open(out("precision_overall.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,precision\n")
-        for k in sorted(result.precisions):
-            fh.write(f"{k},{result.precisions[k]!r}\n")
-
-    with open(out("precision_bins.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,bin_low,bin_high,pair_count,precision\n")
-        for k in sorted(result.bin_reports):
-            for b in result.bin_reports[k].bins:
-                fh.write(f"{k},{b.size_low},{b.size_high},{b.pair_count},{b.precision!r}\n")
-
-    meta = dict(metadata or {})
-    meta.setdefault("links", len(result.links))
-    meta.setdefault("fraction_below_diagonal", result.scatter.fraction_below)
-    _write_json(out("metadata.json"), meta)
+    written = [os.path.join(outdir, name) for name in _REPORT_FILES]
+    stats_csv, scatter_csv, overall_csv, bins_csv, metadata_json = written
+    _write_csv(stats_csv, ["scope", "min", "max", "mean"], (
+        [scope, repr(stats["min"]), repr(stats["max"]), repr(stats["mean"])]
+        for scope, stats in (("within_a", result.stats_within_a), ("within_b", result.stats_within_b),
+                             ("across", result.stats_across))
+    ))
+    _write_csv(scatter_csv, ["source", "target", "avg_nonmatching_distance", "matching_distance",
+                             "below_diagonal"], (
+        [r.source, r.target, repr(r.avg_nonmatching), repr(r.matching), int(r.below_diagonal)]
+        for r in result.scatter.rows
+    ))
+    _write_csv(overall_csv, ["k", "precision"],
+               ([k, repr(result.precisions[k])] for k in sorted(result.precisions)))
+    _write_csv(bins_csv, ["k", "bin_low", "bin_high", "pair_count", "precision"], (
+        [k, b.size_low, b.size_high, b.pair_count, repr(b.precision)]
+        for k in sorted(result.bin_reports) for b in result.bin_reports[k].bins
+    ))
+    _write_json(metadata_json, {"links": len(result.links),
+                                "fraction_below_diagonal": result.scatter.fraction_below, **(metadata or {})})
     return written

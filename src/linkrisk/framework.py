@@ -18,6 +18,7 @@ models.  Arbitrary tables are supported via `table_kappa`.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
@@ -102,8 +103,8 @@ class Belief:
 
     def validate(self, tol: float = 1e-9) -> None:
         for profile, masses in self.per_profile.items():
-            if any(v < 0 for v in masses.values()):
-                raise ValueError(f"negative prior mass for profile {profile!r}")
+            if any(not v >= 0 for v in masses.values()):  # NaN included
+                raise ValueError(f"negative or NaN prior mass for profile {profile!r}")
             total = sum(masses[mid] for mid in sorted(masses))
             if abs(total - 1.0) > tol:
                 raise ValueError(f"prior for profile {profile!r} sums to {total}, not 1")
@@ -160,10 +161,6 @@ def restrict(model: EntityModel, attrs: Iterable[str]) -> EntityModel:
     return EntityModel({a: v for a, v in model.values if a in attrs})
 
 
-def _restrict_allow_empty(model: EntityModel, attrs: Set[str]) -> EntityModel:
-    return EntityModel({a: v for a, v in model.values if a in attrs})
-
-
 @dataclass(frozen=True)
 class PublicationConfig:
     """Which attributes get revealed and which of those get perturbed.
@@ -186,6 +183,9 @@ class PublicationConfig:
             raise ValueError(f"perturbed attributes not revealed: {sorted(stray)}")
         if not self.reveal - set(self.perturb):
             raise ValueError("publication must leave at least one revealed attribute unperturbed")
+        empty = sorted(a for a, repl in self.perturb.items() if isinstance(repl, (list, tuple)) and not repl)
+        if empty:
+            raise ValueError(f"perturbed attributes with no values to draw from: {empty}")
 
 
 def publish(
@@ -206,16 +206,22 @@ def publish(
 def posterior(adv: Adversary, obs: Observation, profile: str) -> Dict[str, float]:
     """Bayes update of the prior for one profile given its observation.
 
-    Returns mass per candidate id, summing to one.  Raises when every
-    candidate has zero likelihood-times-prior (the observation is
-    impossible under the prior).
+    Returns mass per candidate id, summing to one.  Raises when a
+    likelihood is not a finite number >= 0, when the weights sum to no
+    finite number, and when every candidate has zero likelihood-times-prior.
     """
     observed = obs.observed[profile]
     prior_p = adv.prior.per_profile[profile]
     weights = {}
     for mid, candidate in adv.universe.items():
-        weights[mid] = adv.kappa(profile, observed, mid, candidate) * prior_p.get(mid, 0.0)
+        likelihood = adv.kappa(profile, observed, mid, candidate)
+        if not 0.0 <= likelihood < math.inf:  # NaN included
+            raise ValueError(f"likelihood of candidate {mid!r} for profile {profile!r} "
+                             f"must be a finite number >= 0, not {likelihood!r}")
+        weights[mid] = likelihood * prior_p.get(mid, 0.0)
     evidence = sum(weights[mid] for mid in sorted(weights))
+    if not evidence < math.inf:  # NaN included
+        raise ValueError(f"posterior weights for profile {profile!r} do not sum to a finite number")
     if evidence <= 0.0:
         raise ValueError(f"observation impossible under prior for profile {profile!r}")
     return {mid: w / evidence for mid, w in weights.items()}
@@ -292,7 +298,7 @@ def is_critical(
     observed = observation.observed[profile]
     if not attrs <= observed.domain():
         raise ValueError("attrs must be contained in the published domain of the profile")
-    reduced = _restrict_allow_empty(observed, observed.domain() - attrs)
+    reduced = EntityModel({a: v for a, v in observed.values if a not in attrs})
     reduced_obs = Observation({**observation.observed, profile: reduced})
     post_full = posterior(adversary, observation, profile)
     post_reduced = posterior(adversary, reduced_obs, profile)
@@ -361,14 +367,22 @@ _KINDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integ
 
 
 def _field(obj, key: str, where: str, kind):
-    """`obj[key]`; an `obj` that is not a dict, lacks `key` or holds a non-`kind` is a ValueError."""
+    """`obj[key]`; a non-dict `obj`, a missing `key` or a non-`kind` value (a bool too) is a ValueError."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} is missing {key!r}")
-    if not isinstance(obj[key], kind):
+    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
         raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}")
     return obj[key]
+
+
+def _strings(obj, key: str, where: str) -> list:
+    """`_field(obj, key, where, list)` whose entries must all be strings."""
+    values = _field(obj, key, where, list)
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{where}: {key!r} must be a list of strings")
+    return values
 
 
 def _check_numbers(obj: dict, where: str) -> None:
@@ -399,7 +413,7 @@ def run_scenario(source) -> Dict[str, object]:
     scenario's `seed`.
     """
     scenario = load_scenario(source)
-    attributes = set(_field(scenario, "attributes", "scenario", list))
+    attributes = set(_strings(scenario, "attributes", "scenario"))
     model_cfg = _field(scenario, "models", "scenario", dict)
     models = {
         mid: _parse_model(_field(model_cfg, mid, "models", dict), attributes, f"model {mid!r}")
@@ -450,7 +464,10 @@ def run_scenario(source) -> Dict[str, object]:
         raise ValueError(f"unknown kappa kind {kind!r}")
 
     adv = Adversary(universe=models, prior=belief, kappa=kappa)
-    rng = np.random.default_rng(_field(scenario, "seed", "scenario", int) if "seed" in scenario else 0)
+    seed = _field(scenario, "seed", "scenario", int) if "seed" in scenario else 0
+    if seed < 0:
+        raise ValueError("scenario: 'seed' must be >= 0")
+    rng = np.random.default_rng(seed)
 
     observed = {}
     for name in sorted(profiles):
@@ -461,7 +478,7 @@ def run_scenario(source) -> Dict[str, object]:
             config = PublicationConfig(reveal=frozenset(true_model.domain() or attributes))
         else:
             where = f"profile {name!r} publish"
-            reveal = frozenset(_field(pub, "reveal", where, list))
+            reveal = frozenset(_strings(pub, "reveal", where))
             perturb = _field(pub, "perturb", where, dict) if "perturb" in pub else {}
             config = PublicationConfig(reveal=reveal, perturb=dict(perturb))
         observed[name] = publish(true_model, config, rng)

@@ -1,11 +1,17 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
+import math
 import os
+import tempfile
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linkrisk import cli, lm
 
@@ -293,6 +299,31 @@ def test_synth_files_are_pinned(tmp_path, capsys):
         "alpha.jsonl": "a9eb5415686b11c0f1aa2e6ea294e2002772cd2b7f4b6da16a4d75aa3b2b6722",
         "beta.jsonl": "9663d49625f18f466e387221081be27396336b67b5488787d727748c6620852a",
         "links.csv": "495783ff4da46ab96a8e8a3500e89a3e39244d00c8f95e216ee173cf9032fe9f",
+    }
+
+
+def test_eval_files_are_pinned(tmp_path, capsys):
+    assert run(capsys, "synth", "--users", "24", "--topics", "3", "--comments", "16", "--seed", "7",
+               "--idiosyncrasy", "0.3", "--out", str(tmp_path))[0] == 0
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes((tmp_path / "alpha.jsonl").read_bytes() + (tmp_path / "beta.jsonl").read_bytes())
+    assert run(capsys, "ingest", "--input", str(corpus), "--min-comments", "1", "--min-profiles", "2",
+               "--out", str(tmp_path / "ingest"))[0] == 0
+    code, out, _ = run(capsys, "eval", "--profiles", str(tmp_path / "ingest" / "profiles.jsonl"),
+                       "--community-a", "alpha", "--community-b", "beta", "--k", "1,3",
+                       "--out", str(tmp_path / "report"))
+    assert code == 0
+    assert out == "precision@1 = 0.4583\nprecision@3 = 0.6667\nfraction below diagonal = 0.9583\n"
+    report = tmp_path / "report"
+    digests = {name: hashlib.sha256((report / name).read_bytes()).hexdigest()
+               for name in ("stats.csv", "scatter.csv", "precision_overall.csv", "precision_bins.csv",
+                            "metadata.json")}
+    assert digests == {
+        "stats.csv": "26894a6826f973f0fe1cf86706fa8c3b39fb959f3e98550fdc5dba61e1cdf908",
+        "scatter.csv": "ab14fb123b1b39bbb5b56cb75560667bf885a4dbf2d2e9ed566a15643619b94a",
+        "precision_overall.csv": "ed526052ff306b23bbb22f2ab20c5975129ddef7cabff6693e2069c5aafcb93b",
+        "precision_bins.csv": "c1a545007ceac75141f2a1559dff1ca9fe35ec4ebe1e6843a31588dc75aade71",
+        "metadata.json": "85b2258f1e25e91dafa7c12087aa4ad530e527bfd38238015b9efec0b3277b2a",
     }
 
 
@@ -639,6 +670,28 @@ def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change,
                      "table kappa row 'P1': 'm1' must be a number", id="table-kappa-entry-null"),
         pytest.param(lambda s: s.update(seed="x"), "scenario: 'seed' must be an integer", id="seed-string"),
         pytest.param(lambda s: s.update(seed=1.5), "scenario: 'seed' must be an integer", id="seed-float"),
+        pytest.param(lambda s: s.update(seed=True), "scenario: 'seed' must be an integer", id="seed-bool"),
+        pytest.param(lambda s: s.update(seed=-1), "scenario: 'seed' must be >= 0", id="seed-negative"),
+        pytest.param(lambda s: s["policy"].update(sigma=True), "policy: 'sigma' must be a number",
+                     id="sigma-bool"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior={"m1": True, "m2": 0}),
+                     "profile 'P1' prior: 'm1' must be a number", id="prior-mass-bool"),
+        pytest.param(lambda s: s.update(attributes=[["a"]]), "scenario: 'attributes' must be a list of strings",
+                     id="attribute-list"),
+        pytest.param(lambda s: s.update(attributes=["job", 1]),
+                     "scenario: 'attributes' must be a list of strings", id="attribute-number"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(reveal=[["a"]]),
+                     "profile 'P1' publish: 'reveal' must be a list of strings", id="reveal-entry-list"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(reveal=["job", "a"], perturb={"a": []}),
+                     "perturbed attributes with no values to draw from: ['a']", id="perturb-empty-list"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior={"m1": float("nan"), "m2": 1}),
+                     "negative or NaN prior mass for profile 'P1'", id="prior-mass-nan"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": float("nan")}}}),
+                     "likelihood of candidate 'm1' for profile 'P1' must be a finite number >= 0, not nan",
+                     id="table-kappa-entry-nan"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": -1, "m2": 1}}}),
+                     "likelihood of candidate 'm1' for profile 'P1' must be a finite number >= 0, not -1.0",
+                     id="table-kappa-entry-negative"),
     ],
 )
 def test_framework_run_rejects_scenario_fields_of_the_wrong_type(tmp_path, capsys, change, message):
@@ -1091,6 +1144,67 @@ def _run_scenario(tmp_path, capsys, scenario):
     path.write_text(json.dumps(scenario), encoding="utf-8")
     code, out, err = run(capsys, "framework", "run", str(path))
     return code, json.loads(out) if code == 0 else out, err
+
+
+# _SCENARIO with every optional field present: a prior object, a perturbation,
+# a table kappa and a seed
+_FULL_SCENARIO = {
+    "attributes": ["job", "city"],
+    "models": {"m1": {"job": "dev", "city": "x"}, "m2": {"job": "teacher", "city": "y"}},
+    "profiles": {"P1": {"true_model": "m1", "prior": {"m1": 0.5, "m2": 0.5},
+                        "publish": {"reveal": ["job", "city"], "perturb": {"city": ["x", "y"]}}}},
+    "kappa": {"kind": "table", "rows": {"P1": {"m1": 0.25, "m2": 0.75}}},
+    "policy": {"sigma": 0.5, "requirements": [{"profile": "P1", "forbid": {"job": "dev"}}]},
+    "seed": 3,
+}
+
+
+def _paths(value, path=()):
+    """The path of `value` itself and of every value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from _paths(item, path + (key,))
+
+
+_NAMES = st.sampled_from(["job", "city", "dev", "x", "m1", "m2", "P1", "uniform", "table", "rows",
+                          "exact_match", "consistency"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _NAMES,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_SCENARIO_PATHS = st.sampled_from(
+    [(_SCENARIO, path) for path in _paths(_SCENARIO)] + [(_FULL_SCENARIO, path) for path in _paths(_FULL_SCENARIO)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_SCENARIO_PATHS, _JSON)
+def test_framework_run_answers_or_fails_in_one_line_for_any_one_field(base_path, value):
+    base, path = base_path
+    scenario = json.loads(json.dumps(base))
+    if path:
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        scenario = value
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario_path = os.path.join(tmp, "scenario.json")
+        with open(scenario_path, "w", encoding="utf-8") as fh:
+            json.dump(scenario, fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.dispatch(["framework", "run", scenario_path])
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    assert code == 0 and err.getvalue() == ""
+    for masses in json.loads(out.getvalue())["posteriors"].values():
+        assert all(math.isfinite(m) and m >= 0 for m in masses.values())
+        assert math.isclose(sum(masses.values()), 1.0, abs_tol=1e-9)
 
 
 def test_framework_run_with_a_table_kappa(tmp_path, capsys):

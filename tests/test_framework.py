@@ -98,6 +98,12 @@ def test_publish_empty_reveal_rejected():
         fw.PublicationConfig(reveal=frozenset())
 
 
+@pytest.mark.parametrize("values", [[], ()])
+def test_publish_empty_perturbation_list_rejected(values):
+    with pytest.raises(ValueError, match=r"^perturbed attributes with no values to draw from: \['b'\]$"):
+        fw.PublicationConfig(reveal=frozenset({"a", "b"}), perturb={"b": values})
+
+
 # --- posterior ------------------------------------------------------------------
 
 
@@ -140,6 +146,28 @@ def test_posterior_zero_evidence_errors():
     adv = _uniform_adversary(universe, fw.consistency_kappa())
     with pytest.raises(ValueError, match="impossible"):
         fw.posterior(adv, fw.Observation({"P": em(a="other")}), "P")
+
+
+@pytest.mark.parametrize("likelihood", [float("nan"), -1.0, float("inf")])
+def test_posterior_refuses_a_likelihood_that_is_not_a_finite_number_at_least_zero(likelihood):
+    universe = {"m1": em(a="x"), "m2": em(a="y")}
+    adv = _uniform_adversary(universe, fw.table_kappa({"P": {"m1": 1.0, "m2": likelihood}}))
+    message = (f"^likelihood of candidate 'm2' for profile 'P' must be a finite number >= 0, "
+               f"not {likelihood!r}$")
+    with pytest.raises(ValueError, match=message):
+        fw.posterior(adv, fw.Observation({"P": em()}), "P")
+
+
+def test_posterior_refuses_weights_that_do_not_sum_to_a_finite_number():
+    universe = {"m1": em(a="x"), "m2": em(a="y")}
+    big = {"m1": 1.7e308, "m2": 1.7e308}
+    adv = fw.Adversary(universe, fw.Belief({"P": {"m1": 1.0, "m2": 1.0}}), fw.table_kappa({"P": big}))
+    with pytest.raises(ValueError, match="^posterior weights for profile 'P' do not sum to a finite number$"):
+        fw.posterior(adv, fw.Observation({"P": em()}), "P")
+    nan_prior = fw.Belief({"P": {"m1": float("nan"), "m2": 1.0}})  # not validated
+    adv = fw.Adversary(universe, nan_prior, fw.consistency_kappa())
+    with pytest.raises(ValueError, match="do not sum to a finite number"):
+        fw.posterior(adv, fw.Observation({"P": em()}), "P")
 
 
 def test_posterior_normalizes_on_random_tables():
@@ -348,3 +376,9 @@ def test_belief_validation():
         fw.Belief({"P": {"m1": 0.5, "m2": 0.6}}).validate()
     with pytest.raises(ValueError):
         fw.Belief({"P": {"m1": -0.1, "m2": 1.1}}).validate()
+
+
+@pytest.mark.parametrize("masses", [{"m1": float("nan"), "m2": 1.0}, {"m1": float("nan")}])
+def test_belief_validation_refuses_nan(masses):
+    with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P'$"):
+        fw.Belief({"P": masses}).validate()
