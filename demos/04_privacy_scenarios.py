@@ -51,7 +51,7 @@ print("income=high stays under sigma=0.7?",
 print("\n== which attributes are to blame ==")
 print("is {income} sensitive here?", fw.is_sensitive({"income"}, policy, "P"))
 print("is {job} critical (removing it rescues the policy)?",
-      fw.is_critical({"job"}, "P", obs, adversary, policy, policy.sigma))
+      fw.is_critical({"job"}, "P", obs, adversary, policy))
 
 print("\n== hiding the job ==")
 empty_obs = fw.Observation({"P": fw.EntityModel({})})

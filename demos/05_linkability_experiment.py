@@ -35,7 +35,7 @@ for scope, stats in (("within A", result.stats_within_a),
     print(f"  {scope:>9}: min {stats['min']:.3f}  max {stats['max']:.3f}  mean {stats['mean']:.3f}")
 
 print("\n== matched vs average distance ==")
-print(f"  {result.scatter.fraction_below:.1%} of true pairs are closer than the average")
+print(f"  {result.fraction_below:.1%} of true pairs are closer than the average")
 print("  (points below the diagonal: the profile matches its twin better than strangers)")
 
 print("\n== adversary precision ==")
@@ -43,8 +43,7 @@ for k, p in sorted(result.precisions.items()):
     print(f"  precision@{k:<2} = {p:.3f}")
 
 print("\n== neighborhood size vs precision@5 ==")
-report = result.bin_reports[5]
-for b in report.bins:
+for b in result.bin_reports[5]:
     bar = "#" * int(round(b.precision * 20))
     print(f"  size {b.size_low:>3}-{b.size_high:<3} ({b.pair_count:>3} pairs) {b.precision:5.2f} {bar}")
 print("bigger anonymous neighborhoods leave the adversary guessing.")

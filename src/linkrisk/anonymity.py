@@ -39,30 +39,20 @@ class DistanceMatrix:
     """Pairwise distances in [0, 1] over an ordered list of unique string keys.
 
     Stored as `tri`, the row-major upper triangle without the diagonal (the
-    `.dmat` payload, and what `metric.pairwise_distances` returns).  The
-    constructor takes `values` as that triangle or as the n x n square, which
-    must be exactly symmetric with a zero diagonal, and refuses the keys and
-    the distances (NaN, or outside [0, 1]) that `load` refuses.  `distance`
-    reads one entry, `row` gathers n, and the symmetric n x n `values` with
-    its zero diagonal is built on first use.
+    `.dmat` payload, and what `metric.pairwise_distances` returns), which is
+    also the one layout the constructor takes as `values`.  The constructor
+    refuses the keys and the distances (NaN, or outside [0, 1]) that `load`
+    refuses.  `distance` reads one entry, `row` gathers n, and the symmetric
+    n x n `values` with its zero diagonal is built on first use.
     """
 
     def __init__(self, keys: Sequence[str], values: np.ndarray):
         self.keys = list(keys)
         _check_keys(self.keys)
-        n = len(self.keys)
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim != 1:
-            if values.shape != (n, n):
-                raise ValueError(f"{n} keys need a {n} x {n} square, got shape {values.shape}")
-            if not np.array_equal(values, values.T, equal_nan=True):
-                raise ValueError("distance square is not symmetric")
-            if np.any(np.diagonal(values)):
-                raise ValueError("distance square has a nonzero diagonal")
-            values = values[~np.tri(n, dtype=bool)]
-        self.tri = values
-        if len(self.tri) != n * (n - 1) // 2:
-            raise ValueError(f"{n} keys need {n * (n - 1) // 2} packed distances, got {len(self.tri)}")
+        n, self.tri = len(self.keys), np.asarray(values, dtype=np.float64)
+        size = n * (n - 1) // 2
+        if self.tri.shape != (size,):
+            raise ValueError(f"{n} keys need {size} packed distances, got shape {self.tri.shape}")
         _check_distances(self.tri)
         self._square = None
 

@@ -301,7 +301,7 @@ def _cmd_eval(args) -> int:
     )
     for k in sorted(result.precisions):
         print(f"precision@{k} = {result.precisions[k]:.4f}")
-    print(f"fraction below diagonal = {result.scatter.fraction_below:.4f}")
+    print(f"fraction below diagonal = {result.fraction_below:.4f}")
     return 0
 
 

@@ -15,7 +15,7 @@ single source and serves as the brute-force reference for it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,9 +27,7 @@ from .corpus import RawComment, _encode_json, _write_csv, _write_json
 __all__ = [
     "GroundTruthLink",
     "PrecisionBin",
-    "PrecisionReport",
     "ScatterRow",
-    "ScatterReport",
     "SynthCorpus",
     "rank_candidates",
     "synth_corpus",
@@ -61,12 +59,6 @@ class PrecisionBin:
     precision: float
 
 
-@dataclass
-class PrecisionReport:
-    k: int
-    bins: List[PrecisionBin]
-
-
 @dataclass(frozen=True)
 class ScatterRow:
     source: str
@@ -77,12 +69,6 @@ class ScatterRow:
     @property
     def below_diagonal(self) -> bool:
         return self.matching < self.avg_nonmatching
-
-
-@dataclass
-class ScatterReport:
-    rows: List[ScatterRow]
-    fraction_below: float
 
 
 def _stats(values: np.ndarray) -> Dict[str, float]:
@@ -137,8 +123,9 @@ def synth_corpus(
     CDF, as `Generator.choice` defines it: `cdf = p.cumsum()` divided by its
     last entry, then `cdf.searchsorted(rng.random(n), side="right")`.
     ValueError is raised for fewer than 2 users or topics, fewer than 4
-    comments per user, an idiosyncrasy outside [0, 1], and fewer than 1
-    topic word or private word, which leave no valid word distribution.
+    comments per user, an idiosyncrasy outside [0, 1], a negative seed, and
+    fewer than 1 topic word or private word, which leave no valid word
+    distribution.
     """
     if n_users < 2:
         raise ValueError("n_users must be >= 2")
@@ -152,6 +139,8 @@ def synth_corpus(
         raise ValueError("idio_words must be >= 1")
     if not 0.0 <= idiosyncrasy <= 1.0:
         raise ValueError("idiosyncrasy must be in [0, 1]")
+    if rng_seed < 0:
+        raise ValueError("rng_seed must be >= 0")
 
     rng = np.random.default_rng(rng_seed)
     n_topic = topics * topic_words
@@ -227,10 +216,11 @@ class ExperimentResult:
     stats_within_a: Dict[str, float]
     stats_within_b: Dict[str, float]
     stats_across: Dict[str, float]
-    scatter: ScatterReport
+    scatter: List[ScatterRow]
+    fraction_below: float
     precisions: Dict[int, float]
-    bin_reports: Dict[int, PrecisionReport]
-    anon_sizes: List[int] = field(default_factory=list)
+    bin_reports: Dict[int, List[PrecisionBin]]
+    anon_sizes: List[int]
 
 
 def run_experiment(
@@ -303,15 +293,16 @@ def run_experiment(
         stats_within_a=_stats(within_a.tri),
         stats_within_b=_stats(within_b.tri),
         stats_across=_stats(cross.ravel()),
-        scatter=ScatterReport(rows=rows, fraction_below=below / len(rows)),
+        scatter=rows,
+        fraction_below=below / len(rows),
         precisions={k: int(np.count_nonzero(ranks < k)) / len(links) for k in ks},
-        bin_reports={k: _bins(sizes, ranks < k, k) for k in ks},
+        bin_reports={k: _bins(sizes, ranks < k) for k in ks},
         anon_sizes=sizes.tolist(),
     )
 
 
-def _bins(sizes: np.ndarray, hits: np.ndarray, k: int) -> PrecisionReport:
-    """Precision at k per bin of BIN_WIDTH neighborhood sizes."""
+def _bins(sizes: np.ndarray, hits: np.ndarray) -> List[PrecisionBin]:
+    """The hit rate per bin of BIN_WIDTH neighborhood sizes."""
     groups = (sizes - 1) // BIN_WIDTH
     bins = []
     # not np.unique: it imports numpy.ma on first use, about 1 MB resident
@@ -319,7 +310,7 @@ def _bins(sizes: np.ndarray, hits: np.ndarray, k: int) -> PrecisionReport:
         members = groups == b
         count, hit = int(np.count_nonzero(members)), int(np.count_nonzero(hits & members))
         bins.append(PrecisionBin(b * BIN_WIDTH + 1, (b + 1) * BIN_WIDTH, count, hit / count))
-    return PrecisionReport(k=k, bins=bins)
+    return bins
 
 
 def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[dict] = None) -> List[str]:
@@ -339,14 +330,14 @@ def write_experiment_csvs(result: ExperimentResult, outdir, metadata: Optional[d
     _write_csv(scatter_csv, ["source", "target", "avg_nonmatching_distance", "matching_distance",
                              "below_diagonal"], (
         [r.source, r.target, repr(r.avg_nonmatching), repr(r.matching), int(r.below_diagonal)]
-        for r in result.scatter.rows
+        for r in result.scatter
     ))
     _write_csv(overall_csv, ["k", "precision"],
                ([k, repr(result.precisions[k])] for k in sorted(result.precisions)))
     _write_csv(bins_csv, ["k", "bin_low", "bin_high", "pair_count", "precision"], (
         [k, b.size_low, b.size_high, b.pair_count, repr(b.precision)]
-        for k in sorted(result.bin_reports) for b in result.bin_reports[k].bins
+        for k in sorted(result.bin_reports) for b in result.bin_reports[k]
     ))
     _write_json(metadata_json, {"links": len(result.links),
-                                "fraction_below_diagonal": result.scatter.fraction_below, **(metadata or {})})
+                                "fraction_below_diagonal": result.fraction_below, **(metadata or {})})
     return written

@@ -101,12 +101,13 @@ class Belief:
         mass = 1.0 / len(ids)
         return cls({p: {mid: mass for mid in ids} for p in profiles})
 
-    def validate(self, tol: float = 1e-9) -> None:
+    def validate(self) -> None:
+        """Every profile's masses are >= 0 and sum to 1 within 1e-6."""
         for profile, masses in self.per_profile.items():
             if any(not v >= 0 for v in masses.values()):  # NaN included
                 raise ValueError(f"negative or NaN prior mass for profile {profile!r}")
             total = sum(masses[mid] for mid in sorted(masses))
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"prior for profile {profile!r} sums to {total}, not 1")
 
 
@@ -200,7 +201,7 @@ def publish(
                 raise ValueError("rng required for randomized perturbation")
             repl = repl[int(rng.integers(len(repl)))]
         values[attr] = repl
-    return EntityModel({a: v for a, v in values.items() if a in config.reveal})
+    return restrict(EntityModel(values), config.reveal)
 
 
 def posterior(adv: Adversary, obs: Observation, profile: str) -> Dict[str, float]:
@@ -285,14 +286,13 @@ def is_critical(
     observation: Observation,
     adversary: Adversary,
     policy: PrivacyPolicy,
-    sigma: float,
 ) -> bool:
     """Whether removing `attrs` from the published model flips a violation.
 
     `attrs` must be part of the published domain of the profile.  The check
-    compares policy evaluation under the observation as-is against the
-    observation with `attrs` nulled out; it is True iff some requirement is
-    violated before and satisfied after.
+    compares policy evaluation at `policy.sigma` under the observation as-is
+    against the observation with `attrs` nulled out; it is True iff some
+    requirement is violated before and satisfied after.
     """
     attrs = set(attrs)
     observed = observation.observed[profile]
@@ -303,8 +303,8 @@ def is_critical(
     post_full = posterior(adversary, observation, profile)
     post_reduced = posterior(adversary, reduced_obs, profile)
     for req in policy.for_profile(profile):
-        violated_full = not sigma_satisfies(post_full, req, sigma, adversary.universe)
-        violated_reduced = not sigma_satisfies(post_reduced, req, sigma, adversary.universe)
+        violated_full = not sigma_satisfies(post_full, req, policy.sigma, adversary.universe)
+        violated_reduced = not sigma_satisfies(post_reduced, req, policy.sigma, adversary.universe)
         if violated_full and not violated_reduced:
             return True
     return False
@@ -359,6 +359,9 @@ def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], labe
     stray = set(values) - attributes
     if stray:
         raise ValueError(f"{label}: attributes not in declared universe: {sorted(stray)}")
+    for attr, value in values.items():
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{label}: {attr!r} must be a string or null")
     return EntityModel(values)
 
 
@@ -385,10 +388,10 @@ def _strings(obj, key: str, where: str) -> list:
     return values
 
 
-def _check_numbers(obj: dict, where: str) -> None:
-    """A value of `obj` that is not a number is a ValueError."""
+def _check_values(obj: dict, where: str, kind) -> None:
+    """A value of `obj` that is not a `kind` is a ValueError."""
     for key in obj:
-        _field(obj, key, where, (int, float))
+        _field(obj, key, where, kind)
 
 
 def load_scenario(source) -> Dict[str, object]:
@@ -425,8 +428,9 @@ def run_scenario(source) -> Dict[str, object]:
     requirements = []
     for n, r in enumerate(_field(policy_cfg, "requirements", "policy", list), start=1):
         where = f"policy requirement {n}"
-        requirements.append(
-            PrivacyRequirement(_field(r, "profile", where, str), _field(r, "forbid", where, dict)))
+        forbid = _field(r, "forbid", where, dict)
+        _check_values(forbid, f"{where} forbid", str)
+        requirements.append(PrivacyRequirement(_field(r, "profile", where, str), forbid))
     policy = PrivacyPolicy(requirements=requirements, sigma=sigma)
     for name in sorted(profiles):
         true_model = _field(profiles[name], "true_model", f"profile {name!r}", str)
@@ -442,12 +446,12 @@ def run_scenario(source) -> Dict[str, object]:
         if prior == "uniform":
             prior_masses[name] = {mid: 1.0 / len(models) for mid in models}
         elif isinstance(prior, dict):
-            _check_numbers(prior, f"profile {name!r} prior")
+            _check_values(prior, f"profile {name!r} prior", (int, float))
             prior_masses[name] = {mid: float(prior.get(mid, 0.0)) for mid in models}
         else:
             raise ValueError(f"profile {name!r}: 'prior' must be \"uniform\" or a JSON object")
     belief = Belief(prior_masses)
-    belief.validate(tol=1e-6)
+    belief.validate()
 
     kappa_cfg = _field(scenario, "kappa", "scenario", dict) if "kappa" in scenario else {}
     kind = kappa_cfg.get("kind", "consistency")
@@ -458,7 +462,8 @@ def run_scenario(source) -> Dict[str, object]:
     elif kind == "table":
         rows = _field(kappa_cfg, "rows", "table kappa", dict)
         for name in sorted(profiles):
-            _check_numbers(_field(rows, name, "table kappa rows", dict), f"table kappa row {name!r}")
+            row = _field(rows, name, "table kappa rows", dict)
+            _check_values(row, f"table kappa row {name!r}", (int, float))
         kappa = table_kappa(rows)
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")
@@ -480,6 +485,10 @@ def run_scenario(source) -> Dict[str, object]:
             where = f"profile {name!r} publish"
             reveal = frozenset(_strings(pub, "reveal", where))
             perturb = _field(pub, "perturb", where, dict) if "perturb" in pub else {}
+            for attr, repl in perturb.items():
+                drawn = repl if isinstance(repl, list) else [repl]  # a fixed value, or values to draw from
+                if not all(isinstance(v, str) for v in drawn):
+                    raise ValueError(f"{where} perturb: {attr!r} must be a string or a list of strings")
             config = PublicationConfig(reveal=reveal, perturb=dict(perturb))
         observed[name] = publish(true_model, config, rng)
     obs = Observation(observed)

@@ -23,17 +23,19 @@ __all__ = [
     "to_distribution",
     "as_distribution",
     "top_k",
-    "merge",
     "save_models",
     "load_models",
 ]
 
 @dataclass
 class UnigramModel:
-    """Token counts plus their running total for one profile or community."""
+    """Token counts for one profile or community; `total` is their sum."""
 
     counts: Dict[str, int] = field(default_factory=dict)
-    total: int = 0
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
 
     @classmethod
     def from_tokens(cls, tokens: Iterable[str]) -> "UnigramModel":
@@ -42,32 +44,19 @@ class UnigramModel:
         `collections.Counter` does the per-token counting in C; the counts
         are a plain dict keyed in the order tokens are first seen.
         """
-        counted = Counter(tokens)
-        return cls(counts=dict(counted), total=counted.total())
+        return cls(counts=dict(Counter(tokens)))
 
     def merge_in(self, other: "UnigramModel") -> None:
         counts = self.counts
-        if counts:
-            for tok, c in other.counts.items():
-                counts[tok] = counts.get(tok, 0) + c
-        else:  # what the loop would give, in one call
-            counts.update(other.counts)
-        self.total += other.total
-
-
-def merge(models: Iterable[UnigramModel]) -> UnigramModel:
-    """Count-wise sum of several models."""
-    out = UnigramModel()
-    for m in models:
-        out.merge_in(m)
-    return out
+        for tok, c in other.counts.items():
+            counts[tok] = counts.get(tok, 0) + c
 
 
 def to_distribution(model: UnigramModel) -> Dict[str, float]:
     """Token->probability dict of the positive-count tokens.  Raises on an empty model."""
-    if model.total <= 0:
-        raise ValueError("empty model: cannot normalize zero total count")
     total = float(model.total)
+    if total <= 0:
+        raise ValueError("empty model: cannot normalize zero total count")
     return {tok: c / total for tok, c in model.counts.items() if c > 0}
 
 
@@ -95,7 +84,10 @@ def _aggregate(profiles: Mapping[ProfileKey, UnigramModel]) -> Tuple[Dict[str, U
     communities: Dict[str, UnigramModel] = {}
     for key in sorted(profiles):
         communities.setdefault(key[1], UnigramModel()).merge_in(profiles[key])
-    return communities, merge(communities[name] for name in sorted(communities))
+    global_model = UnigramModel()
+    for name in sorted(communities):
+        global_model.merge_in(communities[name])
+    return communities, global_model
 
 
 def build_models(
@@ -162,5 +154,5 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
         key = tuple(key)
         if key in profiles:
             raise ValueError(f"line {line_no}: duplicate profile {key!r}")
-        profiles[key] = UnigramModel(counts=counts, total=sum(counts.values()))
+        profiles[key] = UnigramModel(counts=counts)
     return profiles

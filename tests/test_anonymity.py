@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -20,7 +21,7 @@ def matrix_from(entries, keys):
     values = np.zeros((n, n))
     for (i, j), v in entries.items():
         values[i, j] = values[j, i] = v
-    return DistanceMatrix(keys=list(keys), values=values)
+    return DistanceMatrix(keys=list(keys), values=values[np.triu_indices(n, k=1)])
 
 
 @pytest.fixture
@@ -497,19 +498,11 @@ def packed_matrices(draw):
     return keys, np.array(tri, dtype=np.float64)
 
 
-def _symmetric(n, tri):
-    values = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    values[iu] = tri
-    values[(iu[1], iu[0])] = tri
-    return values
-
-
 @settings(max_examples=80, deadline=None)
 @given(packed_matrices())
 def test_dmat_roundtrip_and_rows_property(case):
     keys, tri = case
-    m = DistanceMatrix(keys=keys, values=_symmetric(len(keys), tri))
+    m = DistanceMatrix(keys=keys, values=tri)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "m.dmat")
         m.save(path)
@@ -626,32 +619,37 @@ def test_values_is_the_symmetric_square_and_read_only(toy_matrix):
         values[0, 1] = 0.9
 
 
-def test_constructor_takes_the_square_or_the_packed_triangle(toy_matrix):
+def test_constructor_takes_the_packed_triangle_only(toy_matrix):
     packed = DistanceMatrix(keys=toy_matrix.keys, values=[0.2, 0.6, 0.5])
     assert np.array_equal(packed.tri, toy_matrix.tri)
     assert np.array_equal(packed.values, toy_matrix.values)
-    for values in ([0.2, 0.6], np.zeros((2, 2)).ravel()):
-        with pytest.raises(ValueError, match="^3 keys need 3 packed distances, got "):
+    for values, shape in (([0.2, 0.6], "(2,)"), (np.zeros((2, 2)).ravel(), "(4,)"),
+                          (toy_matrix.values, "(3, 3)"), (0.2, "()")):
+        message = f"3 keys need 3 packed distances, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DistanceMatrix(keys=toy_matrix.keys, values=values)
+    with pytest.raises(ValueError, match=r"^2 keys need 1 packed distances, got shape \(2, 2\)$"):
+        DistanceMatrix(["a", "b"], np.zeros((2, 2)))
     for values, bad in (([np.nan, 1.5, -0.2], "nan"), ([0.2, 1.5, -0.2], "1.5"), ([0.2, 0.6, -0.2], "-0.2")):
         with pytest.raises(ValueError, match=rf"^distance {bad} is not in \[0, 1\]$"):
             DistanceMatrix(keys=toy_matrix.keys, values=values)
 
 
-@pytest.mark.parametrize("keys, square, message", [
-    (["a", "b"], np.zeros((3, 3)), r"^2 keys need a 2 x 2 square, got shape \(3, 3\)$"),
-    (["a", "b"], np.zeros((2, 3)), r"^2 keys need a 2 x 2 square, got shape \(2, 3\)$"),
-    (["a", "b"], np.zeros((2, 2, 1)), r"^2 keys need a 2 x 2 square, got shape \(2, 2, 1\)$"),
-    (["a", "b"], [[0.0, 0.3], [0.4, 0.0]], "^distance square is not symmetric$"),
-    (["a", "b"], [[0.1, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
-    (["a", "b"], [[np.nan, 0.3], [0.3, 0.0]], "^distance square has a nonzero diagonal$"),
-    (["a", "b"], [[0.0, np.nan], [np.nan, 0.0]], r"^distance nan is not in \[0, 1\]$"),
-    (["a", "b"], [[0.0, 1.5], [1.5, 0.0]], r"^distance 1.5 is not in \[0, 1\]$"),
-    (["a", "b"], [[0.0, -0.2], [-0.2, 0.0]], r"^distance -0.2 is not in \[0, 1\]$"),
+@pytest.mark.parametrize("keys, square, shape", [
+    (["a", "b"], np.zeros((3, 3)), "(3, 3)"),
+    (["a", "b"], np.zeros((2, 3)), "(2, 3)"),
+    (["a", "b"], np.zeros((2, 2, 1)), "(2, 2, 1)"),
+    (["a", "b"], [[0.0, 0.3], [0.4, 0.0]], "(2, 2)"),
+    (["a", "b"], [[0.1, 0.3], [0.3, 0.0]], "(2, 2)"),
+    (["a", "b"], [[np.nan, 0.3], [0.3, 0.0]], "(2, 2)"),
+    (["a", "b"], [[0.0, np.nan], [np.nan, 0.0]], "(2, 2)"),
+    (["a", "b"], [[0.0, 1.5], [1.5, 0.0]], "(2, 2)"),
+    (["a", "b"], [[0.0, -0.2], [-0.2, 0.0]], "(2, 2)"),
 ], ids=["too-large", "not-square", "three-dims", "asymmetric", "nonzero-diagonal", "nan-diagonal",
         "nan-entry", "entry-above-one", "negative-entry"])
-def test_constructor_rejects_a_square_that_is_not_a_distance_matrix(keys, square, message):
-    with pytest.raises(ValueError, match=message):
+def test_constructor_rejects_a_square_that_is_not_a_distance_matrix(keys, square, shape):
+    """The constructor takes the packed triangle only: a square is refused for its shape alone."""
+    with pytest.raises(ValueError, match=rf"^2 keys need 1 packed distances, got shape {re.escape(shape)}$"):
         DistanceMatrix(keys=keys, values=square)
 
 

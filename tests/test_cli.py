@@ -10,7 +10,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrisk import cli, lm
@@ -286,6 +286,10 @@ def test_synth_invalid_sizes_exit_one(tmp_path, capsys):
     code, _, err = run(capsys, "synth", "--users", "1", "--topics", "3", "--out", str(tmp_path / "x"))
     assert code == 1
     assert "n_users" in err
+    code, out, err = run(capsys, "synth", "--users", "3", "--topics", "3", "--seed", "-1",
+                         "--out", str(tmp_path / "y"))
+    assert (code, out, err) == (1, "", "error: rng_seed must be >= 0\n")
+    assert not (tmp_path / "y").exists()
 
 
 def test_synth_files_are_pinned(tmp_path, capsys):
@@ -422,21 +426,41 @@ def test_anonymity_matrix_and_models_agree_at_boundary_radii(tmp_path, capsys):
     run(capsys, "ingest", "--input", str(corpus_dir / "alpha.jsonl"), "--min-comments", "1",
         "--min-profiles", "1", "--out", str(work))
     run(capsys, "build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work))
-    code, _, _ = run(capsys, "distances", "--models", str(work / "models.jsonl"),
-                     "--community", "alpha", "--out", str(work))
-    assert code == 0
-    profiles, _, _ = lm.load_models(work / "models.jsonl")
-    in_memory = anonymity.DistanceMatrix.build({a: m for (a, _), m in profiles.items()})
-    for subject in in_memory.keys:
-        for d in in_memory.values[in_memory.index_of(subject)]:
-            _, from_matrix, _ = run(capsys, "anonymity", "--matrix", str(work / "alpha.dmat"),
-                                    "--subject", subject, "--d", repr(float(d)))
-            _, from_models, _ = run(capsys, "anonymity", "--models", str(work / "models.jsonl"),
-                                    "--community", "alpha", "--subject", subject,
-                                    "--d", repr(float(d)))
-            assert from_matrix == from_models
-            assert json.loads(from_matrix)["k"] == int(np.count_nonzero(
-                in_memory.values[in_memory.index_of(subject)] <= d))
+    # hand-built: identical profiles (distance exactly 0), disjoint supports
+    # (exactly 1), and a community of one profile
+    hand = tmp_path / "h"
+    hand.mkdir()
+    records = [("u0", "ties", ["a", "a", "b"]), ("u1", "ties", ["b", "a", "a"]), ("u2", "ties", ["x", "y"]),
+               ("u3", "ties", ["a", "x"]), ("u4", "ties", ["z"]), ("u5", "ties", ["y", "x"]),
+               ("u0", "solo", ["a"])]
+    (hand / "profiles.jsonl").write_text("".join(
+        json.dumps({"author": a, "community": c, "n_comments": 1, "tokens": t}) + "\n" for a, c, t in records
+    ), encoding="utf-8")
+    assert run(capsys, "build-models", "--profiles", str(hand / "profiles.jsonl"), "--out", str(hand))[0] == 0
+    for store, community in ((work, "alpha"), (hand, "ties"), (hand, "solo")):
+        models, matrix = str(store / "models.jsonl"), str(store / f"{community}.dmat")
+        argv = ("distances", "--models", models, "--community", community, "--out", str(store))
+        assert run(capsys, *argv)[0] == 0
+        profiles, _, _ = lm.load_models(models)
+        in_memory = anonymity.DistanceMatrix.build({a: m for (a, c), m in profiles.items() if c == community})
+        assert np.array_equal(anonymity.DistanceMatrix.load(matrix).tri, in_memory.tri)
+        for subject in in_memory.keys:
+            row = in_memory.values[in_memory.index_of(subject)]
+            for d in row:
+                code, from_matrix, _ = run(capsys, "anonymity", "--matrix", matrix,
+                                           "--subject", subject, "--d", repr(float(d)))
+                assert code == 0
+                _, from_models, _ = run(capsys, "anonymity", "--models", models,
+                                        "--community", community, "--subject", subject,
+                                        "--d", repr(float(d)))
+                assert from_matrix == from_models
+                brute = [key for key, x in zip(in_memory.keys, row) if x <= d]
+                assert json.loads(from_matrix)["members"] == brute
+                assert json.loads(from_matrix)["k"] == int(np.count_nonzero(row <= d))
+    ties = anonymity.DistanceMatrix.load(hand / "ties.dmat")
+    assert ties.distance("u0", "u1") == ties.distance("u2", "u5") == 0.0
+    assert ties.distance("u0", "u2") == ties.distance("u3", "u4") == 1.0
+    assert anonymity.DistanceMatrix.load(hand / "solo.dmat").keys == ["u0"]
 
 
 def test_eval_neighborhood_sizes_equal_anonymity_on_the_saved_matrix(tmp_path, capsys):
@@ -475,7 +499,7 @@ def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
     from linkrisk.anonymity import DistanceMatrix
 
     path = tmp_path / "m.dmat"
-    DistanceMatrix(keys=["a", "b"], values=np.array([[0.0, 0.3], [0.3, 0.0]])).save(path)
+    DistanceMatrix(keys=["a", "b"], values=[0.3]).save(path)
     junk = tmp_path / "junk.dmat"
     junk.write_bytes(b"not a matrix\n")
     missing = str(tmp_path / "missing.jsonl")  # never read: d is checked first
@@ -692,6 +716,22 @@ def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change,
         pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": -1, "m2": 1}}}),
                      "likelihood of candidate 'm1' for profile 'P1' must be a finite number >= 0, not -1.0",
                      id="table-kappa-entry-negative"),
+        pytest.param(lambda s: s["models"]["m1"].update(job=float("nan")),
+                     "model 'm1': 'job' must be a string or null", id="model-value-nan"),
+        pytest.param(lambda s: s["models"]["m2"].update(job=["teacher"]),
+                     "model 'm2': 'job' must be a string or null", id="model-value-list"),
+        pytest.param(lambda s: s["policy"]["requirements"][0]["forbid"].update(city=[["x"]]),
+                     "policy requirement 1 forbid: 'city' must be a string", id="forbid-value-nested-list"),
+        pytest.param(lambda s: s["policy"]["requirements"][0]["forbid"].update(city=3),
+                     "policy requirement 1 forbid: 'city' must be a string", id="forbid-value-number"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(reveal=["job", "city"],
+                                                                    perturb={"city": {"a": 1}}),
+                     "profile 'P1' publish perturb: 'city' must be a string or a list of strings",
+                     id="perturb-value-object"),
+        pytest.param(lambda s: s["profiles"]["P1"]["publish"].update(reveal=["job", "city"],
+                                                                    perturb={"city": ["x", None]}),
+                     "profile 'P1' publish perturb: 'city' must be a string or a list of strings",
+                     id="perturb-value-list-with-null"),
     ],
 )
 def test_framework_run_rejects_scenario_fields_of_the_wrong_type(tmp_path, capsys, change, message):
@@ -1178,8 +1218,16 @@ _SCENARIO_PATHS = st.sampled_from(
     [(_SCENARIO, path) for path in _paths(_SCENARIO)] + [(_FULL_SCENARIO, path) for path in _paths(_FULL_SCENARIO)])
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
 @settings(max_examples=200, deadline=None)
 @given(_SCENARIO_PATHS, _JSON)
+@example((_FULL_SCENARIO, ("models", "m1", "job")), float("nan"))
+@example((_SCENARIO, ("policy", "requirements", 0, "forbid", "job")), [["x"]])
+@example((_SCENARIO, ("policy", "requirements", 0, "forbid", "job")), 3)
+@example((_FULL_SCENARIO, ("profiles", "P1", "publish", "perturb", "city")), {"a": 1})
 def test_framework_run_answers_or_fails_in_one_line_for_any_one_field(base_path, value):
     base, path = base_path
     scenario = json.loads(json.dumps(base))
@@ -1202,9 +1250,14 @@ def test_framework_run_answers_or_fails_in_one_line_for_any_one_field(base_path,
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         return
     assert code == 0 and err.getvalue() == ""
-    for masses in json.loads(out.getvalue())["posteriors"].values():
+    report = json.loads(out.getvalue(), parse_constant=_no_constant)
+    for masses in report["posteriors"].values():
         assert all(math.isfinite(m) and m >= 0 for m in masses.values())
         assert math.isclose(sum(masses.values()), 1.0, abs_tol=1e-9)
+    for observed in report["observation"].values():
+        assert all(isinstance(v, str) for v in observed.values())
+    for requirement in report["requirements"]:
+        assert all(isinstance(v, str) for v in requirement["forbid"].values())
 
 
 def test_framework_run_with_a_table_kappa(tmp_path, capsys):

@@ -141,10 +141,9 @@ def test_bins_partition_all_links():
     ma = {f"u{i}": random_distribution(rng) for i in range(20)}
     mb = {f"u{i}": random_distribution(rng) for i in range(20)}
     links = [GroundTruthLink(f"u{i}", f"u{i}") for i in range(20)]
-    report = evaluation.run_experiment(ma, mb, links, ks=(3,)).bin_reports[3]
-    assert report.k == 3
-    assert sum(b.pair_count for b in report.bins) == len(links)
-    for b in report.bins:
+    bins = evaluation.run_experiment(ma, mb, links, ks=(3,)).bin_reports[3]
+    assert sum(b.pair_count for b in bins) == len(links)
+    for b in bins:
         assert 0.0 <= b.precision <= 1.0
         assert b.size_high - b.size_low == evaluation.BIN_WIDTH - 1
 
@@ -153,25 +152,25 @@ def test_single_pair_single_bin():
     ma = {"u0": {"x": 1.0}, "u1": {"q": 1.0}}
     mb = {"u0": {"x": 0.9, "y": 0.1}, "u1": {"z": 1.0}}
     result = evaluation.run_experiment(ma, mb, [GroundTruthLink("u0", "u0")], ks=(1,))
-    report = result.bin_reports[1]
-    assert len(report.bins) == 1
-    assert report.bins[0].pair_count == 1
-    assert report.bins[0].precision in (0.0, 1.0)
+    bins = result.bin_reports[1]
+    assert len(bins) == 1
+    assert bins[0].pair_count == 1
+    assert bins[0].precision in (0.0, 1.0)
 
 
 # --- scatter --------------------------------------------------------------------------
 
 
 def _scatter(links, ma, mb):
-    return evaluation.run_experiment(ma, mb, links, ks=(1,)).scatter
+    return evaluation.run_experiment(ma, mb, links, ks=(1,))
 
 
 def test_scatter_matching_below_average_for_split_halves():
     rng = np.random.default_rng(57)
     ma, mb, links = _paired_models(6, rng)
-    report = _scatter(links, ma, mb)
-    assert report.fraction_below == 1.0
-    for row in report.rows:
+    result = _scatter(links, ma, mb)
+    assert result.fraction_below == 1.0
+    for row in result.scatter:
         assert row.matching == 0.0
         assert row.avg_nonmatching > 0.0
 
@@ -180,10 +179,10 @@ def test_scatter_adversarial_point_above_diagonal():
     # source u0 equals the non-matching target u1, not its own counterpart
     ma = {"u0": {"x": 1.0}, "u1": {"w": 1.0}}
     mb = {"u0": {"z": 1.0}, "u1": {"x": 1.0}}
-    report = _scatter([GroundTruthLink("u0", "u0")], ma, mb)
-    row = report.rows[0]
+    result = _scatter([GroundTruthLink("u0", "u0")], ma, mb)
+    row = result.scatter[0]
     assert row.matching > row.avg_nonmatching
-    assert report.fraction_below == 0.0
+    assert result.fraction_below == 0.0
 
 
 def test_scatter_rows_match_matrix_recomputation():
@@ -191,13 +190,13 @@ def test_scatter_rows_match_matrix_recomputation():
     ma = {f"u{i}": random_distribution(rng) for i in range(7)}
     mb = {f"u{i}": random_distribution(rng) for i in range(7)}
     links = [GroundTruthLink(f"u{i}", f"u{i}") for i in range(7)]
-    report = _scatter(links, ma, mb)
+    result = _scatter(links, ma, mb)
     keys_b = sorted(mb)
     dists_a = [lm.to_distribution(m) if isinstance(m, lm.UnigramModel) else m for m in
                (ma[k] for k in sorted(ma))]
     dists_b = [mb[k] for k in keys_b]
     grid = metric.cross_distances(dists_a, dists_b)
-    for row in report.rows:
+    for row in result.scatter:
         i = sorted(ma).index(row.source)
         j = keys_b.index(row.target)
         expected_match = grid[i, j]
@@ -243,6 +242,8 @@ def test_synth_rejects_bad_sizes():
         evaluation.synth_corpus(5, 3, comments_per_user=2)
     with pytest.raises(ValueError):
         evaluation.synth_corpus(5, 3, idiosyncrasy=1.5)
+    with pytest.raises(ValueError, match="^rng_seed must be >= 0$"):
+        evaluation.synth_corpus(5, 3, rng_seed=-1)
     for words in (0, -1):
         with pytest.raises(ValueError, match="topic_words must be >= 1"):
             evaluation.synth_corpus(5, 3, topic_words=words)
@@ -311,7 +312,7 @@ def test_run_experiment_and_csvs(tmp_path):
     result = evaluation.run_experiment(ma, mb, ks=(1, 5))
     assert set(result.precisions) == {1, 5}
     assert result.precisions[5] >= result.precisions[1]
-    assert len(result.scatter.rows) == 12
+    assert len(result.scatter) == 12
     assert len(result.anon_sizes) == 12
     files = evaluation.write_experiment_csvs(result, tmp_path / "out", {"seed": 5})
     names = {f.split("/")[-1] for f in files}
@@ -388,7 +389,7 @@ def test_scatter_csv_quotes_ids_with_delimiters(tmp_path):
                        "below_diagonal"]
     assert all(len(row) == 5 for row in rows)
     assert sorted(row[0] for row in rows[1:]) == sorted(ids)
-    by_source = {r.source: r for r in result.scatter.rows}
+    by_source = {r.source: r for r in result.scatter}
     for source, target, avg, match, below in rows[1:]:
         assert target == source
         assert float(avg) == by_source[source].avg_nonmatching
@@ -550,13 +551,13 @@ def _reference(ma, mb, links, ks):
     return precisions, bins, sizes, scatter
 
 
-def _check_scatter(report, expected):
-    assert len(report.rows) == len(expected)
-    for row, (source, target, avg, match) in zip(report.rows, expected):
+def _check_scatter(result, expected):
+    assert len(result.scatter) == len(expected)
+    for row, (source, target, avg, match) in zip(result.scatter, expected):
         assert (row.source, row.target, row.matching) == (source, target, match)
         assert row.avg_nonmatching == pytest.approx(avg, abs=1e-12)
-    below = sum(1 for row in report.rows if row.below_diagonal)
-    assert report.fraction_below == below / len(report.rows)
+    below = sum(1 for row in result.scatter if row.below_diagonal)
+    assert result.fraction_below == below / len(result.scatter)
 
 
 @settings(max_examples=150, deadline=None)
@@ -568,10 +569,9 @@ def test_reports_match_a_brute_force_reference(experiment):
     assert result.links == links
     assert result.precisions == precisions
     assert result.anon_sizes == sizes
-    assert {k: r.k for k, r in result.bin_reports.items()} == {k: k for k in ks}
-    assert {k: [(b.size_low, b.size_high, b.pair_count, b.precision) for b in r.bins]
+    assert {k: [(b.size_low, b.size_high, b.pair_count, b.precision) for b in r]
             for k, r in result.bin_reports.items()} == bins
-    _check_scatter(result.scatter, scatter)
+    _check_scatter(result, scatter)
     for scope, models in (("a", ma), ("b", mb)):
         keys = sorted(models)
         within = [metric.distance(models[x], models[y]) for i, x in enumerate(keys) for y in keys[i + 1:]]

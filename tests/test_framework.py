@@ -241,7 +241,7 @@ def test_is_critical_proxy_attribute():
     reduced = fw.posterior(adv, fw.Observation({"P": em()}), "P")
     high_mass = reduced["dev_high"] + reduced["teacher_high"]
     assert high_mass == pytest.approx(2 / 3)
-    assert fw.is_critical({"job"}, "P", obs, adv, policy, sigma=0.7)
+    assert fw.is_critical({"job"}, "P", obs, adv, policy)
 
 
 def test_is_critical_no_effect_attribute():
@@ -251,7 +251,7 @@ def test_is_critical_no_effect_attribute():
     )
     obs = fw.Observation({"P": em(b="x")})
     policy = fw.PrivacyPolicy(requirements=[fw.PrivacyRequirement("P", {"a": "1"})], sigma=0.6)
-    assert not fw.is_critical({"b"}, "P", obs, adv, policy, sigma=0.6)
+    assert not fw.is_critical({"b"}, "P", obs, adv, policy)
 
 
 def test_is_critical_precondition():
@@ -262,7 +262,7 @@ def test_is_critical_precondition():
     obs = fw.Observation({"P": em(a="1")})
     policy = fw.PrivacyPolicy(requirements=[], sigma=0.5)
     with pytest.raises(ValueError, match="published domain"):
-        fw.is_critical({"zzz"}, "P", obs, adv, policy, sigma=0.5)
+        fw.is_critical({"zzz"}, "P", obs, adv, policy)
 
 
 def test_sensitive_sets_are_zero_critical_when_exposed():
@@ -304,7 +304,7 @@ def test_sensitive_sets_are_zero_critical_when_exposed():
                     post = fw.posterior(adv, obs, "P")
                     req = policy.requirements[0]
                     assert not fw.sigma_satisfies(post, req, 0.0, universe)
-                    assert fw.is_critical({attr}, "P", obs, adv, policy, sigma=0.0)
+                    assert fw.is_critical({attr}, "P", obs, adv, policy)
 
 
 # --- total variation and the worst-case construction ---------------------------

@@ -32,12 +32,30 @@ def test_counting_matches_a_plain_loop(batches):
     assert model.total == total
 
 
+def _merged(*models):
+    out = lm.UnigramModel()
+    for m in models:
+        out.merge_in(m)
+    return out
+
+
 def test_merge_additivity():
     a = lm.UnigramModel.from_tokens(["a"])
     b = lm.UnigramModel.from_tokens(["b"])
-    merged = lm.merge([a, b])
+    merged = _merged(a, b)
     assert merged.counts == {"a": 1, "b": 1}
     assert merged.total == 2
+
+
+def test_total_is_the_sum_of_the_counts():
+    model = lm.UnigramModel(counts={"a": 5, "b": 0})
+    assert model.total == 5
+    model.merge_in(lm.UnigramModel.from_tokens(["a", "c"]))
+    assert model.counts == {"a": 6, "b": 0, "c": 1} and model.total == 7
+    with pytest.raises(AttributeError):
+        model.total = 3
+    with pytest.raises(TypeError):
+        lm.UnigramModel(counts={}, total=0)
 
 
 def test_to_distribution_values():
@@ -47,7 +65,7 @@ def test_to_distribution_values():
 
 
 def test_to_distribution_point_mass():
-    model = lm.UnigramModel(counts={"a": 5}, total=5)
+    model = lm.UnigramModel(counts={"a": 5})
     assert lm.to_distribution(model) == {"a": 1.0}
 
 
@@ -59,7 +77,7 @@ def test_to_distribution_empty_model_errors():
 def test_merged_distribution_is_count_weighted_mixture():
     a = lm.UnigramModel.from_tokens(["x", "x", "y"])
     b = lm.UnigramModel.from_tokens(["y", "z", "z", "z"])
-    merged = lm.merge([a, b])
+    merged = _merged(a, b)
     da, db, dm = (lm.to_distribution(m) for m in (a, b, merged))
     wa = a.total / merged.total
     wb = b.total / merged.total
@@ -69,7 +87,7 @@ def test_merged_distribution_is_count_weighted_mixture():
 
 
 def test_top_k_ordering_and_ties():
-    model = lm.UnigramModel(counts={"b": 3, "a": 3, "c": 7, "d": 1}, total=14)
+    model = lm.UnigramModel(counts={"b": 3, "a": 3, "c": 7, "d": 1})
     assert lm.top_k(model, 3) == [("c", 7), ("a", 3), ("b", 3)]
     assert lm.top_k(model, 0) == []
     assert lm.top_k(model, 99) == [("c", 7), ("a", 3), ("b", 3), ("d", 1)]
@@ -79,9 +97,9 @@ def test_top_k_ordering_and_ties():
 
 def test_top_k_on_community_style_fixtures():
     # counts mirror well-known community-level token tallies
-    lost = lm.UnigramModel(counts={"island": 832, "show": 750, "lost": 653}, total=2235)
+    lost = lm.UnigramModel(counts={"island": 832, "show": 750, "lost": 653})
     assert lm.top_k(lost, 1) == [("island", 832)]
-    tot = lm.UnigramModel(counts={"www.youtube.com": 3663, "song": 1542}, total=5205)
+    tot = lm.UnigramModel(counts={"www.youtube.com": 3663, "song": 1542})
     assert lm.top_k(tot, 1) == [("www.youtube.com", 3663)]
 
 
@@ -136,7 +154,7 @@ def test_save_load_roundtrip(tmp_path):
 @given(st.dictionaries(st.text(max_size=3), st.integers(min_value=0, max_value=10**9), max_size=12))
 @example({"a": 0, "b": 0})
 def test_to_distribution_is_a_plain_dict_of_the_positive_counts(counts):
-    model = lm.UnigramModel(counts=counts, total=sum(counts.values()))
+    model = lm.UnigramModel(counts=counts)
     if model.total == 0:  # no tokens, or only zero counts
         with pytest.raises(ValueError, match="empty model"):
             lm.to_distribution(model)
@@ -213,7 +231,7 @@ def test_model_store_roundtrip(streams):
         path = os.path.join(tmp, "models.jsonl")
         lm.save_models(path, built[0])
         loaded = lm.load_models(path)
-    # UnigramModel compares counts and totals; the dicts compare their keys
+    # UnigramModel compares counts; the dicts compare their keys
     assert loaded == built
     profiles, communities, global_model = loaded
     assert set(communities) == {community for _, community in profiles}
