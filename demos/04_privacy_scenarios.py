@@ -18,12 +18,10 @@ universe = {
 
 # The adversary knows devs are well paid: candidates contradicting the
 # rule are impossible, everything else just has to match the observation.
-consistency = fw.consistency_kappa()
-
 def kappa(profile, observed, mid, candidate):
     if candidate.value("job") == "dev" and candidate.value("income") != "high":
         return 0.0
-    return consistency(profile, observed, mid, candidate)
+    return fw.consistency_kappa(profile, observed, mid, candidate)
 
 adversary = fw.Adversary(
     universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=kappa

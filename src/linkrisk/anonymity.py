@@ -31,7 +31,6 @@ __all__ = [
     "lemma_bound_check",
     "choice_likelihood",
     "matching_bound",
-    "unlinkability_sigma",
 ]
 
 
@@ -204,12 +203,15 @@ def _packed_index(n: int, i, j):
 
 @dataclass
 class AnonymityResult:
-    """The maximal set of profiles within radius `d` of `subject`."""
+    """The maximal set of profiles within radius `d` of `subject`, and `k`, its size."""
 
     subject: str
     d: float
     members: Tuple[str, ...]
-    k: int
+
+    @property
+    def k(self) -> int:
+        return len(self.members)
 
 
 @dataclass
@@ -232,7 +234,7 @@ def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> AnonymityRes
         raise ValueError("d must be in [0, 1]")
     row = m.row(subject)
     members = tuple(m.keys[j] for j in np.flatnonzero(row <= d))
-    return AnonymityResult(subject=subject, d=d, members=members, k=len(members))
+    return AnonymityResult(subject=subject, d=d, members=members)
 
 
 def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:
@@ -301,6 +303,7 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
     radius of the anonymous neighborhood, `k` its size.  Both are distances:
     c in (0, 1] (undefined at c = 0) and d in [0, 1]; NaN is rejected.
     A k too large for `k - 1` to fit in a float gives the limit t = 1.
+    The linked pair stays sigma-unlinkable for every sigma >= t.
     """
     if c <= 0.0:
         raise ValueError("bound undefined at zero matching distance")
@@ -316,7 +319,3 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
         t = 1.0
     return MatchingBound(c=c, d=d, k=k, t=t)
 
-
-def unlinkability_sigma(c: float, d: float, k: int) -> float:
-    """The sigma for which the linked pair stays sigma-unlinkable; equals the matching bound."""
-    return matching_bound(c, d, k).t

@@ -305,13 +305,15 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _cmd_framework(args) -> int:
-    if args.framework_command == "impossibility":
-        report = framework.impossibility_demo()
-        for line in report["transcript"]:
-            print(line)
-        print(f"SD = {report['sd']}")
-        return 0
+def _cmd_framework_impossibility(args) -> int:
+    report = framework.impossibility_demo()
+    for line in report["transcript"]:
+        print(line)
+    print(f"SD = {report['sd']}")
+    return 0
+
+
+def _cmd_framework_run(args) -> int:
     report = framework.run_scenario(args.scenario)
     print(json.dumps(report, sort_keys=True, indent=2))
     return 0
@@ -327,7 +329,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     common.add_argument("--config", default=None, help="key=value option file; flags win")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    subs = {}
 
     p = sub.add_parser("ingest", parents=[common], help="normalize a comment corpus into profile token streams")
     p.add_argument("--input", required=True, help="JSON Lines comment file")
@@ -339,13 +340,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--lenient", action="store_true", help="skip malformed lines instead of failing")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
-    subs["ingest"] = p
 
     p = sub.add_parser("build-models", parents=[common], help="aggregate token streams into unigram models")
     p.add_argument("--profiles", required=True, help="profiles.jsonl from ingest")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_build_models)
-    subs["build-models"] = p
 
     p = sub.add_parser("top-unigrams", parents=[common], help="most frequent tokens of a model")
     p.add_argument("--models", required=True)
@@ -354,14 +353,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--kind", choices=("community", "global", "profile"), default="community")
     p.add_argument("-k", type=int, default=20)
     p.set_defaults(func=_cmd_top_unigrams)
-    subs["top-unigrams"] = p
 
     p = sub.add_parser("distances", parents=[common], help="pairwise distance matrix of one community")
     p.add_argument("--models", required=True)
     p.add_argument("--community", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distances)
-    subs["distances"] = p
 
     p = sub.add_parser("anonymity", parents=[common], help="neighborhood of a profile at radius d")
     p.add_argument("--models", default=None)
@@ -371,14 +368,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--k", type=int, default=None, help="also report whether the subset reaches size k >= 1")
     p.set_defaults(func=_cmd_anonymity)
-    subs["anonymity"] = p
 
     p = sub.add_parser("bound", parents=[common], help="adversary matching-likelihood bound")
     p.add_argument("--c", type=float, required=True, help="matching distance in (0, 1]")
     p.add_argument("--d", type=float, required=True, help="convergence radius in [0, 1]")
     p.add_argument("--k", type=int, required=True, help="anonymous subset size")
     p.set_defaults(func=_cmd_bound)
-    subs["bound"] = p
 
     p = sub.add_parser("eval", parents=[common], help="cross-community linkability experiment")
     p.add_argument("--profiles", required=True)
@@ -387,7 +382,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", default="1,5,10,20", help="comma-separated k values")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_eval)
-    subs["eval"] = p
 
     p = sub.add_parser("synth", parents=[common], help="generate a paired synthetic corpus")
     p.add_argument("--users", type=int, required=True)
@@ -397,20 +391,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--idiosyncrasy", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
-    subs["synth"] = p
 
     p = sub.add_parser("framework", parents=[common], help="attribute-level privacy scenarios")
-    fsub = p.add_subparsers(dest="framework_command", metavar="ACTION")
+    fsub = p.add_subparsers(metavar="ACTION")
     # --config and --workers go before the action: `_apply_config` reads them from this parser
     frun = fsub.add_parser("run", help="evaluate a scenario file")
     frun.add_argument("scenario", help="scenario JSON file")
-    frun.set_defaults(func=_cmd_framework, framework_command="run")
+    frun.set_defaults(func=_cmd_framework_run)
     fimp = fsub.add_parser("impossibility", help="maximal posterior-shift construction")
-    fimp.set_defaults(func=_cmd_framework, framework_command="impossibility")
-    p.set_defaults(func=_cmd_framework, framework_command=None)
-    subs["framework"] = p
+    fimp.set_defaults(func=_cmd_framework_impossibility)
 
-    return parser, subs
+    return parser, sub.choices
 
 
 @functools.lru_cache(maxsize=1)
@@ -426,11 +417,8 @@ def dispatch(argv) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if not getattr(args, "command", None):
-        parser.print_usage(sys.stderr)
-        return 2
-    if args.command == "framework" and not args.framework_command:
-        subs["framework"].print_usage(sys.stderr)
+    if not hasattr(args, "func"):  # no command, or `framework` without its action
+        (subs[args.command] if args.command else parser).print_usage(sys.stderr)
         return 2
     try:
         _apply_config(args, subs[args.command], argv[argv.index(args.command) + 1:])

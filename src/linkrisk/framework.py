@@ -8,11 +8,11 @@ Privacy requirements cap the posterior mass the adversary may place on
 forbidden attribute values.
 
 World knowledge is a likelihood function over (observation, candidate)
-pairs.  Two deterministic special cases cover most uses: `consistency_kappa`
+pairs.  Two deterministic likelihoods cover most uses: `consistency_kappa`
 accepts every candidate that agrees with the observation on its revealed
 attributes, and `exact_match_kappa` accepts only the observation itself,
 which is the natural reading for a hypothesis space made of restricted
-models.  Arbitrary tables are supported via `table_kappa`.
+models.  `table_kappa(rows)` builds the likelihood of an arbitrary table.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import numpy as np
 
 __all__ = [
     "EntityModel",
-    "UserModel",
     "Belief",
     "Adversary",
     "Observation",
@@ -44,7 +43,6 @@ __all__ = [
     "consistency_kappa",
     "exact_match_kappa",
     "table_kappa",
-    "load_scenario",
     "run_scenario",
 ]
 
@@ -76,17 +74,6 @@ class EntityModel:
 
     def as_dict(self) -> Dict[str, str]:
         return dict(self.values)
-
-
-@dataclass
-class UserModel:
-    """The entity models of one user's profiles, keyed by profile id."""
-
-    profiles: Dict[str, EntityModel]
-
-    def __post_init__(self):
-        if not self.profiles:
-            raise ValueError("user model needs at least one profile")
 
 
 @dataclass
@@ -127,22 +114,14 @@ class Observation:
     observed: Dict[str, EntityModel]
 
 
-def consistency_kappa() -> Kappa:
+def consistency_kappa(profile: str, observed: EntityModel, candidate_id: str, candidate: EntityModel) -> float:
     """Likelihood 1 for candidates agreeing with the observation where it is non-NULL."""
-
-    def kappa(profile, observed, candidate_id, candidate):
-        return 1.0 if all(candidate.value(a) == observed.value(a) for a in observed.domain()) else 0.0
-
-    return kappa
+    return 1.0 if all(candidate.value(a) == observed.value(a) for a in observed.domain()) else 0.0
 
 
-def exact_match_kappa() -> Kappa:
+def exact_match_kappa(profile: str, observed: EntityModel, candidate_id: str, candidate: EntityModel) -> float:
     """Likelihood 1 only for the candidate equal to the observation itself."""
-
-    def kappa(profile, observed, candidate_id, candidate):
-        return 1.0 if candidate == observed else 0.0
-
-    return kappa
+    return 1.0 if candidate == observed else 0.0
 
 
 def table_kappa(rows: Mapping[str, Mapping[str, float]]) -> Kappa:
@@ -332,7 +311,7 @@ def impossibility_demo(value: str = "x", default_value: str = "x_star") -> Dict[
     adv = Adversary(
         universe=universe,
         prior=Belief.uniform(["P"], universe),
-        kappa=consistency_kappa(),
+        kappa=consistency_kappa,
     )
     config = PublicationConfig(reveal=frozenset({attr}))
     post_original = posterior(adv, Observation({"P": publish(original, config)}), "P")
@@ -370,14 +349,23 @@ _KINDS = {dict: "a JSON object", list: "a list", str: "a string", int: "an integ
 
 
 def _field(obj, key: str, where: str, kind):
-    """`obj[key]`; a non-dict `obj`, a missing `key` or a non-`kind` value (a bool too) is a ValueError."""
+    """`obj[key]`; a non-dict `obj`, a missing `key` or a non-`kind` value (a bool too) is a ValueError.
+
+    So is a number beyond the float range, such as a JSON integer of 400 digits.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
     if key not in obj:
         raise ValueError(f"{where} is missing {key!r}")
-    if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"{where}: {key!r} must be {_KINDS[kind]}")
-    return obj[key]
+    if kind == (int, float):
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{where}: {key!r} is beyond the float range") from None
+    return value
 
 
 def _strings(obj, key: str, where: str) -> list:
@@ -394,28 +382,27 @@ def _check_values(obj: dict, where: str, kind) -> None:
         _field(obj, key, where, kind)
 
 
-def load_scenario(source) -> Dict[str, object]:
-    """Load a scenario from a path, file object, or already-parsed dict."""
+def _read_scenario(source) -> Dict[str, object]:
+    """The scenario JSON file at path `source`, or `source` itself when it is a dict."""
     if isinstance(source, dict):
         return source
     try:
-        if hasattr(source, "read"):
-            return json.load(source)
         with open(source, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except RecursionError as exc:  # deeply nested JSON
         raise ValueError(f"scenario is not valid JSON ({exc})") from None
     except UnicodeDecodeError as exc:
-        raise ValueError(f"{getattr(source, 'name', source)}: {exc}") from None
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def run_scenario(source) -> Dict[str, object]:
     """Publish every profile of a scenario, update beliefs, evaluate the policy.
 
-    See the README for the scenario file schema.  Deterministic given the
+    `source` is the path of a scenario JSON file or the already-parsed dict.
+    See the README for the scenario schema.  Deterministic given the
     scenario's `seed`.
     """
-    scenario = load_scenario(source)
+    scenario = _read_scenario(source)
     attributes = set(_strings(scenario, "attributes", "scenario"))
     model_cfg = _field(scenario, "models", "scenario", dict)
     models = {
@@ -456,9 +443,9 @@ def run_scenario(source) -> Dict[str, object]:
     kappa_cfg = _field(scenario, "kappa", "scenario", dict) if "kappa" in scenario else {}
     kind = kappa_cfg.get("kind", "consistency")
     if kind == "consistency":
-        kappa = consistency_kappa()
+        kappa = consistency_kappa
     elif kind == "exact_match":
-        kappa = exact_match_kappa()
+        kappa = exact_match_kappa
     elif kind == "table":
         rows = _field(kappa_cfg, "rows", "table kappa", dict)
         for name in sorted(profiles):

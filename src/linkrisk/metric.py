@@ -7,7 +7,7 @@ Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
 
 A distribution is a token->probability mapping, such as the dict
 `lm.to_distribution` returns; every function here reads it as a mapping.
-The scalar `kl`, `js` and `distance` are the reference definition.
+The scalar `js` and `distance` are the reference definition.
 `pairwise_distances` and `cross_distances` read collections that `_prepare`
 packs once over one sorted vocabulary, row-major and token-major;
 collections it already packed are read as they are.  `_prepare` reads each
@@ -29,30 +29,11 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "kl",
     "js",
     "distance",
     "pairwise_distances",
     "cross_distances",
 ]
-
-
-def kl(p: Mapping[str, float], q: Mapping[str, float]) -> float:
-    """Kullback-Leibler divergence KL(P || Q) in bits.
-
-    Requires support(P) to be contained in support(Q); raises ValueError
-    otherwise.  Terms absent from P contribute zero.
-    """
-    total = 0.0
-    for token in sorted(p):
-        pv = p[token]
-        if pv <= 0.0:
-            continue
-        qv = q.get(token, 0.0)
-        if qv <= 0.0:
-            raise ValueError(f"KL undefined: token {token!r} in P but not in Q")
-        total += pv * math.log2(pv / qv)
-    return total
 
 
 def js(p: Mapping[str, float], q: Mapping[str, float]) -> float:

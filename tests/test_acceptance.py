@@ -221,7 +221,7 @@ def test_criterion_07_no_critical_attrs_implies_satisfaction():
             values = [f"v{j}" for j in range(n_values)]
             universe = _enumerate_universe(attrs, values)
             by_model = {model: mid for mid, model in universe.items()}
-            for kappa in (fw.consistency_kappa(), fw.exact_match_kappa()):
+            for kappa in (fw.consistency_kappa, fw.exact_match_kappa):
                 adv = fw.Adversary(
                     universe=universe,
                     prior=fw.Belief.uniform(["P"], universe),

@@ -197,11 +197,6 @@ def test_matching_bound_errors():
         anonymity.matching_bound(0.2, 0.1, 0)
 
 
-def test_unlinkability_sigma_mirrors_bound():
-    for c, d, k in ((0.2, 0.1, 5), (1.0, 1.0, 2), (0.4, 0.0, 1)):
-        assert anonymity.unlinkability_sigma(c, d, k) == anonymity.matching_bound(c, d, k).t
-
-
 def test_bound_in_range():
     rng = np.random.default_rng(34)
     for _ in range(200):
@@ -664,5 +659,3 @@ def test_constructor_rejects_a_square_that_is_not_a_distance_matrix(keys, square
 def test_matching_bound_rejects_values_outside_the_distance_range(c, d, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         anonymity.matching_bound(c, d, 5)
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        anonymity.unlinkability_sigma(c, d, 5)

@@ -68,8 +68,7 @@ def test_unknown_command_exits_two(capsys):
 
 
 def test_no_command_exits_two(capsys):
-    code, _, _ = run(capsys)
-    assert code == 2
+    assert run(capsys) == (2, "", "usage: linkrisk [-h] COMMAND ...\n")
 
 
 def test_missing_input_file_exits_one(capsys):
@@ -87,8 +86,22 @@ def test_framework_impossibility(capsys):
 
 
 def test_framework_without_action_exits_two(capsys):
-    code, _, _ = run(capsys, "framework")
-    assert code == 2
+    code, out, err = run(capsys, "framework")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: linkrisk framework [-h] ") and err.rstrip().endswith("ACTION ...")
+    assert err.count("usage:") == 1 and "error" not in err
+
+
+def test_framework_without_action_reads_no_config(capsys):
+    code, out, err = run(capsys, "framework", "--config", "/nonexistent/x.conf")
+    assert (code, out, err) == run(capsys, "framework")
+    assert "x.conf" not in err
+
+
+def test_framework_unknown_action_exits_two(capsys):
+    code, out, err = run(capsys, "framework", "nope")
+    assert (code, out) == (2, "")
+    assert "argument ACTION: invalid choice: 'nope'" in err
 
 
 def test_framework_reads_its_options_before_the_action(capsys):
@@ -732,6 +745,12 @@ def test_framework_run_rejects_missing_scenario_fields(tmp_path, capsys, change,
                                                                     perturb={"city": ["x", None]}),
                      "profile 'P1' publish perturb: 'city' must be a string or a list of strings",
                      id="perturb-value-list-with-null"),
+        pytest.param(lambda s: s["policy"].update(sigma=10**400), "policy: 'sigma' is beyond the float range",
+                     id="sigma-beyond-float"),
+        pytest.param(lambda s: s["profiles"]["P1"].update(prior={"m1": 10**400, "m2": 0}),
+                     "profile 'P1' prior: 'm1' is beyond the float range", id="prior-mass-beyond-float"),
+        pytest.param(lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": -10**400}}}),
+                     "table kappa row 'P1': 'm1' is beyond the float range", id="table-kappa-entry-beyond-float"),
     ],
 )
 def test_framework_run_rejects_scenario_fields_of_the_wrong_type(tmp_path, capsys, change, message):
@@ -1209,8 +1228,9 @@ def _paths(value, path=()):
 
 _NAMES = st.sampled_from(["job", "city", "dev", "x", "m1", "m2", "P1", "uniform", "table", "rows",
                           "exact_match", "consistency"])
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | _NAMES,
+_JSON = st.recursive(  # the integers include some beyond the float range
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400]) | st.floats()
+    | st.text(max_size=3) | _NAMES,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_NAMES | st.text(max_size=3), inner, max_size=3),
     max_leaves=6,
 )
@@ -1228,6 +1248,9 @@ def _no_constant(name):
 @example((_SCENARIO, ("policy", "requirements", 0, "forbid", "job")), [["x"]])
 @example((_SCENARIO, ("policy", "requirements", 0, "forbid", "job")), 3)
 @example((_FULL_SCENARIO, ("profiles", "P1", "publish", "perturb", "city")), {"a": 1})
+@example((_FULL_SCENARIO, ("policy", "sigma")), 10**400)
+@example((_FULL_SCENARIO, ("profiles", "P1", "prior", "m1")), 10**400)
+@example((_FULL_SCENARIO, ("kappa", "rows", "P1", "m1")), 10**400)
 def test_framework_run_answers_or_fails_in_one_line_for_any_one_field(base_path, value):
     base, path = base_path
     scenario = json.loads(json.dumps(base))

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -39,12 +40,6 @@ def test_restrict_empty_attrs_errors():
 
 def test_entity_model_null_and_absent_are_equal():
     assert fw.EntityModel({"a": "1", "b": None}) == fw.EntityModel({"a": "1"})
-
-
-def test_user_model_requires_profiles():
-    with pytest.raises(ValueError):
-        fw.UserModel(profiles={})
-    fw.UserModel(profiles={"P1": em(name="bob")})
 
 
 # --- publication --------------------------------------------------------------
@@ -115,7 +110,7 @@ def _uniform_adversary(universe, kappa):
 
 def test_posterior_deterministic_likelihoods():
     universe = {"m1": em(a="x"), "m2": em(a="y")}
-    adv = _uniform_adversary(universe, fw.consistency_kappa())
+    adv = _uniform_adversary(universe, fw.consistency_kappa)
     post = fw.posterior(adv, fw.Observation({"P": em(a="x")}), "P")
     assert post == {"m1": 1.0, "m2": 0.0}
 
@@ -143,7 +138,7 @@ def test_posterior_worked_example():
 
 def test_posterior_zero_evidence_errors():
     universe = {"m1": em(a="x")}
-    adv = _uniform_adversary(universe, fw.consistency_kappa())
+    adv = _uniform_adversary(universe, fw.consistency_kappa)
     with pytest.raises(ValueError, match="impossible"):
         fw.posterior(adv, fw.Observation({"P": em(a="other")}), "P")
 
@@ -165,7 +160,7 @@ def test_posterior_refuses_weights_that_do_not_sum_to_a_finite_number():
     with pytest.raises(ValueError, match="^posterior weights for profile 'P' do not sum to a finite number$"):
         fw.posterior(adv, fw.Observation({"P": em()}), "P")
     nan_prior = fw.Belief({"P": {"m1": float("nan"), "m2": 1.0}})  # not validated
-    adv = fw.Adversary(universe, nan_prior, fw.consistency_kappa())
+    adv = fw.Adversary(universe, nan_prior, fw.consistency_kappa)
     with pytest.raises(ValueError, match="do not sum to a finite number"):
         fw.posterior(adv, fw.Observation({"P": em()}), "P")
 
@@ -220,12 +215,11 @@ def test_is_critical_proxy_attribute():
         "teacher_high": em(job="teacher", income="high"),
         "teacher_low": em(job="teacher", income="low"),
     }
-    consistency = fw.consistency_kappa()
 
     def rule_kappa(profile, observed, mid, candidate):
         if candidate.value("job") == "dev" and candidate.value("income") != "high":
             return 0.0
-        return consistency(profile, observed, mid, candidate)
+        return fw.consistency_kappa(profile, observed, mid, candidate)
 
     adv = fw.Adversary(
         universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=rule_kappa
@@ -247,7 +241,7 @@ def test_is_critical_proxy_attribute():
 def test_is_critical_no_effect_attribute():
     universe = {"m1": em(a="1", b="x"), "m2": em(a="2", b="x")}
     adv = fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa()
+        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
     )
     obs = fw.Observation({"P": em(b="x")})
     policy = fw.PrivacyPolicy(requirements=[fw.PrivacyRequirement("P", {"a": "1"})], sigma=0.6)
@@ -257,7 +251,7 @@ def test_is_critical_no_effect_attribute():
 def test_is_critical_precondition():
     universe = {"m1": em(a="1")}
     adv = fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa()
+        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
     )
     obs = fw.Observation({"P": em(a="1")})
     policy = fw.PrivacyPolicy(requirements=[], sigma=0.5)
@@ -288,7 +282,7 @@ def test_sensitive_sets_are_zero_critical_when_exposed():
             adv = fw.Adversary(
                 universe=universe,
                 prior=fw.Belief.uniform(["P"], universe),
-                kappa=fw.exact_match_kappa(),
+                kappa=fw.exact_match_kappa,
             )
             for attr in attrs:
                 forbidden_value = values[0]
@@ -361,6 +355,13 @@ def test_run_scenario_end_to_end(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(SCENARIO), encoding="utf-8")
     assert fw.run_scenario(path) == report
+
+
+def test_run_scenario_names_the_path_of_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"attributes": ["caf\xff"]}')
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode byte 0xff"):
+        fw.run_scenario(path)
 
 
 def test_run_scenario_rejects_unknown_attribute():

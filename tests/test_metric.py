@@ -12,20 +12,6 @@ JS_POINT_VS_HALF = 0.31127812445913286
 DIST_POINT_VS_HALF = 0.5579230452841439
 
 
-def test_kl_identical_is_zero():
-    p = {"a": 0.5, "b": 0.5}
-    assert metric.kl(p, p) == 0.0
-
-
-def test_kl_worked_value_one_bit():
-    assert metric.kl({"a": 1.0}, {"a": 0.5, "b": 0.5}) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_kl_support_violation_raises():
-    with pytest.raises(ValueError, match="KL undefined"):
-        metric.kl({"a": 0.5, "b": 0.5}, {"a": 1.0})
-
-
 def test_js_identical_is_zero():
     p = {"a": 0.3, "b": 0.7}
     assert metric.js(p, p) == 0.0
