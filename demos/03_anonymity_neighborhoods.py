@@ -29,8 +29,8 @@ print(np.round(matrix.values, 3))
 
 print("\n== neighborhoods around user0 ==")
 for radius in (0.0, 0.3, 0.5, 0.8, 1.0):
-    result = anonymity.convergent_subset(matrix, "user0", radius)
-    print(f"radius {radius:.1f}: k={result.k} members={list(result.members)}")
+    members = anonymity.convergent_subset(matrix, "user0", radius)
+    print(f"radius {radius:.1f}: k={len(members)} members={list(members)}")
 
 print("\n== anonymity queries ==")
 print("4 peers within 0.5?", anonymity.is_kd_anonymous(matrix, "user0", k=4, d=0.5))
@@ -40,7 +40,7 @@ print("\n== matching bound ==")
 print("c = matching distance, d = neighborhood radius, k = neighborhood size")
 print(f"{'c':>5} {'d':>5} {'k':>3} {'bound t':>9}")
 for c, d, k in [(0.2, 0.1, 1), (0.2, 0.1, 2), (0.2, 0.1, 5), (0.2, 0.1, 20), (0.05, 0.3, 5)]:
-    t = anonymity.matching_bound(c, d, k).t
+    t = anonymity.matching_bound(c, d, k)
     print(f"{c:>5} {d:>5} {k:>3} {t:>9.4f}")
 print("a bigger or tighter neighborhood pushes the adversary toward guessing")
 

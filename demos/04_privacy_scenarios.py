@@ -34,7 +34,7 @@ print("\n== publishing only the job ==")
 config = fw.PublicationConfig(reveal=frozenset({"job"}))
 observed = fw.publish(true_model, config)
 print("observed:", observed.as_dict())
-obs = fw.Observation({"P": observed})
+obs = {"P": observed}
 post = fw.posterior(adversary, obs, "P")
 for mid, mass in post.items():
     print(f"  {mid:>12}: {mass:.3f}")
@@ -52,7 +52,7 @@ print("is {job} critical (removing it rescues the policy)?",
       fw.is_critical({"job"}, "P", obs, adversary, policy))
 
 print("\n== hiding the job ==")
-empty_obs = fw.Observation({"P": fw.EntityModel({})})
+empty_obs = {"P": fw.EntityModel({})}
 post2 = fw.posterior(adversary, empty_obs, "P")
 for mid, mass in post2.items():
     print(f"  {mid:>12}: {mass:.3f}")

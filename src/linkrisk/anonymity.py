@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from typing import List, Mapping, Sequence, Tuple
 
@@ -23,8 +22,6 @@ from .corpus import _encode_json
 
 __all__ = [
     "DistanceMatrix",
-    "AnonymityResult",
-    "MatchingBound",
     "convergent_subset",
     "is_kd_anonymous",
     "c_matches",
@@ -201,47 +198,22 @@ def _packed_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-@dataclass
-class AnonymityResult:
-    """The maximal set of profiles within radius `d` of `subject`, and `k`, its size."""
+def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> Tuple[str, ...]:
+    """The keys of every profile within distance d of the subject, in key order.
 
-    subject: str
-    d: float
-    members: Tuple[str, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.members)
-
-
-@dataclass
-class MatchingBound:
-    """Upper bound t on the linking likelihood of a distance-only adversary.
-
-    For a true match at distance c hiding in a size-k neighborhood of
-    radius d, t = 1 - c / (c + (k-1)(c+d)).
+    The subject is one of them, so the tuple is never empty; its length is
+    the k of the subject's (k, d)-anonymity.
     """
-
-    c: float
-    d: float
-    k: int
-    t: float
-
-
-def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> AnonymityResult:
-    """All profiles within distance d of the subject (subject included)."""
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must be in [0, 1]")
-    row = m.row(subject)
-    members = tuple(m.keys[j] for j in np.flatnonzero(row <= d))
-    return AnonymityResult(subject=subject, d=d, members=members)
+    return tuple(m.keys[j] for j in np.flatnonzero(m.row(subject) <= d))
 
 
 def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:
     """Whether at least k profiles (subject included) lie within radius d."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return convergent_subset(m, subject, d).k >= k
+    return len(convergent_subset(m, subject, d)) >= k
 
 
 def c_matches(dist_value: float, c: float) -> bool:
@@ -296,11 +268,11 @@ def choice_likelihood(
     return score / (len(cands) - 1) if normalized else score
 
 
-def matching_bound(c: float, d: float, k: int) -> MatchingBound:
-    """Bound on the adversary's likelihood of linking a (k,d)-anonymous match.
+def matching_bound(c: float, d: float, k: int) -> float:
+    """Upper bound t on a distance-only adversary's likelihood of linking a (k,d)-anonymous match.
 
-    `c` is the matching distance between the true pair, `d` the convergence
-    radius of the anonymous neighborhood, `k` its size.  Both are distances:
+    For a true match at distance `c` hiding in a neighborhood of size `k`
+    and radius `d`, t = 1 - c / (c + (k-1)(c+d)).  c and d are distances:
     c in (0, 1] (undefined at c = 0) and d in [0, 1]; NaN is rejected.
     A k too large for `k - 1` to fit in a float gives the limit t = 1.
     The linked pair stays sigma-unlinkable for every sigma >= t.
@@ -314,8 +286,7 @@ def matching_bound(c: float, d: float, k: int) -> MatchingBound:
     if k < 1:
         raise ValueError("k must be >= 1")
     try:
-        t = 1.0 - c / (c + (k - 1) * (c + d))
+        return 1.0 - c / (c + (k - 1) * (c + d))
     except OverflowError:  # k - 1 beyond the float range
-        t = 1.0
-    return MatchingBound(c=c, d=d, k=k, t=t)
+        return 1.0
 

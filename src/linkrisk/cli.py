@@ -39,7 +39,7 @@ def _load_config(path: str) -> dict:
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8").strip()
+                line = raw.decode("utf-8-sig").strip()  # -sig: a leading BOM is not part of the key
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
             if not line or line.startswith("#"):
@@ -216,23 +216,17 @@ def _cmd_anonymity(args) -> int:
             raise ValueError("need either --matrix or both --models and --community")
         profiles = lm._load_profile_models(args.models)
         matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
-    result = anonymity.convergent_subset(matrix, args.subject, args.d)
-    report = {
-        "subject": result.subject,
-        "d": result.d,
-        "k": result.k,
-        "members": list(result.members),
-    }
+    members = anonymity.convergent_subset(matrix, args.subject, args.d)
+    report = {"subject": args.subject, "d": args.d, "k": len(members), "members": list(members)}
     if args.k is not None:
-        report["kd_anonymous"] = result.k >= args.k
+        report["kd_anonymous"] = len(members) >= args.k
         report["requested_k"] = args.k
     print(json.dumps(report, sort_keys=True))
     return 0
 
 
 def _cmd_bound(args) -> int:
-    bound = anonymity.matching_bound(args.c, args.d, args.k)
-    print(f"t = {bound.t:.6f}")
+    print(f"t = {anonymity.matching_bound(args.c, args.d, args.k):.6f}")
     return 0
 
 
@@ -250,7 +244,7 @@ def _cmd_synth(args) -> int:
         corpus._write_records(path, map(evaluation._comment_record, comments))
     links_path = os.path.join(args.out, "links.csv")
     corpus._write_csv(links_path, ["source", "target", "same_user"],
-                      ([link.source, link.target, int(link.same_user)] for link in corp.links))
+                      ([link.source, link.target, 1] for link in corp.links))
     _write_manifest(
         args.out,
         "synth",

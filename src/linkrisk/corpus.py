@@ -207,8 +207,8 @@ def _parse_wordlist(text: str) -> Set[str]:
 
 
 def load_wordlist(path) -> Set[str]:
-    """Read a word list file in the format of the packaged lists."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a word list file in the format of the packaged lists; a leading BOM is dropped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

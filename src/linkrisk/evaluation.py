@@ -44,11 +44,10 @@ _REPORT_FILES = ("stats.csv", "scatter.csv", "precision_overall.csv", "precision
 
 @dataclass(frozen=True)
 class GroundTruthLink:
-    """A known correspondence between a source and a target profile."""
+    """A known same-user correspondence between a source and a target profile."""
 
     source: str
     target: str
-    same_user: bool = True
 
 
 @dataclass(frozen=True)
@@ -233,7 +232,7 @@ def run_experiment(
     """Full linkability experiment between two communities.
 
     When `links` is omitted, authors present in both communities are paired
-    by shared pseudonym; every link must be a same-user link.  Every input
+    by shared pseudonym.  Every input
     check runs before any distance is computed.  Each model is turned into
     a distribution once, one at a time as it is packed, and each community
     is prepared once over one vocabulary shared by both; the cross matrix
@@ -254,8 +253,6 @@ def run_experiment(
     index_a = {k: i for i, k in enumerate(keys_a)}
     index_b = {k: i for i, k in enumerate(keys_b)}
     for link in links:
-        if not link.same_user:
-            raise ValueError(f"link {link.source!r} -> {link.target!r} is not a same-user link")
         if link.source not in index_a:
             raise ValueError(f"link source {link.source!r} not in source community")
         if link.target not in index_b:

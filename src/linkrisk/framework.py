@@ -28,7 +28,6 @@ __all__ = [
     "EntityModel",
     "Belief",
     "Adversary",
-    "Observation",
     "PublicationConfig",
     "PrivacyRequirement",
     "PrivacyPolicy",
@@ -107,13 +106,6 @@ class Adversary:
     kappa: Kappa
 
 
-@dataclass
-class Observation:
-    """The published (restricted, possibly perturbed) model per profile."""
-
-    observed: Dict[str, EntityModel]
-
-
 def consistency_kappa(profile: str, observed: EntityModel, candidate_id: str, candidate: EntityModel) -> float:
     """Likelihood 1 for candidates agreeing with the observation where it is non-NULL."""
     return 1.0 if all(candidate.value(a) == observed.value(a) for a in observed.domain()) else 0.0
@@ -183,18 +175,19 @@ def publish(
     return restrict(EntityModel(values), config.reveal)
 
 
-def posterior(adv: Adversary, obs: Observation, profile: str) -> Dict[str, float]:
-    """Bayes update of the prior for one profile given its observation.
+def posterior(adv: Adversary, observed: Mapping[str, EntityModel], profile: str) -> Dict[str, float]:
+    """Bayes update of the prior for one profile given its published model.
 
-    Returns mass per candidate id, summing to one.  Raises when a
-    likelihood is not a finite number >= 0, when the weights sum to no
-    finite number, and when every candidate has zero likelihood-times-prior.
+    `observed` maps each profile to its published (restricted, possibly
+    perturbed) model.  Returns mass per candidate id, summing to one.
+    Raises when a likelihood is not a finite number >= 0, and when the
+    weights (likelihood times prior) sum to no finite number or to zero.
     """
-    observed = obs.observed[profile]
+    published = observed[profile]
     prior_p = adv.prior.per_profile[profile]
     weights = {}
     for mid, candidate in adv.universe.items():
-        likelihood = adv.kappa(profile, observed, mid, candidate)
+        likelihood = adv.kappa(profile, published, mid, candidate)
         if not 0.0 <= likelihood < math.inf:  # NaN included
             raise ValueError(f"likelihood of candidate {mid!r} for profile {profile!r} "
                              f"must be a finite number >= 0, not {likelihood!r}")
@@ -262,25 +255,23 @@ def is_sensitive(attrs: Iterable[str], policy: PrivacyPolicy, profile: str) -> b
 def is_critical(
     attrs: Iterable[str],
     profile: str,
-    observation: Observation,
+    observed: Mapping[str, EntityModel],
     adversary: Adversary,
     policy: PrivacyPolicy,
 ) -> bool:
-    """Whether removing `attrs` from the published model flips a violation.
+    """Whether removing `attrs` from the profile's published model flips a violation.
 
-    `attrs` must be part of the published domain of the profile.  The check
-    compares policy evaluation at `policy.sigma` under the observation as-is
-    against the observation with `attrs` nulled out; it is True iff some
-    requirement is violated before and satisfied after.
+    `observed` maps each profile to its published model; `attrs` must lie in
+    the published domain of `profile`.  True iff some requirement is violated
+    at `policy.sigma` before `attrs` are nulled out and satisfied after.
     """
     attrs = set(attrs)
-    observed = observation.observed[profile]
-    if not attrs <= observed.domain():
+    published = observed[profile]
+    if not attrs <= published.domain():
         raise ValueError("attrs must be contained in the published domain of the profile")
-    reduced = EntityModel({a: v for a, v in observed.values if a not in attrs})
-    reduced_obs = Observation({**observation.observed, profile: reduced})
-    post_full = posterior(adversary, observation, profile)
-    post_reduced = posterior(adversary, reduced_obs, profile)
+    reduced = EntityModel({a: v for a, v in published.values if a not in attrs})
+    post_full = posterior(adversary, observed, profile)
+    post_reduced = posterior(adversary, {**observed, profile: reduced}, profile)
     for req in policy.for_profile(profile):
         violated_full = not sigma_satisfies(post_full, req, policy.sigma, adversary.universe)
         violated_reduced = not sigma_satisfies(post_reduced, req, policy.sigma, adversary.universe)
@@ -314,8 +305,8 @@ def impossibility_demo(value: str = "x", default_value: str = "x_star") -> Dict[
         kappa=consistency_kappa,
     )
     config = PublicationConfig(reveal=frozenset({attr}))
-    post_original = posterior(adv, Observation({"P": publish(original, config)}), "P")
-    post_swapped = posterior(adv, Observation({"P": publish(swapped, config)}), "P")
+    post_original = posterior(adv, {"P": publish(original, config)}, "P")
+    post_swapped = posterior(adv, {"P": publish(swapped, config)}, "P")
     sd = total_variation(post_original, post_swapped)
     return {
         "sd": sd,
@@ -478,9 +469,8 @@ def run_scenario(source) -> Dict[str, object]:
                     raise ValueError(f"{where} perturb: {attr!r} must be a string or a list of strings")
             config = PublicationConfig(reveal=reveal, perturb=dict(perturb))
         observed[name] = publish(true_model, config, rng)
-    obs = Observation(observed)
 
-    posteriors = {name: posterior(adv, obs, name) for name in sorted(profiles)}
+    posteriors = {name: posterior(adv, observed, name) for name in sorted(profiles)}
     requirement_reports = []
     satisfied_all = True
     for req in policy.requirements:

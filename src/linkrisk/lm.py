@@ -136,7 +136,8 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
 
     Lines end at line feeds and are decoded as UTF-8 one at a time.  A bad
     line, a second record for a profile, or a community or global record
-    (stored by earlier releases) raises ValueError("line N: ...").
+    (stored by earlier releases) raises ValueError("line N: ...").  So do
+    counts whose sum is beyond the float range, which no distribution has.
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     for line_no, rec in _store_records(path):
@@ -151,6 +152,10 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
             raise ValueError(f"line {line_no}: profile key must be a list of two strings")
         if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
             raise ValueError(f"line {line_no}: counts must be non-negative integers")
+        try:
+            float(sum(counts.values()))
+        except OverflowError:
+            raise ValueError(f"line {line_no}: counts sum beyond the float range") from None
         key = tuple(key)
         if key in profiles:
             raise ValueError(f"line {line_no}: duplicate profile {key!r}")

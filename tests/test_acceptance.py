@@ -109,7 +109,7 @@ def test_criterion_03_matching_likelihood_bound():
         k = len(ball)
         denominator = sum(metric.distance(cands[j], target) for j in ball)
         likelihood = 1.0 - c / denominator
-        bound = anonymity.matching_bound(c, d, k).t
+        bound = anonymity.matching_bound(c, d, k)
         assert likelihood <= bound + 1e-9
         if 2 <= k <= 6:
             models = {f"p{j:02d}": cands[j] for j in ball}
@@ -162,7 +162,7 @@ def test_criterion_05_anonymity_survives_supersets():
         )
         subject = f"b{int(rng.integers(n_base)):02d}"
         d = float(rng.random())
-        k = anonymity.convergent_subset(base, subject, d).k
+        k = len(anonymity.convergent_subset(base, subject, d))
         assert anonymity.is_kd_anonymous(full, subject, k, d)
     _ok(5, "superset extensions never destroyed (k,d)-anonymity in 1000 trials")
 
@@ -229,7 +229,7 @@ def test_criterion_07_no_critical_attrs_implies_satisfaction():
                 )
                 marginals = {}
                 for mid, observed in universe.items():
-                    post = fw.posterior(adv, fw.Observation({"P": observed}), "P")
+                    post = fw.posterior(adv, {"P": observed}, "P")
                     marginals[mid] = _marginals(post, universe, attrs)
 
                 def violated(obs_mid, attr, value):
@@ -263,7 +263,7 @@ def test_criterion_07_no_critical_attrs_implies_satisfaction():
                                     requirements=[fw.PrivacyRequirement("P", {attr: value})],
                                     sigma=sigma,
                                 )
-                                obs = fw.Observation({"P": observed})
+                                obs = {"P": observed}
                                 post = fw.posterior(adv, obs, "P")
                                 assert (
                                     not fw.sigma_satisfies(
@@ -351,7 +351,7 @@ def test_criterion_11_posterior_worked_example():
         prior=fw.Belief.uniform(["P"], universe),
         kappa=fw.table_kappa({"P": {"m0": 1.0, "m1": 0.5, "m2": 0.5, "m3": 0.0}}),
     )
-    post = fw.posterior(adv, fw.Observation({"P": fw.EntityModel({})}), "P")
+    post = fw.posterior(adv, {"P": fw.EntityModel({})}, "P")
     assert abs(post["m0"] - 0.5) <= 1e-12
     assert abs(post["m1"] - 0.25) <= 1e-12
     assert abs(post["m2"] - 0.25) <= 1e-12
@@ -364,7 +364,7 @@ def test_criterion_11_posterior_worked_example():
             prior=fw.Belief.uniform(["P"], universe),
             kappa=fw.table_kappa({"P": table}),
         )
-        post = fw.posterior(adv, fw.Observation({"P": fw.EntityModel({})}), "P")
+        post = fw.posterior(adv, {"P": fw.EntityModel({})}, "P")
         assert abs(sum(post.values()) - 1.0) <= 1e-12
     _ok(11, "posterior matches hand computation and always normalizes")
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from linkrisk import cli, lm
+from linkrisk import cli, corpus, lm
 
 
 def run(capsys, *argv):
@@ -23,9 +23,7 @@ def run(capsys, *argv):
 
 
 def test_bound_prints_t(capsys):
-    code, out, _ = run(capsys, "bound", "--c", "0.2", "--d", "0.1", "--k", "5")
-    assert code == 0
-    assert "t = 0.857143" in out
+    assert run(capsys, "bound", "--c", "0.2", "--d", "0.1", "--k", "5") == (0, "t = 0.857143\n", "")
 
 
 def test_bound_k_one_is_zero(capsys):
@@ -80,9 +78,14 @@ def test_missing_input_file_exits_one(capsys):
 
 
 def test_framework_impossibility(capsys):
-    code, out, _ = run(capsys, "framework", "impossibility")
-    assert code == 0
-    assert "SD = 1.0" in out
+    assert run(capsys, "framework", "impossibility") == (0, (
+        "universe: alias=x vs alias=x_star, uniform prior, no world knowledge\n"
+        "publication reveals alias unperturbed\n"
+        "posterior after observing alias=x: {'model_original': 1.0, 'model_swapped': 0.0}\n"
+        "posterior after observing alias=x_star: {'model_original': 0.0, 'model_swapped': 1.0}\n"
+        "total variation distance: 1.0\n"
+        "SD = 1.0\n"
+    ), "")
 
 
 def test_framework_without_action_exits_two(capsys):
@@ -130,6 +133,72 @@ def test_framework_run_scenario(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["policy_satisfied"] is False  # job=dev fully exposed
+
+
+def test_framework_run_prints_the_whole_report(tmp_path, capsys):
+    scenario = {
+        "attributes": ["job", "city", "age"],
+        "models": {"m1": {"job": "dev", "city": "paris", "age": "30"},
+                   "m2": {"job": "dev", "city": "rome", "age": "40"},
+                   "m3": {"job": "teacher", "city": "paris", "age": "30"},
+                   "m4": {"job": "teacher", "city": "rome", "age": None}},
+        "profiles": {
+            "P1": {"true_model": "m1", "prior": {"m1": 0.25, "m2": 0.25, "m3": 0.25, "m4": 0.25},
+                   "publish": {"reveal": ["job", "city"], "perturb": {"city": ["rome", "paris"]}}},
+            "P2": {"true_model": "m3", "prior": {"m1": 0.1, "m2": 0.1, "m3": 0.2, "m4": 0.6},
+                   "publish": {"reveal": ["job"]}},
+        },
+        "policy": {"sigma": 0.6, "requirements": [{"profile": "P1", "forbid": {"job": "dev"}},
+                                                  {"profile": "P2", "forbid": {"city": "paris"}}]},
+        "seed": 1,
+    }
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario), encoding="utf-8")
+    # seed 1 perturbs P1's city to rome; P2's posterior keeps its summation order
+    assert run(capsys, "framework", "run", str(path)) == (0, """{
+  "observation": {
+    "P1": {
+      "city": "rome",
+      "job": "dev"
+    },
+    "P2": {
+      "job": "teacher"
+    }
+  },
+  "policy_satisfied": false,
+  "posteriors": {
+    "P1": {
+      "m1": 0.0,
+      "m2": 1.0,
+      "m3": 0.0,
+      "m4": 0.0
+    },
+    "P2": {
+      "m1": 0.0,
+      "m2": 0.0,
+      "m3": 0.25,
+      "m4": 0.7499999999999999
+    }
+  },
+  "requirements": [
+    {
+      "forbid": {
+        "job": "dev"
+      },
+      "profile": "P1",
+      "satisfied": false
+    },
+    {
+      "forbid": {
+        "city": "paris"
+      },
+      "profile": "P2",
+      "satisfied": true
+    }
+  ],
+  "sigma": 0.6
+}
+""", "")
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -211,12 +280,10 @@ def test_anonymity_from_models(tmp_path, capsys):
     run(capsys, "ingest", "--input", str(combined), "--min-comments", "1", "--min-profiles", "1",
         "--out", str(work))
     run(capsys, "build-models", "--profiles", str(work / "profiles.jsonl"), "--out", str(work))
-    code, out, _ = run(
+    assert run(
         capsys, "anonymity", "--models", str(work / "models.jsonl"), "--community", "alpha",
         "--subject", "u1", "--d", "1.0",
-    )
-    assert code == 0
-    assert json.loads(out)["k"] == 6
+    ) == (0, '{"d": 1.0, "k": 6, "members": ["u0", "u1", "u2", "u3", "u4", "u5"], "subject": "u1"}\n', "")
 
 
 def test_anonymity_requires_source(capsys):
@@ -285,6 +352,30 @@ def test_config_flag_takes_true_or_false(tmp_path, capsys, value, expected):
         assert err.startswith("error: line 4: ") and err.count("\n") == 1
     else:
         assert err == f"error: config key 'lenient' is a flag: expected true or false, got {value!r}\n"
+
+
+def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys):
+    code, _, manifest = _ingest_with_config(tmp_path, capsys, "\ufeffmin-comments=1\nlenient=true\n")
+    assert code == 0
+    assert manifest["params"]["min_comments"] == 1
+    assert manifest["outputs"]["profiles_kept"] == 3
+
+
+@pytest.mark.parametrize("option", ["--stopwords", "--smilies"])
+def test_word_list_with_a_byte_order_mark_keeps_its_first_entry(tmp_path, capsys, option):
+    src = tmp_path / "in.jsonl"
+    src.write_text(json.dumps({"author": "u0", "community": "a", "body": "hello world"}) + "\n",
+                   encoding="utf-8")
+    words = tmp_path / "words.txt"
+    words.write_text("\ufeffhello\n", encoding="utf-8")
+    code, _, _ = run(capsys, "ingest", "--input", str(src), option, str(words), "--min-comments", "1",
+                     "--min-profiles", "1", "--out", str(tmp_path / "out"))
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["inputs"][option[2:] + "_sha256"] == corpus.wordlist_hash({"hello"})
+    if option == "--stopwords":
+        profile = json.loads((tmp_path / "out" / "profiles.jsonl").read_text(encoding="utf-8"))
+        assert profile["tokens"] == ["world"]
 
 
 def test_config_gives_a_repeatable_option_one_value(tmp_path, capsys):
@@ -817,6 +908,18 @@ def test_zero_counts_still_load(tmp_path, capsys):
     code, _, _ = run(capsys, "distances", "--models", str(path), "--community", "alpha",
                      "--out", str(tmp_path / "out"))
     assert code == 0
+
+
+@pytest.mark.parametrize("counts", ['{"x":1' + "0" * 400 + '}', '{"x":%d,"y":%d}' % (2**1023, 2**1023)],
+                         ids=["one-count", "two-counts"])
+@pytest.mark.parametrize("command", ["distances", "anonymity"])
+def test_counts_that_sum_beyond_the_float_range_are_refused(tmp_path, capsys, command, counts):
+    path = tmp_path / "models.jsonl"
+    path.write_text(_PROFILE + "\n" + '{"counts":%s,"key":["u1","alpha"],"kind":"profile"}\n' % counts,
+                    encoding="utf-8")
+    argv = [command, "--models", str(path), "--community", "alpha"]
+    argv += ["--out", str(tmp_path / "out")] if command == "distances" else ["--subject", "u0", "--d", "0.5"]
+    assert run(capsys, *argv) == (1, "", "error: line 2: counts sum beyond the float range\n")
 
 
 def test_eval_with_a_single_target_profile_exits_one(tmp_path, capsys):

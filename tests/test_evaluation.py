@@ -421,8 +421,6 @@ _EDGE_CASES = [
      [GroundTruthLink("u0", "u0")], _ONE, None, (1,)),
     ("one-target", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], None, _ONE, (1,)),
-    ("not-same-user", "link 'u0' -> 'u1' is not a same-user link",
-     [GroundTruthLink("u0", "u0"), GroundTruthLink("u0", "u1", same_user=False)], None, None, (1,)),
     # a one-profile target side is reported before a one-profile source side
     ("one-profile-both", "target community needs at least 2 profiles",
      [GroundTruthLink("u0", "u0")], _ONE, _ONE, (1,)),

@@ -111,7 +111,7 @@ def _uniform_adversary(universe, kappa):
 def test_posterior_deterministic_likelihoods():
     universe = {"m1": em(a="x"), "m2": em(a="y")}
     adv = _uniform_adversary(universe, fw.consistency_kappa)
-    post = fw.posterior(adv, fw.Observation({"P": em(a="x")}), "P")
+    post = fw.posterior(adv, {"P": em(a="x")}, "P")
     assert post == {"m1": 1.0, "m2": 0.0}
 
 
@@ -119,7 +119,7 @@ def test_posterior_equal_likelihoods_returns_prior():
     universe = {"m1": em(a="x"), "m2": em(a="y"), "m3": em(a="z")}
     prior = fw.Belief({"P": {"m1": 0.5, "m2": 0.3, "m3": 0.2}})
     adv = fw.Adversary(universe=universe, prior=prior, kappa=lambda *a: 0.7)
-    post = fw.posterior(adv, fw.Observation({"P": em()}), "P")
+    post = fw.posterior(adv, {"P": em()}, "P")
     for mid in universe:
         assert post[mid] == pytest.approx(prior.per_profile["P"][mid], abs=1e-12)
 
@@ -128,7 +128,7 @@ def test_posterior_worked_example():
     universe = {f"m{i}": em(a=str(i)) for i in range(4)}
     likelihoods = {"m0": 1.0, "m1": 0.5, "m2": 0.5, "m3": 0.0}
     adv = _uniform_adversary(universe, fw.table_kappa({"P": likelihoods}))
-    post = fw.posterior(adv, fw.Observation({"P": em()}), "P")
+    post = fw.posterior(adv, {"P": em()}, "P")
     assert post["m0"] == pytest.approx(0.5, abs=1e-12)
     assert post["m1"] == pytest.approx(0.25, abs=1e-12)
     assert post["m2"] == pytest.approx(0.25, abs=1e-12)
@@ -140,7 +140,7 @@ def test_posterior_zero_evidence_errors():
     universe = {"m1": em(a="x")}
     adv = _uniform_adversary(universe, fw.consistency_kappa)
     with pytest.raises(ValueError, match="impossible"):
-        fw.posterior(adv, fw.Observation({"P": em(a="other")}), "P")
+        fw.posterior(adv, {"P": em(a="other")}, "P")
 
 
 @pytest.mark.parametrize("likelihood", [float("nan"), -1.0, float("inf")])
@@ -150,7 +150,7 @@ def test_posterior_refuses_a_likelihood_that_is_not_a_finite_number_at_least_zer
     message = (f"^likelihood of candidate 'm2' for profile 'P' must be a finite number >= 0, "
                f"not {likelihood!r}$")
     with pytest.raises(ValueError, match=message):
-        fw.posterior(adv, fw.Observation({"P": em()}), "P")
+        fw.posterior(adv, {"P": em()}, "P")
 
 
 def test_posterior_refuses_weights_that_do_not_sum_to_a_finite_number():
@@ -158,11 +158,11 @@ def test_posterior_refuses_weights_that_do_not_sum_to_a_finite_number():
     big = {"m1": 1.7e308, "m2": 1.7e308}
     adv = fw.Adversary(universe, fw.Belief({"P": {"m1": 1.0, "m2": 1.0}}), fw.table_kappa({"P": big}))
     with pytest.raises(ValueError, match="^posterior weights for profile 'P' do not sum to a finite number$"):
-        fw.posterior(adv, fw.Observation({"P": em()}), "P")
+        fw.posterior(adv, {"P": em()}, "P")
     nan_prior = fw.Belief({"P": {"m1": float("nan"), "m2": 1.0}})  # not validated
     adv = fw.Adversary(universe, nan_prior, fw.consistency_kappa)
     with pytest.raises(ValueError, match="do not sum to a finite number"):
-        fw.posterior(adv, fw.Observation({"P": em()}), "P")
+        fw.posterior(adv, {"P": em()}, "P")
 
 
 def test_posterior_normalizes_on_random_tables():
@@ -171,7 +171,7 @@ def test_posterior_normalizes_on_random_tables():
     for _ in range(50):
         table = {f"m{i}": float(rng.random()) for i in range(6)}
         adv = _uniform_adversary(universe, fw.table_kappa({"P": table}))
-        post = fw.posterior(adv, fw.Observation({"P": em()}), "P")
+        post = fw.posterior(adv, {"P": em()}, "P")
         assert sum(post.values()) == pytest.approx(1.0, abs=1e-12)
         assert all(v >= 0 for v in post.values())
 
@@ -224,7 +224,7 @@ def test_is_critical_proxy_attribute():
     adv = fw.Adversary(
         universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=rule_kappa
     )
-    obs = fw.Observation({"P": em(job="dev")})
+    obs = {"P": em(job="dev")}
     policy = fw.PrivacyPolicy(
         requirements=[fw.PrivacyRequirement("P", {"income": "high"})], sigma=0.7
     )
@@ -232,7 +232,7 @@ def test_is_critical_proxy_attribute():
     post = fw.posterior(adv, obs, "P")
     assert post["dev_high"] == pytest.approx(1.0)
     # with job hidden: consistent candidates are dev_high, teacher_high, teacher_low
-    reduced = fw.posterior(adv, fw.Observation({"P": em()}), "P")
+    reduced = fw.posterior(adv, {"P": em()}, "P")
     high_mass = reduced["dev_high"] + reduced["teacher_high"]
     assert high_mass == pytest.approx(2 / 3)
     assert fw.is_critical({"job"}, "P", obs, adv, policy)
@@ -243,7 +243,7 @@ def test_is_critical_no_effect_attribute():
     adv = fw.Adversary(
         universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
     )
-    obs = fw.Observation({"P": em(b="x")})
+    obs = {"P": em(b="x")}
     policy = fw.PrivacyPolicy(requirements=[fw.PrivacyRequirement("P", {"a": "1"})], sigma=0.6)
     assert not fw.is_critical({"b"}, "P", obs, adv, policy)
 
@@ -253,7 +253,7 @@ def test_is_critical_precondition():
     adv = fw.Adversary(
         universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
     )
-    obs = fw.Observation({"P": em(a="1")})
+    obs = {"P": em(a="1")}
     policy = fw.PrivacyPolicy(requirements=[], sigma=0.5)
     with pytest.raises(ValueError, match="published domain"):
         fw.is_critical({"zzz"}, "P", obs, adv, policy)
@@ -294,7 +294,7 @@ def test_sensitive_sets_are_zero_critical_when_exposed():
                 for model in universe.values():
                     if model.value(attr) != forbidden_value:
                         continue
-                    obs = fw.Observation({"P": model})
+                    obs = {"P": model}
                     post = fw.posterior(adv, obs, "P")
                     req = policy.requirements[0]
                     assert not fw.sigma_satisfies(post, req, 0.0, universe)
