@@ -24,7 +24,6 @@ __all__ = [
     "DistanceMatrix",
     "convergent_subset",
     "is_kd_anonymous",
-    "c_matches",
     "lemma_bound_check",
     "choice_likelihood",
     "matching_bound",
@@ -216,20 +215,14 @@ def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:
     return len(convergent_subset(m, subject, d)) >= k
 
 
-def c_matches(dist_value: float, c: float) -> bool:
-    """Whether a distance qualifies as a match at threshold c (inclusive)."""
-    if not 0.0 <= dist_value <= 1.0 or not 0.0 <= c <= 1.0:
-        raise ValueError("distance and c must be in [0, 1]")
-    return dist_value <= c
-
-
 def lemma_bound_check(
     m: DistanceMatrix, subject_set: Sequence[str], target: str, c: float, d: float
 ) -> bool:
     """Verify that a convergent set around a matching profile matches at c+d.
 
-    Preconditions: some member of `subject_set` has all other members within
-    d and itself lies within c of `target`.  Raises ValueError when no such
+    A profile c-matches the target when its distance to it is at most c,
+    inclusive: `dist <= c`.  Preconditions: some member of `subject_set` has
+    all other members within d and itself c-matches `target`.  Raises ValueError when no such
     member exists.  With a true metric the triangle inequality then forces
     every member within c+d of the target, so the check always returns True
     on consistent inputs; it exists to exercise exactly that claim.

@@ -2,11 +2,13 @@
 
 Subcommands: ingest, build-models, top-unigrams, distances, anonymity,
 bound, eval, synth, framework.  Exit codes: 0 success, 1 runtime error,
-2 usage error.  Every subcommand that writes files also writes a
-manifest.json describing its inputs and outputs.  Options may come from a
-line-oriented key=value file via --config; explicit flags win.  `--workers`
-is accepted for compatibility and has no effect: distance matrices are
-computed by one single-threaded vectorized kernel.
+2 usage error.  A handler that writes files returns its manifest record
+(inputs, params, outputs), and `dispatch` writes it, with the command's
+name, as the one manifest.json of the output directory.  Options may come
+from a line-oriented key=value file via --config; explicit flags win.  Only
+distances, anonymity and eval, the commands that compute distances, take
+`--workers`; it has no effect: distance matrices are computed by one
+single-threaded vectorized kernel.
 """
 
 from __future__ import annotations
@@ -19,11 +21,6 @@ import os
 import sys
 
 from . import anonymity, corpus, evaluation, framework, lm
-
-
-def _write_manifest(outdir: str, command: str, inputs: dict, params: dict, outputs: dict) -> None:
-    manifest = {"command": command, "inputs": inputs, "params": params, "outputs": outputs}
-    corpus._write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def _file_sha256(path: str) -> str:
@@ -91,7 +88,7 @@ def _normalization_config(args) -> tuple[corpus.NormalizationConfig, dict]:
     return cfg, hashes
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> dict:
     cfg, hashes = _normalization_config(args)
     with open(args.input, "rb") as fh:
         result = corpus.ingest_jsonl(fh, lenient=args.lenient)
@@ -105,9 +102,10 @@ def _cmd_ingest(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "profiles.jsonl")
     corpus.write_profiles(kept, out_path)
-    _write_manifest(
-        args.out,
-        "ingest",
+    print(f"kept {len(kept)} of {len(profiles)} profiles -> {out_path}")
+    if result.errors:
+        print(f"skipped {len(result.errors)} malformed line(s)", file=sys.stderr)
+    return dict(
         inputs={"input": args.input, **hashes},
         params={
             "min_comments": args.min_comments,
@@ -123,21 +121,16 @@ def _cmd_ingest(args) -> int:
             "profiles_kept": len(kept),
         },
     )
-    print(f"kept {len(kept)} of {len(profiles)} profiles -> {out_path}")
-    if result.errors:
-        print(f"skipped {len(result.errors)} malformed line(s)", file=sys.stderr)
-    return 0
 
 
-def _cmd_build_models(args) -> int:
+def _cmd_build_models(args) -> dict:
     streams = corpus.load_profiles(args.profiles)
     profiles, communities, _ = lm.build_models(streams)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "models.jsonl")
     lm.save_models(out_path, profiles)
-    _write_manifest(
-        args.out,
-        "build-models",
+    print(f"built {len(profiles)} profile and {len(communities)} community models -> {out_path}")
+    return dict(
         inputs={"profiles": args.profiles},
         params={},
         outputs={
@@ -146,11 +139,9 @@ def _cmd_build_models(args) -> int:
             "community_models": len(communities),
         },
     )
-    print(f"built {len(profiles)} profile and {len(communities)} community models -> {out_path}")
-    return 0
 
 
-def _cmd_top_unigrams(args) -> int:
+def _cmd_top_unigrams(args) -> None:
     if args.k < 0:
         raise ValueError("k must be >= 0")
     if args.kind != "global" and args.key is None:
@@ -171,7 +162,6 @@ def _cmd_top_unigrams(args) -> int:
         model = profiles[key]
     for token, count in lm.top_k(model, args.k):
         print(f"{token}\t{count}")
-    return 0
 
 
 def _community_models(profiles: dict, community: str) -> dict:
@@ -184,25 +174,22 @@ def _community_models(profiles: dict, community: str) -> dict:
     return selected
 
 
-def _cmd_distances(args) -> int:
+def _cmd_distances(args) -> dict:
     profiles = lm._load_profile_models(args.models)
     selected = _community_models(profiles, args.community)
     matrix = anonymity.DistanceMatrix.build(selected)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, f"{args.community}.dmat")
     matrix.save(out_path)
-    _write_manifest(
-        args.out,
-        "distances",
+    print(f"{len(matrix.keys)} profiles -> {out_path}")
+    return dict(
         inputs={"models": args.models},
         params={"community": args.community},
         outputs={"matrix": out_path, "profiles": len(matrix.keys)},
     )
-    print(f"{len(matrix.keys)} profiles -> {out_path}")
-    return 0
 
 
-def _cmd_anonymity(args) -> int:
+def _cmd_anonymity(args) -> None:
     if args.k is not None and args.k < 1:
         raise ValueError("k must be >= 1")
     if not 0.0 <= args.d <= 1.0:  # NaN included
@@ -222,15 +209,13 @@ def _cmd_anonymity(args) -> int:
         report["kd_anonymous"] = len(members) >= args.k
         report["requested_k"] = args.k
     print(json.dumps(report, sort_keys=True))
-    return 0
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> None:
     print(f"t = {anonymity.matching_bound(args.c, args.d, args.k):.6f}")
-    return 0
 
 
-def _cmd_synth(args) -> int:
+def _cmd_synth(args) -> dict:
     corp = evaluation.synth_corpus(
         n_users=args.users,
         topics=args.topics,
@@ -245,9 +230,8 @@ def _cmd_synth(args) -> int:
     links_path = os.path.join(args.out, "links.csv")
     corpus._write_csv(links_path, ["source", "target", "same_user"],
                       ([link.source, link.target, 1] for link in corp.links))
-    _write_manifest(
-        args.out,
-        "synth",
+    print(f"wrote {len(corp.comments_a) + len(corp.comments_b)} comments for {args.users} users")
+    return dict(
         inputs={},
         params={
             "users": args.users,
@@ -258,11 +242,9 @@ def _cmd_synth(args) -> int:
         },
         outputs={**paths, "links": links_path},
     )
-    print(f"wrote {len(corp.comments_a) + len(corp.comments_b)} comments for {args.users} users")
-    return 0
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     try:  # each k once, ascending: the values the CSVs hold
         ks = sorted({int(part) for part in args.k.split(",") if part.strip()})
     except ValueError:
@@ -286,31 +268,26 @@ def _cmd_eval(args) -> int:
         "k": ks,
     }
     written = evaluation.write_experiment_csvs(result, args.out, metadata)
-    _write_manifest(
-        args.out,
-        "eval",
+    for k in sorted(result.precisions):
+        print(f"precision@{k} = {result.precisions[k]:.4f}")
+    print(f"fraction below diagonal = {result.fraction_below:.4f}")
+    return dict(
         inputs={"profiles": args.profiles},
         params={"community_a": args.community_a, "community_b": args.community_b, "k": ks},
         outputs={os.path.basename(p): p for p in written},
     )
-    for k in sorted(result.precisions):
-        print(f"precision@{k} = {result.precisions[k]:.4f}")
-    print(f"fraction below diagonal = {result.fraction_below:.4f}")
-    return 0
 
 
-def _cmd_framework_impossibility(args) -> int:
+def _cmd_framework_impossibility(args) -> None:
     report = framework.impossibility_demo()
     for line in report["transcript"]:
         print(line)
     print(f"SD = {report['sd']}")
-    return 0
 
 
-def _cmd_framework_run(args) -> int:
+def _cmd_framework_run(args) -> None:
     report = framework.run_scenario(args.scenario)
     print(json.dumps(report, sort_keys=True, indent=2))
-    return 0
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -318,8 +295,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         prog="linkrisk",
         description="Linkability and identity-disclosure risk analytics for pseudonymous text profiles.",
     )
+    computes = argparse.ArgumentParser(add_help=False)  # the commands that compute distances
+    computes.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--workers", type=int, default=None, help="accepted; has no effect")
     common.add_argument("--config", default=None, help="key=value option file; flags win")
 
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -348,13 +326,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("-k", type=int, default=20)
     p.set_defaults(func=_cmd_top_unigrams)
 
-    p = sub.add_parser("distances", parents=[common], help="pairwise distance matrix of one community")
+    p = sub.add_parser("distances", parents=[computes, common],
+                       help="pairwise distance matrix of one community")
     p.add_argument("--models", required=True)
     p.add_argument("--community", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distances)
 
-    p = sub.add_parser("anonymity", parents=[common], help="neighborhood of a profile at radius d")
+    p = sub.add_parser("anonymity", parents=[computes, common], help="neighborhood of a profile at radius d")
     p.add_argument("--models", default=None)
     p.add_argument("--community", default=None)
     p.add_argument("--matrix", default=None, help="previously saved .dmat file")
@@ -369,7 +348,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--k", type=int, required=True, help="anonymous subset size")
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("eval", parents=[common], help="cross-community linkability experiment")
+    p = sub.add_parser("eval", parents=[computes, common], help="cross-community linkability experiment")
     p.add_argument("--profiles", required=True)
     p.add_argument("--community-a", required=True)
     p.add_argument("--community-b", required=True)
@@ -388,7 +367,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("framework", parents=[common], help="attribute-level privacy scenarios")
     fsub = p.add_subparsers(metavar="ACTION")
-    # --config and --workers go before the action: `_apply_config` reads them from this parser
+    # --config goes before the action: `_apply_config` reads it from this parser
     frun = fsub.add_parser("run", help="evaluate a scenario file")
     frun.add_argument("scenario", help="scenario JSON file")
     frun.set_defaults(func=_cmd_framework_run)
@@ -416,10 +395,13 @@ def dispatch(argv) -> int:
         return 2
     try:
         _apply_config(args, subs[args.command], argv[argv.index(args.command) + 1:])
-        return args.func(args)
+        manifest = args.func(args)
+        if manifest is not None:  # the record of a command that wrote files
+            corpus._write_json(os.path.join(args.out, "manifest.json"), {"command": args.command, **manifest})
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linkrisk import anonymity, cli, lm, metric
+from linkrisk import anonymity, cli, corpus, evaluation, lm, metric
 from linkrisk.anonymity import DistanceMatrix
 from conftest import random_distribution
 
@@ -85,15 +85,6 @@ def test_kd_monotone_in_d_antitone_in_k():
             assert anonymity.is_kd_anonymous(m, subject, k - 1, d1)
 
 
-def test_c_matches_boundary():
-    assert anonymity.c_matches(0.3, 0.3)
-    assert not anonymity.c_matches(0.31, 0.3)
-    for c in (0.0, 0.2, 1.0):
-        assert anonymity.c_matches(0.0, c)
-    with pytest.raises(ValueError):
-        anonymity.c_matches(1.2, 0.5)
-
-
 def test_lemma_bound_constructed_case():
     # anchor at c from the target, member at d from the anchor
     m = matrix_from(
@@ -112,6 +103,9 @@ def test_lemma_bound_precondition_violation():
     m = matrix_from({(0, 1): 0.9, (0, 2): 0.9, (1, 2): 0.9}, ["a", "t", "b"])
     with pytest.raises(ValueError, match="precondition"):
         anonymity.lemma_bound_check(m, ["a", "b"], "t", c=0.1, d=0.1)
+    just_above = matrix_from({(0, 1): 0.31}, ["a", "t"])  # c-matching is dist <= c: 0.31 misses c = 0.3
+    with pytest.raises(ValueError, match="precondition"):
+        anonymity.lemma_bound_check(just_above, ["a"], "t", c=0.3, d=0.0)
 
 
 def test_lemma_bound_random_instances():
@@ -205,6 +199,54 @@ def test_bound_in_range():
         k = int(rng.integers(1, 100))
         t = anonymity.matching_bound(c, d, k)
         assert 0.0 <= t < 1.0
+
+
+def test_metric_claims_hold_on_eval_scale_matrices(tmp_path):
+    """The paper's metric claims on the matrices `eval` computes, 300 users per side.
+
+    Across the cross kernel and the pairwise kernel (read back from `.dmat`):
+    the triangle inequality for every triple, the (c+d)-lemma with d = c
+    around each link's source, and the distance-only choice likelihood of
+    the true target among its radius-c ball in beta, bounded by
+    `matching_bound(c, c, k)`.  These distances lie in [0.64, 1], so the
+    claims hold with slack: they catch an entry far too small, such as a
+    stale zero, but not a pairwise entry written to its neighbour's place.
+    The two kernels computing the same square bit for bit catches that.
+    """
+    corp = evaluation.synth_corpus(n_users=300, topics=20, rng_seed=42)
+    cfg = corpus.NormalizationConfig.default()
+    streams = corpus.aggregate_profiles(corp.comments_a + corp.comments_b, cfg)
+    models = lm.build_models(streams)[0]
+    side = {c: {a: m for (a, comm), m in models.items() if comm == c} for c in ("alpha", "beta")}
+    dists = {c: [lm.to_distribution(side[c][a]) for a in sorted(side[c])] for c in side}
+    cross = metric.cross_distances(dists["alpha"], dists["beta"])
+    within = {}
+    for c in side:
+        DistanceMatrix(sorted(side[c]), metric.pairwise_distances(dists[c])).save(tmp_path / f"{c}.dmat")
+        within[c] = DistanceMatrix.load(tmp_path / f"{c}.dmat").values
+        assert np.array_equal(within[c], metric.cross_distances(dists[c], dists[c]))
+    tol = 4 * np.finfo(np.float64).eps  # a few ulps of a distance in [0, 1]
+
+    excess = -np.inf
+    for s in range(cross.shape[0]):  # |cross[s, t] - cross[x, t]| <= within_a[s, x], one source row at a time
+        excess = max(excess, (np.abs(cross[s] - cross) - within["alpha"][s][:, None]).max())
+    for t in range(cross.shape[1]):  # |cross[s, t] - cross[s, y]| <= within_b[t, y]
+        excess = max(excess, (np.abs(cross[:, [t]] - cross) - within["beta"][t]).max())
+    assert excess <= tol, excess
+
+    index_b = {a: i for i, a in enumerate(sorted(side["beta"]))}
+    lemma_slack, bound_excess = np.inf, -np.inf
+    for s, source in enumerate(sorted(side["alpha"])):
+        t = index_b[source]  # the same user
+        c = cross[s, t]
+        members = within["alpha"][s] <= c  # the source's c-neighborhood: d = c
+        lemma_slack = min(lemma_slack, (2 * c - cross[members, t]).min())
+        ball = within["beta"][t] <= c  # the candidates: the target's ball at radius c
+        k = int(np.count_nonzero(ball))
+        likelihood = 1.0 - c / cross[s, ball].sum()  # choice_likelihood's raw score of the true target
+        bound_excess = max(bound_excess, likelihood - anonymity.matching_bound(c, c, k))
+    assert lemma_slack >= -tol, lemma_slack
+    assert bound_excess <= tol, bound_excess
 
 
 def test_build_sorts_keys_and_is_symmetric():

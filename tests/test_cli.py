@@ -5,8 +5,11 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrisk import cli, corpus, lm
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -267,6 +272,41 @@ def test_full_pipeline(tmp_path, capsys):
         assert (report / name).exists()
 
 
+def test_dispatch_writes_each_manifest_and_only_distance_commands_take_workers(tmp_path, capsys):
+    synth, ingest = tmp_path / "synth", tmp_path / "ingest"
+    steps = [
+        ("synth", "--users", "6", "--topics", "2", "--comments", "8", "--seed", "2", "--out", str(synth)),
+        ("ingest", "--input", str(tmp_path / "all.jsonl"), "--min-comments", "1", "--min-profiles", "1",
+         "--out", str(ingest)),
+        ("build-models", "--profiles", str(ingest / "profiles.jsonl"),
+         "--out", str(tmp_path / "build-models")),
+        ("distances", "--models", str(tmp_path / "build-models" / "models.jsonl"), "--community", "alpha",
+         "--out", str(tmp_path / "distances")),
+        ("eval", "--profiles", str(ingest / "profiles.jsonl"), "--community-a", "alpha",
+         "--community-b", "beta", "--k", "1", "--out", str(tmp_path / "eval")),
+    ]
+    for argv in steps:
+        assert run(capsys, *argv)[0] == 0
+        if argv[0] == "synth":
+            (tmp_path / "all.jsonl").write_bytes((synth / "alpha.jsonl").read_bytes()
+                                                 + (synth / "beta.jsonl").read_bytes())
+    assert sorted(p.parent.name for p in tmp_path.rglob("manifest.json")) == sorted(a[0] for a in steps)
+    for argv in steps:
+        manifest = json.loads((tmp_path / argv[0] / "manifest.json").read_text(encoding="utf-8"))
+        assert set(manifest) == {"command", "inputs", "params", "outputs"}
+        assert manifest["command"] == argv[0]
+    _, subs = cli.build_parser()
+    takes = {name for name, sub in subs.items() if "--workers" in sub.format_help()}
+    assert takes == {"distances", "anonymity", "eval"}
+    for argv in [("ingest", "--input", "in.jsonl", "--out", "out"),
+                 ("build-models", "--profiles", "p", "--out", "o"), ("top-unigrams", "--models", "m"),
+                 ("bound", "--c", "0.2", "--d", "0.1", "--k", "5"),
+                 ("synth", "--users", "3", "--topics", "2", "--out", "o"), ("framework", "impossibility")]:
+        code, out, err = run(capsys, argv[0], "--workers=1", *argv[1:])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --workers=1\n")
+
+
 def test_anonymity_from_models(tmp_path, capsys):
     corpus_dir = tmp_path / "c"
     work = tmp_path / "w"
@@ -410,29 +450,57 @@ def test_synth_files_are_pinned(tmp_path, capsys):
     }
 
 
-def test_eval_files_are_pinned(tmp_path, capsys):
-    assert run(capsys, "synth", "--users", "24", "--topics", "3", "--comments", "16", "--seed", "7",
-               "--idiosyncrasy", "0.3", "--out", str(tmp_path))[0] == 0
+_PINNED_EVAL_STDOUT = "precision@1 = 0.4583\nprecision@3 = 0.6667\nfraction below diagonal = 0.9583\n"
+_PINNED_EVAL_DIGESTS = {
+    "stats.csv": "26894a6826f973f0fe1cf86706fa8c3b39fb959f3e98550fdc5dba61e1cdf908",
+    "scatter.csv": "ab14fb123b1b39bbb5b56cb75560667bf885a4dbf2d2e9ed566a15643619b94a",
+    "precision_overall.csv": "ed526052ff306b23bbb22f2ab20c5975129ddef7cabff6693e2069c5aafcb93b",
+    "precision_bins.csv": "c1a545007ceac75141f2a1559dff1ca9fe35ec4ebe1e6843a31588dc75aade71",
+    "metadata.json": "85b2258f1e25e91dafa7c12087aa4ad530e527bfd38238015b9efec0b3277b2a",
+}
+
+
+def _pinned_eval_run(tmp_path, run_cli):
+    """`eval`'s stdout and file digests after the 24-user synth, ingest and eval.
+
+    `run_cli(*argv)` runs one command and returns its exit code and stdout.
+    """
+    assert run_cli("synth", "--users", "24", "--topics", "3", "--comments", "16", "--seed", "7",
+                   "--idiosyncrasy", "0.3", "--out", str(tmp_path))[0] == 0
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes((tmp_path / "alpha.jsonl").read_bytes() + (tmp_path / "beta.jsonl").read_bytes())
-    assert run(capsys, "ingest", "--input", str(corpus), "--min-comments", "1", "--min-profiles", "2",
-               "--out", str(tmp_path / "ingest"))[0] == 0
-    code, out, _ = run(capsys, "eval", "--profiles", str(tmp_path / "ingest" / "profiles.jsonl"),
-                       "--community-a", "alpha", "--community-b", "beta", "--k", "1,3",
-                       "--out", str(tmp_path / "report"))
+    assert run_cli("ingest", "--input", str(corpus), "--min-comments", "1", "--min-profiles", "2",
+                   "--out", str(tmp_path / "ingest"))[0] == 0
+    code, out = run_cli("eval", "--profiles", str(tmp_path / "ingest" / "profiles.jsonl"),
+                        "--community-a", "alpha", "--community-b", "beta", "--k", "1,3",
+                        "--out", str(tmp_path / "report"))
     assert code == 0
-    assert out == "precision@1 = 0.4583\nprecision@3 = 0.6667\nfraction below diagonal = 0.9583\n"
-    report = tmp_path / "report"
-    digests = {name: hashlib.sha256((report / name).read_bytes()).hexdigest()
-               for name in ("stats.csv", "scatter.csv", "precision_overall.csv", "precision_bins.csv",
-                            "metadata.json")}
-    assert digests == {
-        "stats.csv": "26894a6826f973f0fe1cf86706fa8c3b39fb959f3e98550fdc5dba61e1cdf908",
-        "scatter.csv": "ab14fb123b1b39bbb5b56cb75560667bf885a4dbf2d2e9ed566a15643619b94a",
-        "precision_overall.csv": "ed526052ff306b23bbb22f2ab20c5975129ddef7cabff6693e2069c5aafcb93b",
-        "precision_bins.csv": "c1a545007ceac75141f2a1559dff1ca9fe35ec4ebe1e6843a31588dc75aade71",
-        "metadata.json": "85b2258f1e25e91dafa7c12087aa4ad530e527bfd38238015b9efec0b3277b2a",
-    }
+    return out, {name: hashlib.sha256((tmp_path / "report" / name).read_bytes()).hexdigest()
+                 for name in _PINNED_EVAL_DIGESTS}
+
+
+def test_eval_files_are_pinned(tmp_path, capsys):
+    assert _pinned_eval_run(tmp_path, lambda *argv: run(capsys, *argv)[:2]) == \
+        (_PINNED_EVAL_STDOUT, _PINNED_EVAL_DIGESTS)
+
+
+def test_eval_files_are_pinned_with_numpy_avx512_kernels_off(tmp_path):
+    """The same bytes from numpy's AVX2 kernels, the path a CPU without AVX-512 takes.
+
+    numpy picks its log kernels by CPU, and they can round differently, so
+    "byte-identical" is promised per CPU class; this pipeline gives the same
+    bytes in both classes.  The setting acts on the child process only; on a
+    host without AVX-512 both runs take the same path.
+    """
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+    def run_cli(*argv):
+        proc = subprocess.run([sys.executable, "-m", "linkrisk.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout
+
+    assert _pinned_eval_run(tmp_path, run_cli) == (_PINNED_EVAL_STDOUT, _PINNED_EVAL_DIGESTS)
 
 
 def test_top_unigrams_record_without_key_exits_one(tmp_path, capsys):
@@ -991,7 +1059,7 @@ def test_config_value_must_be_one_of_the_choices(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, line, message", [
-    (("bound", "--c", "0.2", "--d", "0.1", "--k", "5"), "workers=abc",
+    (("distances", "--models", "{out}", "--community", "alpha", "--out", "{out}"), "workers=abc",
      "config key 'workers': invalid int value 'abc'"),
     (("synth", "--users", "3", "--topics", "2", "--out", "{out}"), "idiosyncrasy=oops",
      "config key 'idiosyncrasy': invalid float value 'oops'"),
