@@ -24,7 +24,7 @@ def kappa(profile, observed, mid, candidate):
     return fw.consistency_kappa(profile, observed, mid, candidate)
 
 adversary = fw.Adversary(
-    universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=kappa
+    universe=universe, prior={"P": dict.fromkeys(universe, 1.0 / len(universe))}, kappa=kappa
 )
 
 true_model = universe["dev_high"]

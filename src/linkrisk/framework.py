@@ -2,10 +2,11 @@
 
 Entities are described by attribute->value maps in which a missing value
 (NULL, represented as Python None) means "not disseminated".  An adversary
-holds a prior belief over a declared finite universe of candidate models
-and updates it by Bayes' rule after seeing the published restrictions.
-Privacy requirements cap the posterior mass the adversary may place on
-forbidden attribute values.
+holds a prior belief over a declared finite universe of candidate models,
+a plain dict from profile to candidate id to mass, and updates it by
+Bayes' rule after seeing the published restrictions; `posterior` refuses
+a negative or NaN prior mass or likelihood.  Privacy requirements cap the
+posterior mass the adversary may place on forbidden attribute values.
 
 World knowledge is a likelihood function over (observation, candidate)
 pairs.  Two deterministic likelihoods cover most uses: `consistency_kappa`
@@ -26,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "EntityModel",
-    "Belief",
     "Adversary",
     "PublicationConfig",
     "PrivacyRequirement",
@@ -76,33 +76,15 @@ class EntityModel:
 
 
 @dataclass
-class Belief:
-    """Per-profile probability mass over candidate model ids."""
-
-    per_profile: Dict[str, Dict[str, float]]
-
-    @classmethod
-    def uniform(cls, profiles: Iterable[str], model_ids: Iterable[str]) -> "Belief":
-        ids = list(model_ids)
-        mass = 1.0 / len(ids)
-        return cls({p: {mid: mass for mid in ids} for p in profiles})
-
-    def validate(self) -> None:
-        """Every profile's masses are >= 0 and sum to 1 within 1e-6."""
-        for profile, masses in self.per_profile.items():
-            if any(not v >= 0 for v in masses.values()):  # NaN included
-                raise ValueError(f"negative or NaN prior mass for profile {profile!r}")
-            total = sum(masses[mid] for mid in sorted(masses))
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"prior for profile {profile!r} sums to {total}, not 1")
-
-
-@dataclass
 class Adversary:
-    """Candidate universe, prior belief, and a world-knowledge likelihood."""
+    """Candidate universe, prior belief, and a world-knowledge likelihood.
+
+    `prior` maps each profile to its mass per candidate id; an id it leaves
+    out has mass 0.
+    """
 
     universe: Dict[str, EntityModel]
-    prior: Belief
+    prior: Dict[str, Dict[str, float]]
     kappa: Kappa
 
 
@@ -180,18 +162,22 @@ def posterior(adv: Adversary, observed: Mapping[str, EntityModel], profile: str)
 
     `observed` maps each profile to its published (restricted, possibly
     perturbed) model.  Returns mass per candidate id, summing to one.
-    Raises when a likelihood is not a finite number >= 0, and when the
-    weights (likelihood times prior) sum to no finite number or to zero.
+    Raises when a likelihood is not a finite number >= 0, when a prior mass
+    is not >= 0, and when the weights (likelihood times prior) sum to no
+    finite number or to zero.
     """
     published = observed[profile]
-    prior_p = adv.prior.per_profile[profile]
+    prior = adv.prior[profile]
     weights = {}
     for mid, candidate in adv.universe.items():
         likelihood = adv.kappa(profile, published, mid, candidate)
         if not 0.0 <= likelihood < math.inf:  # NaN included
             raise ValueError(f"likelihood of candidate {mid!r} for profile {profile!r} "
                              f"must be a finite number >= 0, not {likelihood!r}")
-        weights[mid] = likelihood * prior_p.get(mid, 0.0)
+        mass = prior.get(mid, 0.0)
+        if not mass >= 0:  # NaN included
+            raise ValueError(f"negative or NaN prior mass for profile {profile!r}")
+        weights[mid] = likelihood * mass
     evidence = sum(weights[mid] for mid in sorted(weights))
     if not evidence < math.inf:  # NaN included
         raise ValueError(f"posterior weights for profile {profile!r} do not sum to a finite number")
@@ -221,9 +207,6 @@ class PrivacyPolicy:
         if not 0.0 <= self.sigma <= 1.0:
             raise ValueError("sigma must be in [0, 1]")
 
-    def for_profile(self, profile: str) -> List[PrivacyRequirement]:
-        return [r for r in self.requirements if r.profile == profile]
-
 
 def sigma_satisfies(
     posterior_slice: Mapping[str, float],
@@ -246,10 +229,8 @@ def sigma_satisfies(
 def is_sensitive(attrs: Iterable[str], policy: PrivacyPolicy, profile: str) -> bool:
     """True iff some requirement for this profile covers all of `attrs`."""
     attrs = set(attrs)
-    for req in policy.for_profile(profile):
-        if attrs <= {a for a, _ in req.forbidden}:
-            return True
-    return False
+    return any(req.profile == profile and attrs <= {a for a, _ in req.forbidden}
+               for req in policy.requirements)
 
 
 def is_critical(
@@ -272,7 +253,7 @@ def is_critical(
     reduced = EntityModel({a: v for a, v in published.values if a not in attrs})
     post_full = posterior(adversary, observed, profile)
     post_reduced = posterior(adversary, {**observed, profile: reduced}, profile)
-    for req in policy.for_profile(profile):
+    for req in [r for r in policy.requirements if r.profile == profile]:
         violated_full = not sigma_satisfies(post_full, req, policy.sigma, adversary.universe)
         violated_reduced = not sigma_satisfies(post_reduced, req, policy.sigma, adversary.universe)
         if violated_full and not violated_reduced:
@@ -299,20 +280,13 @@ def impossibility_demo(value: str = "x", default_value: str = "x_star") -> Dict[
     original = EntityModel({attr: value})
     swapped = EntityModel({attr: default_value})
     universe = {"model_original": original, "model_swapped": swapped}
-    adv = Adversary(
-        universe=universe,
-        prior=Belief.uniform(["P"], universe),
-        kappa=consistency_kappa,
-    )
+    adv = Adversary(universe, {"P": dict.fromkeys(universe, 1.0 / len(universe))}, consistency_kappa)
     config = PublicationConfig(reveal=frozenset({attr}))
     post_original = posterior(adv, {"P": publish(original, config)}, "P")
     post_swapped = posterior(adv, {"P": publish(swapped, config)}, "P")
     sd = total_variation(post_original, post_swapped)
     return {
         "sd": sd,
-        "attribute": attr,
-        "value": value,
-        "default_value": default_value,
         "posterior_original": post_original,
         "posterior_swapped": post_swapped,
         "transcript": [
@@ -325,10 +299,15 @@ def impossibility_demo(value: str = "x", default_value: str = "x_star") -> Dict[
     }
 
 
-def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], label: str) -> EntityModel:
-    stray = set(values) - attributes
+def _undeclared(names: Iterable[str], declared, where: str, what: str) -> None:
+    """Names outside `declared` are a ValueError: `<where>: <what>: [...]`."""
+    stray = set(names) - set(declared)
     if stray:
-        raise ValueError(f"{label}: attributes not in declared universe: {sorted(stray)}")
+        raise ValueError(f"{where}: {what}: {sorted(stray)}")
+
+
+def _parse_model(values: Mapping[str, Optional[str]], attributes: Set[str], label: str) -> EntityModel:
+    _undeclared(values, attributes, label, "attributes not in declared universe")
     for attr, value in values.items():
         if value is not None and not isinstance(value, str):
             raise ValueError(f"{label}: {attr!r} must be a string or null")
@@ -408,6 +387,7 @@ def run_scenario(source) -> Dict[str, object]:
         where = f"policy requirement {n}"
         forbid = _field(r, "forbid", where, dict)
         _check_values(forbid, f"{where} forbid", str)
+        _undeclared(forbid, attributes, f"{where} forbid", "attributes not in declared universe")
         requirements.append(PrivacyRequirement(_field(r, "profile", where, str), forbid))
     policy = PrivacyPolicy(requirements=requirements, sigma=sigma)
     for name in sorted(profiles):
@@ -418,18 +398,24 @@ def run_scenario(source) -> Dict[str, object]:
         if req.profile not in profiles:
             raise ValueError(f"policy requirement names unknown profile {req.profile!r}")
 
-    prior_masses = {}
+    priors = {}
     for name, profile_cfg in profiles.items():
         prior = profile_cfg.get("prior", "uniform")
         if prior == "uniform":
-            prior_masses[name] = {mid: 1.0 / len(models) for mid in models}
+            priors[name] = dict.fromkeys(models, 1.0 / len(models))
         elif isinstance(prior, dict):
             _check_values(prior, f"profile {name!r} prior", (int, float))
-            prior_masses[name] = {mid: float(prior.get(mid, 0.0)) for mid in models}
+            priors[name] = {mid: float(prior.get(mid, 0.0)) for mid in models}
         else:
             raise ValueError(f"profile {name!r}: 'prior' must be \"uniform\" or a JSON object")
-    belief = Belief(prior_masses)
-    belief.validate()
+    for name, masses in priors.items():  # every prior parsed, then each checked
+        if any(not v >= 0 for v in masses.values()):  # NaN included
+            raise ValueError(f"negative or NaN prior mass for profile {name!r}")
+        total = sum(masses[mid] for mid in sorted(masses))
+        if abs(total - 1.0) > 1e-6:
+            raise ValueError(f"prior for profile {name!r} sums to {total}, not 1")
+        if isinstance(profiles[name].get("prior"), dict):
+            _undeclared(profiles[name]["prior"], models, f"profile {name!r} prior", "unknown model ids")
 
     kappa_cfg = _field(scenario, "kappa", "scenario", dict) if "kappa" in scenario else {}
     kind = kappa_cfg.get("kind", "consistency")
@@ -442,11 +428,12 @@ def run_scenario(source) -> Dict[str, object]:
         for name in sorted(profiles):
             row = _field(rows, name, "table kappa rows", dict)
             _check_values(row, f"table kappa row {name!r}", (int, float))
+            _undeclared(row, models, f"table kappa row {name!r}", "unknown model ids")
         kappa = table_kappa(rows)
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")
 
-    adv = Adversary(universe=models, prior=belief, kappa=kappa)
+    adv = Adversary(universe=models, prior=priors, kappa=kappa)
     seed = _field(scenario, "seed", "scenario", int) if "seed" in scenario else 0
     if seed < 0:
         raise ValueError("scenario: 'seed' must be >= 0")
@@ -468,6 +455,7 @@ def run_scenario(source) -> Dict[str, object]:
                 if not all(isinstance(v, str) for v in drawn):
                     raise ValueError(f"{where} perturb: {attr!r} must be a string or a list of strings")
             config = PublicationConfig(reveal=reveal, perturb=dict(perturb))
+            _undeclared(reveal, attributes, where, "attributes not in declared universe")
         observed[name] = publish(true_model, config, rng)
 
     posteriors = {name: posterior(adv, observed, name) for name in sorted(profiles)}

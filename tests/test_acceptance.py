@@ -224,7 +224,7 @@ def test_criterion_07_no_critical_attrs_implies_satisfaction():
             for kappa in (fw.consistency_kappa, fw.exact_match_kappa):
                 adv = fw.Adversary(
                     universe=universe,
-                    prior=fw.Belief.uniform(["P"], universe),
+                    prior={"P": dict.fromkeys(universe, 1.0 / len(universe))},
                     kappa=kappa,
                 )
                 marginals = {}
@@ -348,7 +348,7 @@ def test_criterion_11_posterior_worked_example():
     universe = {f"m{i}": fw.EntityModel({"a": str(i)}) for i in range(4)}
     adv = fw.Adversary(
         universe=universe,
-        prior=fw.Belief.uniform(["P"], universe),
+        prior={"P": dict.fromkeys(universe, 1.0 / len(universe))},
         kappa=fw.table_kappa({"P": {"m0": 1.0, "m1": 0.5, "m2": 0.5, "m3": 0.0}}),
     )
     post = fw.posterior(adv, {"P": fw.EntityModel({})}, "P")
@@ -361,7 +361,7 @@ def test_criterion_11_posterior_worked_example():
         table = {mid: float(rng.random()) for mid in universe}
         adv = fw.Adversary(
             universe=universe,
-            prior=fw.Belief.uniform(["P"], universe),
+            prior={"P": dict.fromkeys(universe, 1.0 / len(universe))},
             kappa=fw.table_kappa({"P": table}),
         )
         post = fw.posterior(adv, {"P": fw.EntityModel({})}, "P")

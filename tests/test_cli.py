@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -204,6 +205,32 @@ def test_framework_run_prints_the_whole_report(tmp_path, capsys):
   "sigma": 0.6
 }
 """, "")
+
+
+def _readme_block(heading, fence):
+    """The body of the first ```<fence> block of README.md after `heading`."""
+    text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    after = text[text.index(heading):]
+    start = after.index(f"```{fence}\n") + len(f"```{fence}\n")
+    return after[start:after.index("```", start)]
+
+
+def test_readme_cli_block_runs_with_the_readme_scenario(tmp_path, capsys, monkeypatch):
+    (tmp_path / "scenario.json").write_text(_readme_block("**Scenario files (framework)**", "json"),
+                                            encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    lines = [line.strip() for line in _readme_block("## CLI", "").replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line) for line in lines if line]
+    assert commands[-1] == ["linkrisk", "framework", "run", "scenario.json"]
+    for argv in commands:
+        if argv[0] == "cat":  # cat A B > C
+            *sources, redirect, target = argv[1:]
+            assert redirect == ">"
+            Path(target).write_bytes(b"".join(Path(source).read_bytes() for source in sources))
+            continue
+        assert argv[0] == "linkrisk"
+        code, _, err = run(capsys, *argv[1:])
+        assert (code, err) == (0, ""), argv
 
 
 def test_full_pipeline(tmp_path, capsys):
@@ -667,6 +694,103 @@ def test_eval_neighborhood_sizes_equal_anonymity_on_the_saved_matrix(tmp_path, c
         assert json.loads(out)["k"] == expected[(row["source"], row["target"])]
 
 
+_WORDS = ["apple", "birch", "cedar", "delta", "ember", "fjord"]  # no stopwords, unchanged by normalization
+
+
+@st.composite
+def _two_communities(draw):
+    """Token lists of 2-12 alpha and 2-12 beta profiles over a 4-6 word alphabet.
+
+    beta's first two profiles hold the same tokens (distance exactly 0), and
+    so does alpha's first, which ties both at the top of its ranking; alpha's
+    first two share no token (distance 1, exactly so only for dyadic masses).
+    """
+    words = _WORDS[:draw(st.integers(4, 6))]
+    half = len(words) // 2
+    bag = st.lists(st.sampled_from(words), min_size=1, max_size=6)
+    alpha = draw(st.lists(bag, min_size=2, max_size=12))
+    beta = draw(st.lists(bag, min_size=2, max_size=12))
+    alpha[0] = beta[0] = draw(st.lists(st.sampled_from(words[:half]), min_size=1, max_size=6))
+    beta[1] = beta[0][::-1]
+    alpha[1] = draw(st.lists(st.sampled_from(words[half:]), min_size=1, max_size=6))
+    return alpha, beta
+
+
+def _quiet_run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=30, deadline=None)
+@given(_two_communities())
+@example(([["apple"] * 4 + ["birch", "cedar"], ["delta"] * 4 + ["ember", "fjord"]],
+          [["apple"] * 4 + ["birch", "cedar"], ["cedar", "birch"] + ["apple"] * 4]))  # masses 4/6, 1/6, 1/6
+def test_every_entry_point_agrees_on_generated_communities(communities):
+    """ingest -> build-models -> distances -> anonymity --matrix, anonymity --models and eval agree.
+
+    Authors u0, u1, ... appear in both communities, so eval links them by
+    pseudonym; a third community, solo, holds one profile, whose one-member
+    subset the anonymity loop checks.
+    """
+    from linkrisk import anonymity, evaluation, metric
+
+    alpha, beta = communities
+    records = [{"author": f"u{i}", "community": name, "body": " ".join(tokens)}
+               for name, bags in (("alpha", alpha), ("beta", beta), ("solo", [["apple"]]))
+               for i, tokens in enumerate(bags)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "comments.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        models_path = work / "models.jsonl"
+        steps = [("ingest", "--input", work / "comments.jsonl", "--min-comments", 1, "--min-profiles", 1,
+                  "--out", work),
+                 ("build-models", "--profiles", work / "profiles.jsonl", "--out", work)]
+        steps += [("distances", "--models", models_path, "--community", name, "--out", work)
+                  for name in ("alpha", "beta", "solo")]
+        assert [_quiet_run(*argv)[0] for argv in steps] == [0] * 5
+        profiles = lm.load_models(models_path)[0]
+        side = {name: {a: m for (a, c), m in profiles.items() if c == name} for name in ("alpha", "beta", "solo")}
+
+        for name, models in side.items():
+            saved = anonymity.DistanceMatrix.load(work / f"{name}.dmat")
+            built = anonymity.DistanceMatrix.build(models)
+            assert saved.keys == built.keys == sorted(models)
+            assert saved.tri.tobytes() == built.tri.tobytes()
+            for i, j in zip(*np.triu_indices(len(saved.keys), k=1)):
+                a, b = saved.keys[i], saved.keys[j]
+                scalar = metric.distance(lm.as_distribution(models[a]), lm.as_distribution(models[b]))
+                assert abs(saved.distance(a, b) - scalar) <= 1e-13
+            for subject in saved.keys:
+                row = saved.row(subject)
+                for d in sorted(set(row.tolist())):  # the subject's own distances: every tie is a boundary
+                    query = ("--subject", subject, "--d", repr(d))
+                    from_matrix = _quiet_run("anonymity", "--matrix", work / f"{name}.dmat", *query)
+                    from_models = _quiet_run("anonymity", "--models", models_path, "--community", name, *query)
+                    assert from_matrix == from_models and from_matrix[0] == 0
+                    brute = [key for key, x in zip(saved.keys, row) if x <= d]
+                    assert json.loads(from_matrix[1])["members"] == brute
+        assert side["alpha"].keys() >= {"u0", "u1"} and side["beta"].keys() >= {"u0", "u1"}
+        assert anonymity.DistanceMatrix.load(work / "beta.dmat").distance("u0", "u1") == 0.0
+        assert abs(anonymity.DistanceMatrix.load(work / "alpha.dmat").distance("u0", "u1") - 1.0) <= 1e-13
+
+        ks = [1, 2, 3, 5]
+        code, _, err = _quiet_run("eval", "--profiles", work / "profiles.jsonl", "--community-a", "alpha",
+                                  "--community-b", "beta", "--k", ",".join(map(str, ks)), "--out", work / "report")
+        assert (code, err) == (0, "")
+        with open(work / "report" / "precision_overall.csv", encoding="utf-8", newline="") as fh:
+            precisions = {int(row["k"]): float(row["precision"]) for row in csv.DictReader(fh)}
+        linked = sorted(side["alpha"].keys() & side["beta"].keys())
+        ranks = [[key for key, _ in evaluation.rank_candidates(side["alpha"][a], side["beta"])].index(a)
+                 for a in linked]
+        assert precisions == {k: sum(r < k for r in ranks) / len(linked) for k in ks}
+        for a, b, message in (("solo", "beta", "need at least 2 profiles for within-community statistics"),
+                              ("alpha", "solo", "target community needs at least 2 profiles")):
+            assert _quiet_run("eval", "--profiles", work / "profiles.jsonl", "--community-a", a,
+                              "--community-b", b, "--out", work / "solo-report") == (1, "", f"error: {message}\n")
+
+
 def test_anonymity_matrix_errors_keep_their_order(tmp_path, capsys):
     from linkrisk.anonymity import DistanceMatrix
 
@@ -764,6 +888,26 @@ def test_ingest_strict_names_the_line_with_an_invalid_byte(tmp_path, capsys):
         pytest.param(
             lambda s: s["profiles"]["P1"].update(true_model="m9"),
             "profile 'P1': unknown true_model 'm9'", id="unknown-true-model",
+        ),
+        pytest.param(
+            lambda s: s["policy"]["requirements"][0].update(forbid={"jbo": "dev"}),
+            "policy requirement 1 forbid: attributes not in declared universe: ['jbo']", id="forbid-undeclared",
+        ),
+        pytest.param(
+            lambda s: s["profiles"]["P1"]["publish"].update(reveal=["job", "salary"]),
+            "profile 'P1' publish: attributes not in declared universe: ['salary']", id="reveal-undeclared",
+        ),
+        pytest.param(
+            lambda s: s["profiles"]["P1"]["publish"].update(reveal=["job", "salary"], perturb={"salary": "x"}),
+            "profile 'P1' publish: attributes not in declared universe: ['salary']", id="perturb-undeclared",
+        ),
+        pytest.param(
+            lambda s: s["profiles"]["P1"].update(prior={"m1": 0.5, "m2": 0.5, "m9": 0.4}),
+            "profile 'P1' prior: unknown model ids: ['m9']", id="prior-unknown-model",
+        ),
+        pytest.param(
+            lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": 1.0, "mX": 1.0}}}),
+            "table kappa row 'P1': unknown model ids: ['mX']", id="table-row-unknown-model",
         ),
     ],
 )

@@ -104,7 +104,7 @@ def test_publish_empty_perturbation_list_rejected(values):
 
 def _uniform_adversary(universe, kappa):
     return fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=kappa
+        universe=universe, prior={"P": dict.fromkeys(universe, 1.0 / len(universe))}, kappa=kappa
     )
 
 
@@ -117,11 +117,11 @@ def test_posterior_deterministic_likelihoods():
 
 def test_posterior_equal_likelihoods_returns_prior():
     universe = {"m1": em(a="x"), "m2": em(a="y"), "m3": em(a="z")}
-    prior = fw.Belief({"P": {"m1": 0.5, "m2": 0.3, "m3": 0.2}})
+    prior = {"P": {"m1": 0.5, "m2": 0.3, "m3": 0.2}}
     adv = fw.Adversary(universe=universe, prior=prior, kappa=lambda *a: 0.7)
     post = fw.posterior(adv, {"P": em()}, "P")
     for mid in universe:
-        assert post[mid] == pytest.approx(prior.per_profile["P"][mid], abs=1e-12)
+        assert post[mid] == pytest.approx(prior["P"][mid], abs=1e-12)
 
 
 def test_posterior_worked_example():
@@ -156,12 +156,12 @@ def test_posterior_refuses_a_likelihood_that_is_not_a_finite_number_at_least_zer
 def test_posterior_refuses_weights_that_do_not_sum_to_a_finite_number():
     universe = {"m1": em(a="x"), "m2": em(a="y")}
     big = {"m1": 1.7e308, "m2": 1.7e308}
-    adv = fw.Adversary(universe, fw.Belief({"P": {"m1": 1.0, "m2": 1.0}}), fw.table_kappa({"P": big}))
+    adv = fw.Adversary(universe, {"P": {"m1": 1.0, "m2": 1.0}}, fw.table_kappa({"P": big}))
     with pytest.raises(ValueError, match="^posterior weights for profile 'P' do not sum to a finite number$"):
         fw.posterior(adv, {"P": em()}, "P")
-    nan_prior = fw.Belief({"P": {"m1": float("nan"), "m2": 1.0}})  # not validated
+    nan_prior = {"P": {"m1": float("nan"), "m2": 1.0}}
     adv = fw.Adversary(universe, nan_prior, fw.consistency_kappa)
-    with pytest.raises(ValueError, match="do not sum to a finite number"):
+    with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P'$"):
         fw.posterior(adv, {"P": em()}, "P")
 
 
@@ -222,7 +222,7 @@ def test_is_critical_proxy_attribute():
         return fw.consistency_kappa(profile, observed, mid, candidate)
 
     adv = fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=rule_kappa
+        universe=universe, prior={"P": dict.fromkeys(universe, 1.0 / len(universe))}, kappa=rule_kappa
     )
     obs = {"P": em(job="dev")}
     policy = fw.PrivacyPolicy(
@@ -241,7 +241,7 @@ def test_is_critical_proxy_attribute():
 def test_is_critical_no_effect_attribute():
     universe = {"m1": em(a="1", b="x"), "m2": em(a="2", b="x")}
     adv = fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
+        universe=universe, prior={"P": dict.fromkeys(universe, 1.0 / len(universe))}, kappa=fw.consistency_kappa
     )
     obs = {"P": em(b="x")}
     policy = fw.PrivacyPolicy(requirements=[fw.PrivacyRequirement("P", {"a": "1"})], sigma=0.6)
@@ -251,7 +251,7 @@ def test_is_critical_no_effect_attribute():
 def test_is_critical_precondition():
     universe = {"m1": em(a="1")}
     adv = fw.Adversary(
-        universe=universe, prior=fw.Belief.uniform(["P"], universe), kappa=fw.consistency_kappa
+        universe=universe, prior={"P": dict.fromkeys(universe, 1.0 / len(universe))}, kappa=fw.consistency_kappa
     )
     obs = {"P": em(a="1")}
     policy = fw.PrivacyPolicy(requirements=[], sigma=0.5)
@@ -281,7 +281,7 @@ def test_sensitive_sets_are_zero_critical_when_exposed():
             expand(0, {})
             adv = fw.Adversary(
                 universe=universe,
-                prior=fw.Belief.uniform(["P"], universe),
+                prior={"P": dict.fromkeys(universe, 1.0 / len(universe))},
                 kappa=fw.exact_match_kappa,
             )
             for attr in attrs:
@@ -371,15 +371,26 @@ def test_run_scenario_rejects_unknown_attribute():
         fw.run_scenario(bad)
 
 
+def _with_prior(masses):
+    return dict(SCENARIO, profiles={"P1": dict(SCENARIO["profiles"]["P1"], prior=masses)})
+
+
 def test_belief_validation():
-    fw.Belief({"P": {"m1": 0.5, "m2": 0.5}}).validate()
-    with pytest.raises(ValueError):
-        fw.Belief({"P": {"m1": 0.5, "m2": 0.6}}).validate()
-    with pytest.raises(ValueError):
-        fw.Belief({"P": {"m1": -0.1, "m2": 1.1}}).validate()
+    fw.run_scenario(_with_prior({"m1": 0.5, "m2": 0.5}))
+    with pytest.raises(ValueError, match=r"^prior for profile 'P1' sums to 1\.\d+, not 1$"):
+        fw.run_scenario(_with_prior({"m1": 0.5, "m2": 0.6}))
+    with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P1'$"):
+        fw.run_scenario(_with_prior({"m1": -0.1, "m2": 1.1}))
+    # a prior that never went through run_scenario is checked by posterior itself
+    adv = fw.Adversary({"m1": em(a="x"), "m2": em(a="y")}, {"P": {"m1": -0.5, "m2": 1.5}}, fw.consistency_kappa)
+    with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P'$"):
+        fw.posterior(adv, {"P": em()}, "P")
 
 
 @pytest.mark.parametrize("masses", [{"m1": float("nan"), "m2": 1.0}, {"m1": float("nan")}])
 def test_belief_validation_refuses_nan(masses):
+    with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P1'$"):
+        fw.run_scenario(_with_prior(masses))
+    adv = fw.Adversary({"m1": em(a="x"), "m2": em(a="y")}, {"P": masses}, fw.consistency_kappa)
     with pytest.raises(ValueError, match="^negative or NaN prior mass for profile 'P'$"):
-        fw.Belief({"P": masses}).validate()
+        fw.posterior(adv, {"P": em()}, "P")
