@@ -4,6 +4,9 @@ Feeds a handful of raw comment bodies through the pipeline and prints
 the resulting token streams, then shows ingestion and profile filtering.
 """
 
+import os
+import tempfile
+
 from linkrisk import corpus
 
 cfg = corpus.NormalizationConfig.default()
@@ -25,15 +28,17 @@ for body in samples:
     print("tokens:", corpus.normalize(body, cfg))
 
 print("\n== ingestion ==")
-lines = "\n".join(
-    [
-        '{"author":"ann","community":"cooking","body":"pasta sauce tips"}',
-        'this line is broken',
-        '{"author":"ann","community":"cooking","body":"more pasta talk"}',
-        '{"author":"bob","community":"cooking","body":"bread recipe"}',
-    ]
-)
-result = corpus.ingest_jsonl(lines, lenient=True)
+lines = [
+    '{"author":"ann","community":"cooking","body":"pasta sauce tips"}',
+    'this line is broken',
+    '{"author":"ann","community":"cooking","body":"more pasta talk"}',
+    '{"author":"bob","community":"cooking","body":"bread recipe"}',
+]
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "comments.jsonl")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+    result = corpus.ingest_jsonl(path, lenient=True)
 print(f"parsed {len(result.comments)} comments, skipped {len(result.errors)} bad line(s)")
 for line_no, message in result.errors:
     print(f"  line {line_no}: {message}")

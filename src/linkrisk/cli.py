@@ -90,8 +90,7 @@ def _normalization_config(args) -> tuple[corpus.NormalizationConfig, dict]:
 
 def _cmd_ingest(args) -> dict:
     cfg, hashes = _normalization_config(args)
-    with open(args.input, "rb") as fh:
-        result = corpus.ingest_jsonl(fh, lenient=args.lenient)
+    result = corpus.ingest_jsonl(args.input, lenient=args.lenient)
     profiles = corpus.aggregate_profiles(result.comments, cfg)
     kept = corpus.filter_interesting(
         profiles,

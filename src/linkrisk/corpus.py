@@ -16,13 +16,15 @@ tables, blockquotes, inline and fenced code); layout markers are unwrapped
 around their text, while embedded content such as code blocks and quoted
 text is deleted outright.  Unrecognized syntax passes through as plain text.
 
-It also owns the store reader `_store_records`, the canonical JSON encoder
-`_encode_json`, and the one writer per text format: `_write_records` (JSON
-lines), `_write_json` (manifest and metadata sidecars) and `_write_csv`.
+It also owns the one JSON-lines reader `_store_records` (comments, profile
+and model stores), the canonical JSON encoder `_encode_json`, and the one
+writer per text format: `_write_records` (JSON lines), `_write_json`
+(manifest and metadata sidecars) and `_write_csv`.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import json
@@ -234,34 +236,21 @@ def wordlist_hash(entries: Iterable[str]) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
-    """Parse line-delimited JSON comments.
+def ingest_jsonl(path, lenient: bool = False) -> IngestResult:
+    """Read a JSON-lines file of comments.
 
-    `stream` may be a file-like object (text or binary), an iterable of str
-    or bytes lines, or a str/bytes blob.  Where this function does the
-    splitting (a blob, or a binary file) lines end at line feeds only:
-    U+2028, a form feed or a lone carriage return stays inside its line.
-    Lines from any other iterable, a text file included, are taken as given;
-    a text file also ends lines at a lone carriage return unless it was
-    opened with `newline="\n"`.  Bytes are decoded as UTF-8 one line at a
-    time, so an undecodable line is a bad line like any other.
-    Each record needs `author`, `community`, and `body`, each a JSON
+    Lines end at line feeds and are decoded as UTF-8 one at a time; a
+    leading BOM is dropped.  A line that does not decode or is not valid
+    JSON is a bad line.  Each record needs `author`, `community`, and `body`, each a JSON
     string; `created_at` is optional, a JSON integer or null (a boolean,
     string or float makes the line bad).  In strict mode the first bad line
     raises ValueError with its line number; in lenient mode bad lines are
     collected as (line_number, message) pairs and skipped.
     """
-    if isinstance(stream, (bytes, str)):
-        stream = stream.split("\n" if isinstance(stream, str) else b"\n")
-
     comments: List[RawComment] = []
     errors: List[Tuple[int, str]] = []
-    for line_no, raw in enumerate(stream, start=1):
+    for line_no, rec in _store_records(path, errors if lenient else None):
         try:
-            line = (raw.decode("utf-8") if isinstance(raw, bytes) else raw).strip()
-            if not line:
-                continue
-            rec = json.loads(line)
             if not isinstance(rec, dict):
                 raise ValueError("record is not a JSON object")
             missing = [k for k in ("author", "community", "body") if k not in rec]
@@ -273,19 +262,16 @@ def ingest_jsonl(stream, lenient: bool = False) -> IngestResult:
             created = rec.get("created_at")
             if created is not None and (isinstance(created, bool) or not isinstance(created, int)):
                 raise ValueError("'created_at' must be an integer or null")
-            comment = RawComment(
+            comments.append(RawComment(
                 author_id=rec["author"],
                 community_id=rec["community"],
                 body=rec["body"],
                 created_at=created,
-            )
-        except (ValueError, TypeError, RecursionError) as exc:
-            # RecursionError: deeply nested JSON
+            ))
+        except ValueError as exc:
             if not lenient:
                 raise ValueError(f"line {line_no}: {exc}") from exc
             errors.append((line_no, str(exc)))
-            continue
-        comments.append(comment)
     return IngestResult(comments=comments, errors=errors)
 
 
@@ -414,25 +400,33 @@ def _write_csv(path, header: Sequence[str], rows: Iterable[Sequence[object]]) ->
         writer.writerows(rows)
 
 
-def _store_records(path) -> Iterator[Tuple[int, object]]:
-    """(line number, parsed JSON value) of each nonblank line of a store.
+def _store_records(path, bad_lines: Optional[List[Tuple[int, str]]] = None) -> Iterator[Tuple[int, object]]:
+    """(line number, parsed JSON value) of each nonblank line of a JSON-lines file.
 
-    Lines end at line feeds and are decoded as UTF-8 one at a time.  A line
-    that does not decode, or is not valid JSON, raises ValueError("line N: ...").
+    Lines end at line feeds and are decoded as UTF-8 one at a time; a UTF-8
+    BOM at the start of the file is dropped.  A line that does not decode,
+    or is not valid JSON, raises ValueError("line N: ..."), or, given a list
+    `bad_lines`, is appended to it as (N, message) and skipped.
     """
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if line_no == 1:
+                raw = raw.removeprefix(codecs.BOM_UTF8)
             try:
                 line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"line {line_no}: {exc}") from None
-            if not line:
-                continue
-            try:
+                if not line:
+                    continue
                 rec = json.loads(line)
+            except UnicodeDecodeError as exc:
+                message = str(exc)
             except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
-                raise ValueError(f"line {line_no}: not valid JSON ({exc})") from None
-            yield line_no, rec
+                message = f"not valid JSON ({exc})"
+            else:
+                yield line_no, rec
+                continue
+            if bad_lines is None:
+                raise ValueError(f"line {line_no}: {message}")
+            bad_lines.append((line_no, message))
 
 
 def write_profiles(profiles: Mapping[ProfileKey, TokenStream], path) -> None:
@@ -448,10 +442,10 @@ def load_profiles(path) -> Dict[ProfileKey, TokenStream]:
 
     `tokens` must be a list of strings and `n_comments`, if present, a
     non-negative JSON integer.  Lines end at line feeds and are decoded as
-    UTF-8 one at a time.  A malformed line, or a second line for the same
-    (author, community), raises ValueError("line N: ...").  Equal tokens
-    come back as one shared string across all profiles, so the returned
-    streams hold each distinct token once.
+    UTF-8 one at a time; a leading BOM is dropped.  A malformed line, or a
+    second line for the same (author, community), raises ValueError("line
+    N: ...").  Equal tokens come back as one shared string across all
+    profiles, so the returned streams hold each distinct token once.
     """
     profiles: Dict[ProfileKey, TokenStream] = {}
     shared: Dict[str, str] = {}

@@ -429,6 +429,7 @@ def run_scenario(source) -> Dict[str, object]:
             row = _field(rows, name, "table kappa rows", dict)
             _check_values(row, f"table kappa row {name!r}", (int, float))
             _undeclared(row, models, f"table kappa row {name!r}", "unknown model ids")
+        _undeclared(rows, profiles, "table kappa rows", "unknown profiles")
         kappa = table_kappa(rows)
     else:
         raise ValueError(f"unknown kappa kind {kind!r}")

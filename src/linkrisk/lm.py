@@ -134,10 +134,11 @@ def load_models(path):
 def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
     """The profile models of a model store written by `save_models`.
 
-    Lines end at line feeds and are decoded as UTF-8 one at a time.  A bad
-    line, a second record for a profile, or a community or global record
-    (stored by earlier releases) raises ValueError("line N: ...").  So do
-    counts whose sum is beyond the float range, which no distribution has.
+    Lines end at line feeds and are decoded as UTF-8 one at a time; a
+    leading BOM is dropped.  A bad line, a second record for a profile, or
+    a community or global record (stored by earlier releases) raises
+    ValueError("line N: ...").  So do counts whose sum is beyond the float
+    range, which no distribution has.
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     for line_no, rec in _store_records(path):

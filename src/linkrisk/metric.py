@@ -2,8 +2,10 @@
 
 All logarithms are base 2, so the Jensen-Shannon divergence of two
 distributions lies in [0, 1] and its square root is a metric on the same
-range (1 is reached exactly when the supports are disjoint); see Endres and
-Schindelin, IEEE Trans. Inf. Theory 49(7), 2003.
+range, 1 exactly when the supports are disjoint; see Endres and Schindelin,
+IEEE Trans. Inf. Theory 49(7), 2003.  In floating point a disjoint pair
+gives 1 up to the rounding of the two masses' sums (exactly 1 for dyadic
+masses, else possibly an ulp or two below); identical profiles give 0.
 
 A distribution is a token->probability mapping, such as the dict
 `lm.to_distribution` returns; every function here reads it as a mapping.

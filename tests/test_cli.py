@@ -782,9 +782,19 @@ def test_every_entry_point_agrees_on_generated_communities(communities):
         with open(work / "report" / "precision_overall.csv", encoding="utf-8", newline="") as fh:
             precisions = {int(row["k"]): float(row["precision"]) for row in csv.DictReader(fh)}
         linked = sorted(side["alpha"].keys() & side["beta"].keys())
-        ranks = [[key for key, _ in evaluation.rank_candidates(side["alpha"][a], side["beta"])].index(a)
-                 for a in linked]
+        rankings = [evaluation.rank_candidates(side["alpha"][a], side["beta"]) for a in linked]
+        ranks = [[key for key, _ in ranking].index(a) for a, ranking in zip(linked, rankings)]
         assert precisions == {k: sum(r < k for r in ranks) / len(linked) for k in ks}
+        with open(work / "report" / "scatter.csv", encoding="utf-8", newline="") as fh:
+            scatter = list(csv.DictReader(fh))
+        assert [(row["source"], row["target"]) for row in scatter] == [(a, a) for a in linked]
+        for a, ranking, row in zip(linked, rankings, scatter):
+            others = dict(ranking)
+            matching = others.pop(a)
+            avg = float(row["avg_nonmatching_distance"])
+            assert row["matching_distance"] == repr(matching)
+            assert abs(avg - sum(others.values()) / len(others)) <= 1e-12
+            assert row["below_diagonal"] == str(int(matching < avg))
         for a, b, message in (("solo", "beta", "need at least 2 profiles for within-community statistics"),
                               ("alpha", "solo", "target community needs at least 2 profiles")):
             assert _quiet_run("eval", "--profiles", work / "profiles.jsonl", "--community-a", a,
@@ -878,6 +888,36 @@ def test_ingest_strict_names_the_line_with_an_invalid_byte(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_a_bom_that_starts_a_jsonl_input_is_dropped(tmp_path, capsys, monkeypatch, lenient):
+    """ingest, build-models and top-unigrams read a BOM-prefixed input as the same input without it."""
+    lines = [json.dumps({"author": f"u{i}", "community": "alpha", "body": f"hello world {word}"})
+             for i, word in enumerate(["apple", "birch", "apple"])]
+    if lenient:
+        lines.insert(1, "broken")
+    flags = ["--lenient"] if lenient else []
+    seen = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        work = tmp_path / name
+        work.mkdir()
+        monkeypatch.chdir(work)
+        Path("comments.jsonl").write_bytes(prefix + "\n".join(lines).encode("utf-8") + b"\n")
+        results = [run(capsys, "ingest", "--input", "comments.jsonl", "--min-comments", "1", "--min-profiles", "1",
+                       *flags, "--out", "ingest")]
+        Path("profiles.jsonl").write_bytes(prefix + Path("ingest/profiles.jsonl").read_bytes())
+        results.append(run(capsys, "build-models", "--profiles", "profiles.jsonl", "--out", "models"))
+        Path("models.jsonl").write_bytes(prefix + Path("models/models.jsonl").read_bytes())
+        results.append(run(capsys, "top-unigrams", "--models", "models.jsonl", "--kind", "global"))
+        outputs = {p.as_posix(): p.read_bytes() for d in ("ingest", "models") for p in sorted(Path(d).iterdir())}
+        seen.append((results, outputs))
+    assert seen[0] == seen[1]
+    ingested, built, top = seen[0][0]
+    assert ingested == (0, "kept 3 of 3 profiles -> ingest/profiles.jsonl\n",
+                        "skipped 1 malformed line(s)\n" if lenient else "")
+    assert built[0] == 0
+    assert top == (0, "world\t3\napple\t2\nbirch\t1\n", "")
+
+
 @pytest.mark.parametrize(
     "change, message",
     [
@@ -908,6 +948,10 @@ def test_ingest_strict_names_the_line_with_an_invalid_byte(tmp_path, capsys):
         pytest.param(
             lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": 1.0, "mX": 1.0}}}),
             "table kappa row 'P1': unknown model ids: ['mX']", id="table-row-unknown-model",
+        ),
+        pytest.param(
+            lambda s: s.update(kappa={"kind": "table", "rows": {"P1": {"m1": 1, "m2": 1}, "P9": {"m1": "x"}}}),
+            "table kappa rows: unknown profiles: ['P9']", id="table-row-unknown-profile",
         ),
     ],
 )
@@ -1321,6 +1365,7 @@ def test_top_unigrams_equal_counts_summed_from_the_profile_store(tmp_path, capsy
 
 
 @pytest.mark.parametrize("command, message", [
+    (("ingest", "--input", "{file}", "--out", "{out}"), "line 1: not valid JSON ("),
     (("eval", "--profiles", "{file}", "--community-a", "alpha", "--community-b", "beta", "--out", "{out}"),
      "line 1: not valid JSON ("),
     (("build-models", "--profiles", "{file}", "--out", "{out}"), "line 1: not valid JSON ("),
@@ -1331,7 +1376,7 @@ def test_top_unigrams_equal_counts_summed_from_the_profile_store(tmp_path, capsy
     (("anonymity", "--matrix", "{file}", "--subject", "u0", "--d", "0.5"),
      "{file}: not a linkrisk distance matrix\n"),
     (("framework", "run", "{file}"), "scenario is not valid JSON ("),
-], ids=["eval", "build-models", "top-unigrams", "distances", "anonymity-models", "anonymity-matrix",
+], ids=["ingest", "eval", "build-models", "top-unigrams", "distances", "anonymity-models", "anonymity-matrix",
         "framework-run"])
 def test_deeply_nested_json_exits_one_with_one_line(tmp_path, capsys, command, message):
     path = tmp_path / "deep.json"

@@ -152,6 +152,15 @@ def test_matrices_disjoint_supports_are_exactly_one():
     assert within[2, 3] == 1.0
 
 
+def test_matrices_disjoint_supports_of_non_dyadic_masses_are_one_up_to_rounding():
+    # masses 4/6, 1/6, 1/6 do not sum to exactly 1 in the kernel's order
+    p = {"a": 4 / 6, "b": 1 / 6, "c": 1 / 6}
+    q = {"x": 4 / 6, "y": 1 / 6, "z": 1 / 6}
+    for d in (metric.cross_distances([p], [q])[0, 0], metric.pairwise_distances([p, q])[0]):
+        assert 1 - 2**-52 <= d <= 1.0
+    assert metric.distance(p, q) == 1.0
+
+
 def test_matrices_identical_profiles_are_exactly_zero():
     rng = np.random.default_rng(16)
     pool = [f"tok{i}" for i in range(200)]
