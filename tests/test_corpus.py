@@ -1,10 +1,12 @@
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import random
 import re
+import shutil
 import tempfile
 import tracemalloc
 import types
@@ -726,8 +728,21 @@ def test_profile_store_roundtrip(streams):
 
 
 @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85"])
-def test_ingest_keeps_unicode_line_separators_inside_a_line(separator):
-    result = _ingest('{"author":"a","community":"c","body":"x' + separator + 'y"}\n{"author":"b",', lenient=True)
+@pytest.mark.parametrize("form", ["str", "bytes", "binary-file"])
+def test_ingest_keeps_unicode_line_separators_inside_a_line(separator, form, tmp_path):
+    # the file is written as text, as bytes, or copied from a binary stream;
+    # none of these writers splits at the separator, and neither does ingest
+    blob = '{"author":"a","community":"c","body":"x' + separator + 'y"}\n{"author":"b",'
+    path = tmp_path / "comments.jsonl"
+    if form == "str":
+        path.write_text(blob, encoding="utf-8", newline="")
+    elif form == "bytes":
+        path.write_bytes(blob.encode("utf-8"))
+    else:
+        with open(path, "wb") as fh:
+            shutil.copyfileobj(io.BytesIO(blob.encode("utf-8")), fh)
+    assert path.read_bytes() == blob.encode("utf-8")
+    result = corpus.ingest_jsonl(path, lenient=True)
     assert [c.body for c in result.comments] == ["x" + separator + "y"]
     assert [line_no for line_no, _ in result.errors] == [2]
 
