@@ -1,14 +1,14 @@
 """Command-line entry point wiring the analysis pipeline together.
 
-Subcommands: ingest, build-models, top-unigrams, distances, anonymity,
-bound, eval, synth, framework.  Exit codes: 0 success, 1 runtime error,
-2 usage error.  A handler that writes files returns its manifest record
-(inputs, params, outputs), and `dispatch` writes it, with the command's
-name, as the one manifest.json of the output directory.  Options may come
-from a line-oriented key=value file via --config; explicit flags win.  Only
-distances, anonymity and eval, the commands that compute distances, take
-`--workers`; it has no effect: distance matrices are computed by one
-single-threaded vectorized kernel.
+Subcommands: ingest, build-models, top-unigrams, distances, anonymity, bound,
+eval, synth, framework.  Exit codes: 0 success, 1 runtime error, 2 usage error.
+A handler that writes files returns its manifest record (inputs, params,
+outputs), and `dispatch` writes it, with the command's name, as the one
+manifest.json of the output directory.  Options may come from a line-oriented
+key=value file via --config; explicit flags win.  `anonymity --models` computes
+the subject's row alone, not the community matrix.  Only distances, anonymity
+and eval, the commands that compute distances, take `--workers`; it has no
+effect: one single-threaded vectorized kernel computes distances.
 """
 
 from __future__ import annotations
@@ -196,13 +196,15 @@ def _cmd_anonymity(args) -> None:
     if args.matrix:
         if args.models or args.community:
             raise ValueError("give either --matrix or --models with --community, not both")
-        matrix = anonymity.DistanceMatrix.load(args.matrix)
+        members = anonymity.convergent_subset(anonymity.DistanceMatrix.load(args.matrix), args.subject, args.d)
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")
-        profiles = lm._load_profile_models(args.models)
-        matrix = anonymity.DistanceMatrix.build(_community_models(profiles, args.community))
-    members = anonymity.convergent_subset(matrix, args.subject, args.d)
+        models = _community_models(lm._load_profile_models(args.models), args.community)
+        if args.subject not in models:
+            raise ValueError(f"unknown profile {args.subject!r}")
+        row = anonymity._row(lm.as_distribution(models[args.subject]), models)  # n distances, not n^2/2
+        members = anonymity._within(sorted(models), row, args.d)
     report = {"subject": args.subject, "d": args.d, "k": len(members), "members": list(members)}
     if args.k is not None:
         report["kd_anonymous"] = len(members) >= args.k

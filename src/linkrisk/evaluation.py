@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lm, metric
-from .anonymity import DistanceMatrix
+from .anonymity import DistanceMatrix, _row, _within
 from .corpus import RawComment, _encode_json, _write_csv, _write_json
 
 __all__ = [
@@ -77,13 +77,11 @@ def _stats(values: np.ndarray) -> Dict[str, float]:
 def rank_candidates(
     source_model, target_models: Mapping[str, object]
 ) -> List[Tuple[str, float]]:
-    """Target profiles ordered by ascending distance, ties by key ascending."""
+    """Target profiles ordered by ascending distance, ties by key ascending; distances from `anonymity._row`."""
     source_dist = lm.as_distribution(source_model)
     if not source_dist:
         raise ValueError("source model is empty")
-    source, targets = metric._prepare([source_dist], lm._distributions(target_models))
-    row = metric.cross_distances(source, targets)[0]
-    ranked = [(key, float(d)) for key, d in zip(sorted(target_models), row)]
+    ranked = [(key, float(d)) for key, d in zip(sorted(target_models), _row(source_dist, target_models))]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
 
@@ -278,8 +276,7 @@ def run_experiment(
         for s, t, d in zip(source, target, matching)
     ])
     # anonymous neighborhood: source-side profiles within the matching distance
-    sizes = np.array([np.count_nonzero(within_a.row(link.source) <= d)
-                      for link, d in zip(links, matching)])
+    sizes = np.array([len(_within(keys_a, within_a.row(link.source), d)) for link, d in zip(links, matching)])
     rows = []
     for link, s, d in zip(links, source, matching):
         avg_other = (float(cross[s].sum()) - float(d)) / (nb - 1)

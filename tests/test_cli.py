@@ -859,6 +859,45 @@ def test_anonymity_refuses_a_matrix_together_with_models_or_community(tmp_path, 
     assert err == "error: give either --matrix or --models with --community, not both\n"
 
 
+def test_anonymity_from_models_computes_only_the_subject_row(tmp_path, capsys, monkeypatch):
+    """One cross row of n distances per query, no community matrix; an unknown subject computes none."""
+    from linkrisk import metric
+
+    records = [("u0", ["a", "a", "b"]), ("u1", ["b", "a", "a"]), ("u2", ["a", "x"]), ("u3", ["z"]),
+               ("u4", ["b", "x", "y"])]
+    (tmp_path / "profiles.jsonl").write_text("".join(
+        json.dumps({"author": a, "community": "alpha", "n_comments": 1, "tokens": t}) + "\n" for a, t in records
+    ), encoding="utf-8")
+    assert run(capsys, "build-models", "--profiles", str(tmp_path / "profiles.jsonl"), "--out", str(tmp_path))[0] == 0
+    source = ("anonymity", "--models", str(tmp_path / "models.jsonl"), "--community", "alpha")
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a community matrix computed for one subject")
+
+    sources, cross = [], metric.cross_distances
+
+    def counted(dists_a, dists_b, workers=None):
+        sources.append(len(dists_a))
+        return cross(dists_a, dists_b, workers)
+
+    monkeypatch.setattr(metric, "pairwise_distances", fail)
+    monkeypatch.setattr(metric, "cross_distances", counted)
+    queries = [  # the stdout of the full-matrix implementation
+        (("u0", "0.0"), '{"d": 0.0, "k": 2, "members": ["u0", "u1"], "subject": "u0"}'),
+        (("u2", "0.7"), '{"d": 0.7, "k": 3, "members": ["u0", "u1", "u2"], "subject": "u2"}'),
+        (("u4", "0.9", "--k", "3"), '{"d": 0.9, "k": 4, "kd_anonymous": true, "members": ["u0", "u1", "u2", '
+                                    '"u4"], "requested_k": 3, "subject": "u4"}'),
+        (("u3", "1.0", "--k", "6"), '{"d": 1.0, "k": 5, "kd_anonymous": false, "members": ["u0", "u1", "u2", '
+                                    '"u3", "u4"], "requested_k": 6, "subject": "u3"}'),
+        (("u3", "0.99"), '{"d": 0.99, "k": 1, "members": ["u3"], "subject": "u3"}'),
+    ]
+    for (subject, d, *k), out in queries:
+        assert run(capsys, *source, "--subject", subject, "--d", d, *k) == (0, out + "\n", "")
+    assert sources == [1] * len(queries)
+    monkeypatch.setattr(metric, "cross_distances", fail)
+    assert run(capsys, *source, "--subject", "nobody", "--d", "0.5") == (1, "", "error: unknown profile 'nobody'\n")
+
+
 def _two_line_corpus(path):
     good = json.dumps({"author": "u0", "community": "alpha", "body": "hello world"}).encode()
     bad = b'{"author": "u1", "community": "alpha", "body": "caf\xff"}'

@@ -97,19 +97,28 @@ def test_tracer_counts_the_matrix_store_commands(tmp_path, capsys, monkeypatch):
 
 
 def test_tracer_counts_a_matrix_built_from_the_model_store(tmp_path, capsys, monkeypatch):
-    # DistanceMatrix.build hands pairwise_distances a prepared collection; the tracer counts its rows
+    # distances hands pairwise_distances a prepared collection, and anonymity --models hands
+    # cross_distances one prepared source row against it; the tracer counts the rows of each
     n = 4
-    profiles = tmp_path / "profiles.jsonl"
+    profiles, models = tmp_path / "profiles.jsonl", str(tmp_path / "models.jsonl")
     _write_profiles(profiles, [{"author": f"u{i}", "community": "alpha", "n_comments": 1,
                                 "tokens": [f"t{j}" for j in range(i + 1)]} for i in range(n)])
     _traced(monkeypatch, [["build-models", "--profiles", str(profiles), "--out", str(tmp_path)]])
-    layer = _traced(monkeypatch, [["anonymity", "--models", str(tmp_path / "models.jsonl"),
-                                   "--community", "alpha", "--subject", "u0", "--d", "0.5"]])
-    capsys.readouterr()
+    layer = _traced(monkeypatch, [["distances", "--models", models, "--community", "alpha",
+                                   "--out", str(tmp_path)]])
     assert layer["metric.pairs"] == n * (n - 1) // 2
     # supports 1, 2, 3 and 4: each row is read against the other n - 1
     assert layer["metric.support_elems"] == (n - 1) * 10
     assert layer["lm.to_distribution_calls"] == n
+    assert layer["cli.calls"] == 1
+    layer = _traced(monkeypatch, [["anonymity", "--models", models, "--community", "alpha",
+                                   "--subject", "u0", "--d", "0.5"]])
+    capsys.readouterr()
+    assert layer["metric.pairs"] == n
+    # u0's support of 1 read against n targets, and their 1 + 2 + 3 + 4 entries against one source
+    assert layer["metric.support_elems"] == n * 1 + 10
+    # the subject's distribution is made once more, as the source
+    assert layer["lm.to_distribution_calls"] == n + 1
     assert layer["cli.calls"] == 1
 
 
