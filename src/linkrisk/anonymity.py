@@ -1,12 +1,12 @@
 """Convergence radii, anonymity subsets, matching, and adversary choice bounds.
 
-A profile's neighborhood at radius d is the entries `<= d` (`_within`) of
-one row of sqrt-JS distances: a row of `DistanceMatrix`, the one symmetric
-matrix, which keeps the packed upper triangle of its `.dmat` file whether
-computed or loaded, or the one source row `_row` computes.  A profile is
-anonymous to the extent that many peers sit within a small radius of it; the
-matching bound turns that neighborhood size and radius into an upper limit
-on a distance-based adversary's linking likelihood.
+A profile's neighborhood at radius d is the positions `<= d` (`_within`) of
+one row of sqrt-JS distances in sorted key order: a row of `DistanceMatrix`
+(the packed upper triangle of its `.dmat` file, computed or loaded) or the
+one source row `_row` computes; keys replace positions only to be shown.  A
+profile is anonymous to the extent that many peers sit within a small radius
+of it; the matching bound turns that neighborhood size and radius into an
+upper limit on a distance-based adversary's linking likelihood.
 """
 
 from __future__ import annotations
@@ -59,8 +59,9 @@ class DistanceMatrix:
         Each model is turned into a distribution as it is packed, so one
         distribution is alive at a time.
         """
-        (profiles,) = metric._prepare(lm._distributions(models))
-        return cls(sorted(models), metric.pairwise_distances(profiles))
+        keys, dists = lm._distributions(models)
+        (profiles,) = metric._prepare(dists)
+        return cls(keys, metric.pairwise_distances(profiles))
 
     @property
     def values(self) -> np.ndarray:
@@ -198,16 +199,16 @@ def _packed_index(n: int, i, j):
     return i * (2 * n - i - 1) // 2 + j - i - 1
 
 
-def _row(source: Mapping[str, float], targets: Mapping[str, object]) -> np.ndarray:
-    """The distances from one distribution to each target model, in key order.  Each pair is
-    computed alone, so a source among the targets gets exactly its `DistanceMatrix.build` row."""
-    src, dst = metric._prepare([source], lm._distributions(targets))
-    return metric.cross_distances(src, dst)[0]
+def _row(source: Mapping[str, float], targets: Mapping[str, object]) -> Tuple[List[str], np.ndarray]:
+    """The target keys in row order, and the distances from one distribution to each target model.
+    Each pair is computed alone, so a source among the targets gets exactly its `DistanceMatrix.build` row."""
+    keys, dists = lm._distributions(targets)
+    return keys, metric.cross_distances(*metric._prepare([source], dists))[0]
 
 
-def _within(keys: Sequence[str], row: np.ndarray, d: float) -> Tuple[str, ...]:
-    """The keys whose distance in `row` is at most d, inclusive, in key order."""
-    return tuple(keys[j] for j in np.flatnonzero(row <= d))
+def _within(row: np.ndarray, d: float) -> np.ndarray:
+    """The positions of the entries of `row` at most d, inclusive, ascending."""
+    return np.flatnonzero(row <= d)
 
 
 def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> Tuple[str, ...]:
@@ -218,7 +219,7 @@ def convergent_subset(m: DistanceMatrix, subject: str, d: float) -> Tuple[str, .
     """
     if not 0.0 <= d <= 1.0:
         raise ValueError("d must be in [0, 1]")
-    return _within(m.keys, m.row(subject), d)
+    return tuple(m.keys[j] for j in _within(m.row(subject), d))
 
 
 def is_kd_anonymous(m: DistanceMatrix, subject: str, k: int, d: float) -> bool:

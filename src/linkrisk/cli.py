@@ -6,9 +6,9 @@ A handler that writes files returns its manifest record (inputs, params,
 outputs), and `dispatch` writes it, with the command's name, as the one
 manifest.json of the output directory.  Options may come from a line-oriented
 key=value file via --config; explicit flags win.  `anonymity --models` computes
-the subject's row alone, not the community matrix.  Only distances, anonymity
-and eval, the commands that compute distances, take `--workers`; it has no
-effect: one single-threaded vectorized kernel computes distances.
+the subject's row alone, not the community matrix.  Only distances and eval,
+the commands that compute matrices, take `--workers`; it has no effect: one
+single-threaded vectorized kernel computes distances.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def _cmd_anonymity(args) -> None:
         models = _community_models(lm._load_profile_models(args.models), args.community)
         if args.subject not in models:
             raise ValueError(f"unknown profile {args.subject!r}")
-        row = anonymity._row(lm.as_distribution(models[args.subject]), models)  # n distances, not n^2/2
-        members = anonymity._within(sorted(models), row, args.d)
+        keys, row = anonymity._row(lm.as_distribution(models[args.subject]), models)  # n distances, not n^2/2
+        members = [keys[j] for j in anonymity._within(row, args.d)]
     report = {"subject": args.subject, "d": args.d, "k": len(members), "members": list(members)}
     if args.k is not None:
         report["kd_anonymous"] = len(members) >= args.k
@@ -334,7 +334,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_distances)
 
-    p = sub.add_parser("anonymity", parents=[computes, common], help="neighborhood of a profile at radius d")
+    p = sub.add_parser("anonymity", parents=[common], help="neighborhood of a profile at radius d")
     p.add_argument("--models", default=None)
     p.add_argument("--community", default=None)
     p.add_argument("--matrix", default=None, help="previously saved .dmat file")

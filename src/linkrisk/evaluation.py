@@ -81,7 +81,7 @@ def rank_candidates(
     source_dist = lm.as_distribution(source_model)
     if not source_dist:
         raise ValueError("source model is empty")
-    ranked = [(key, float(d)) for key, d in zip(sorted(target_models), _row(source_dist, target_models))]
+    ranked = [(key, float(d)) for key, d in zip(*_row(source_dist, target_models))]
     ranked.sort(key=lambda kv: (kv[1], kv[0]))
     return ranked
 
@@ -247,7 +247,7 @@ def run_experiment(
     links = list(links)
     if not links:
         raise ValueError("no ground-truth links between the two communities")
-    keys_a, keys_b = sorted(models_a), sorted(models_b)
+    (keys_a, dists_a), (keys_b, dists_b) = lm._distributions(models_a), lm._distributions(models_b)
     index_a = {k: i for i, k in enumerate(keys_a)}
     index_b = {k: i for i, k in enumerate(keys_b)}
     for link in links:
@@ -261,7 +261,7 @@ def run_experiment(
     if len(keys_a) < 2:
         raise ValueError("need at least 2 profiles for within-community statistics")
 
-    a, b = metric._prepare(lm._distributions(models_a), lm._distributions(models_b))
+    a, b = metric._prepare(dists_a, dists_b)
     cross = metric.cross_distances(a, b)
     within_a = DistanceMatrix(keys_a, metric.pairwise_distances(a))
     within_b = DistanceMatrix(keys_b, metric.pairwise_distances(b))
@@ -276,7 +276,7 @@ def run_experiment(
         for s, t, d in zip(source, target, matching)
     ])
     # anonymous neighborhood: source-side profiles within the matching distance
-    sizes = np.array([len(_within(keys_a, within_a.row(link.source), d)) for link, d in zip(links, matching)])
+    sizes = np.array([len(_within(within_a.row(link.source), d)) for link, d in zip(links, matching)])
     rows = []
     for link, s, d in zip(links, source, matching):
         avg_other = (float(cross[s].sum()) - float(d)) / (nb - 1)

@@ -65,9 +65,10 @@ def as_distribution(model):
     return to_distribution(model) if isinstance(model, UnigramModel) else model
 
 
-def _distributions(models: Mapping[str, object]) -> Iterator[Mapping[str, float]]:
-    """Each model's distribution in sorted key order, made as `metric._prepare` reads it."""
-    return (as_distribution(models[key]) for key in sorted(models))
+def _distributions(models: Mapping[str, object]) -> Tuple[List[str], Iterator[Mapping[str, float]]]:
+    """The sorted keys, the one row order, and a lazy generator of their distributions for `_prepare`."""
+    keys = sorted(models)
+    return keys, (as_distribution(models[key]) for key in keys)
 
 
 def top_k(model: UnigramModel, k: int) -> List[Tuple[str, int]]:

@@ -8,8 +8,9 @@ gives 1 up to the rounding of the two masses' sums (exactly 1 for dyadic
 masses, else possibly an ulp or two below); identical profiles give 0.
 
 A distribution is a token->probability mapping, such as the dict
-`lm.to_distribution` returns; every function here reads it as a mapping.
-The scalar `js` and `distance` are the reference definition.
+`lm.to_distribution` returns; every function here reads it as a mapping and
+refuses a mass that is not a finite number >= 0 (an explicit 0 is an absent
+token).  The scalar `js` and `distance` are the reference definition.
 `pairwise_distances` and `cross_distances` read collections that `_prepare`
 packs once over one sorted vocabulary, row-major and token-major;
 collections it already packed are read as they are.  `_prepare` reads each
@@ -42,14 +43,18 @@ def js(p: Mapping[str, float], q: Mapping[str, float]) -> float:
     """Jensen-Shannon divergence in bits, in [0, 1].
 
     JS(P, Q) = KL(P||M)/2 + KL(Q||M)/2 with M = (P+Q)/2.  Tokens missing
-    from both sides are skipped; a token present on exactly one side
-    contributes p*log2(2) to that side's KL term since M(token) = p/2.
-    The result is clamped into [0, 1] to absorb last-ulp rounding.
+    from both sides, or 0 on both, are skipped; a token present on exactly
+    one side contributes p*log2(2) to that side's KL term since M(token) = p/2.
+    A mass that is not a finite number >= 0 raises ValueError.  The result
+    is clamped into [0, 1] to absorb last-ulp rounding.
     """
     total = 0.0
     for token in sorted(p.keys() | q.keys()):
         pv = p.get(token, 0.0)
         qv = q.get(token, 0.0)
+        for v in (pv, qv):
+            if not 0.0 <= v < math.inf:  # NaN fails every comparison
+                raise ValueError(f"mass {v!r} is not a finite number >= 0")
         m = 0.5 * (pv + qv)
         if m <= 0.0:
             continue
@@ -91,11 +96,14 @@ class _Profiles:
         for r, (tokens, row_p) in enumerate(rows):
             row_ids = np.fromiter(map(vocab.__getitem__, tokens), dtype=np.int64, count=len(tokens))
             order = np.argsort(row_ids)
-            order = order[row_p[order] > 0.0]
+            order = order[row_p[order] != 0.0]
             end = pos + len(order)
             ids[pos:end], probs[pos:end] = row_ids[order], row_p[order]
             pos = self.indptr[r + 1] = end
         self.ids, self.probs = ids[:pos], probs[:pos]
+        if pos and not 0.0 <= self.probs.min() <= self.probs.max() < np.inf:  # NaN fails every comparison
+            bad = self.probs[~((self.probs >= 0.0) & (self.probs < np.inf))][0]
+            raise ValueError(f"mass {float(bad)!r} is not a finite number >= 0")
         entry_rows = np.repeat(np.arange(len(rows)), np.diff(self.indptr))
         self.sums = np.bincount(entry_rows, self.probs, len(rows))
         self.colptr = np.zeros(len(vocab) + 1, dtype=np.int64)
@@ -162,9 +170,7 @@ def _distance_rows(src: _Profiles, dst: _Profiles, out: np.ndarray, pairwise: bo
         tokens = src.ids[lo:hi]
         if pairwise:  # cursor[t] is row i's own entry of t; read from just after it
             cursor[tokens] += 1
-            starts = cursor[tokens]
-        else:
-            starts = dst.colptr[tokens]
+        starts = cursor[tokens]  # in cross mode the cursor never moves off each column's start
         counts = dst.colptr[tokens + 1] - starts
         offsets = np.cumsum(counts) - counts
         at = np.repeat(starts - offsets, counts) + np.arange(counts.sum())

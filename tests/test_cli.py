@@ -324,9 +324,10 @@ def test_dispatch_writes_each_manifest_and_only_distance_commands_take_workers(t
         assert manifest["command"] == argv[0]
     _, subs = cli.build_parser()
     takes = {name for name, sub in subs.items() if "--workers" in sub.format_help()}
-    assert takes == {"distances", "anonymity", "eval"}
+    assert takes == {"distances", "eval"}
     for argv in [("ingest", "--input", "in.jsonl", "--out", "out"),
                  ("build-models", "--profiles", "p", "--out", "o"), ("top-unigrams", "--models", "m"),
+                 ("anonymity", "--matrix", "m.dmat", "--subject", "u0", "--d", "0.5"),
                  ("bound", "--c", "0.2", "--d", "0.1", "--k", "5"),
                  ("synth", "--users", "3", "--topics", "2", "--out", "o"), ("framework", "impossibility")]:
         code, out, err = run(capsys, argv[0], "--workers=1", *argv[1:])
@@ -528,6 +529,51 @@ def test_eval_files_are_pinned_with_numpy_avx512_kernels_off(tmp_path):
         return proc.returncode, proc.stdout
 
     assert _pinned_eval_run(tmp_path, run_cli) == (_PINNED_EVAL_STDOUT, _PINNED_EVAL_DIGESTS)
+
+
+_EVERY_COMMAND = """
+import contextlib, io, json, os, sys
+from linkrisk import cli
+work = sys.argv[1]
+models, dmat = os.path.join(work, "models.jsonl"), os.path.join(work, "alpha.dmat")
+steps = [
+    ["synth", "--users", "6", "--topics", "2", "--comments", "8", "--seed", "2", "--out", work],
+    ["ingest", "--input", os.path.join(work, "all.jsonl"), "--min-comments", "1", "--min-profiles", "1",
+     "--out", work],
+    ["build-models", "--profiles", os.path.join(work, "profiles.jsonl"), "--out", work],
+    ["top-unigrams", "--models", models, "--key", "alpha"],
+    ["distances", "--models", models, "--community", "alpha", "--out", work],
+    ["anonymity", "--matrix", dmat, "--subject", "u1", "--d", "0.5"],
+    ["anonymity", "--models", models, "--community", "alpha", "--subject", "u1", "--d", "0.5"],
+    ["bound", "--c", "0.2", "--d", "0.1", "--k", "5"],
+    ["eval", "--profiles", os.path.join(work, "profiles.jsonl"), "--community-a", "alpha",
+     "--community-b", "beta", "--k", "1", "--out", os.path.join(work, "report")],
+    ["framework", "impossibility"],
+]
+codes = []
+for argv in steps:
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.dispatch(argv))
+    if argv[0] == "synth":
+        with open(os.path.join(work, "all.jsonl"), "wb") as out:
+            for name in ("alpha", "beta"):
+                with open(os.path.join(work, name + ".jsonl"), "rb") as fh:
+                    out.write(fh.read())
+print(json.dumps({"codes": codes, "modules": sorted({name.partition(".")[0] for name in sys.modules})}))
+"""
+
+
+def test_every_command_runs_with_numpy_as_its_only_third_party_import(tmp_path):
+    """pyproject declares numpy alone: no command may import a package only the tests install."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["codes"] == [0] * 10
+    assert "numpy" in report["modules"]
+    assert not {"scipy", "mpmath", "hypothesis", "pytest"} & set(report["modules"])
 
 
 def test_top_unigrams_record_without_key_exits_one(tmp_path, capsys):

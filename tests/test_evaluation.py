@@ -581,3 +581,32 @@ def _check_stats(stats, distances):
     assert stats["min"] == pytest.approx(min(distances), abs=1e-12)
     assert stats["max"] == pytest.approx(max(distances), abs=1e-12)
     assert stats["mean"] == pytest.approx(sum(distances) / len(distances), abs=1e-12)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_every_entry_point_labels_each_row_as_the_scalar_distance(order):
+    """Row order comes from the keys, not from the order they were inserted in."""
+    rng = np.random.default_rng(67)
+    names = [f"k{i}" for i in range(7)]
+    names = names if order == "sorted" else names[::-1]
+    ma = {key: random_distribution(rng) for key in names}
+    mb = {key: random_distribution(rng) for key in names}
+    assert list(ma) == names
+    m = DistanceMatrix.build(ma)
+    assert m.keys == sorted(names)
+    for a in ma:
+        for b in ma:
+            assert m.distance(a, b) == pytest.approx(metric.distance(ma[a], ma[b]), abs=1e-12)
+    for source in ma.values():
+        ranked = evaluation.rank_candidates(source, mb)
+        assert sorted(key for key, _ in ranked) == sorted(names)
+        for key, d in ranked:
+            assert d == pytest.approx(metric.distance(source, mb[key]), abs=1e-12)
+    links = [GroundTruthLink(s, t) for s, t in zip(names, reversed(names))]
+    result = evaluation.run_experiment(ma, mb, links, ks=(1,))
+    for link, row, size in zip(links, result.scatter, result.anon_sizes):
+        assert (row.source, row.target) == (link.source, link.target)
+        assert row.matching == pytest.approx(metric.distance(ma[row.source], mb[row.target]), abs=1e-12)
+        others = [metric.distance(ma[row.source], mb[key]) for key in mb if key != row.target]
+        assert row.avg_nonmatching == pytest.approx(sum(others) / len(others), abs=1e-12)
+        assert size == sum(metric.distance(ma[row.source], x) <= row.matching for x in ma.values())

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import squareform
 
-from linkrisk import metric
+from linkrisk import evaluation, metric
+from linkrisk.anonymity import DistanceMatrix
 from conftest import LiveDistributions, random_distribution
 
 # frozen from a 60-digit evaluation of the defining formulas (mpmath)
@@ -244,3 +246,37 @@ def test_a_collection_prepared_over_another_vocabulary_is_prepared_again():
     for left, right in [(alone, other), (alone, [q]), ([p], other)]:
         assert metric.cross_distances(left, right)[0, 0] == pytest.approx(metric.distance(p, q),
                                                                           abs=1e-12)
+
+
+def test_explicit_zero_masses_give_the_bits_of_absent_tokens():
+    # "a" holds 0.0 on both sides, the scalar's zero-mass branch; "c" holds 0.0 on one side
+    p = {"a": 0.0, "b": 0.5, "c": 0.5}
+    q = {"a": 0.0, "b": 0.25, "c": 0.0, "d": 0.75}
+    d = metric.distance(p, q)
+    assert d == metric.distance(q, p) == metric.distance({"b": 0.5, "c": 0.5}, {"b": 0.25, "d": 0.75})
+    assert metric.pairwise_distances([p, q])[0] == d
+    assert metric.cross_distances([p], [q])[0, 0] == metric.cross_distances([q], [p])[0, 0] == d
+    assert DistanceMatrix.build({"p": p, "q": q}).tri[0] == d
+
+
+@pytest.mark.parametrize("p, text", [
+    ({"a": float("inf")}, "inf"),
+    ({"a": float("nan"), "b": 1.0}, "nan"),
+    ({"a": -0.5, "b": 1.5}, "-0.5"),
+], ids=["inf", "nan", "negative"])
+def test_a_mass_that_is_not_a_finite_number_at_least_zero_is_refused(p, text):
+    """Every entry point refuses the mass, on either side, before it can reach a distance."""
+    q = {"b": 1.0}
+    calls = [
+        lambda: metric.distance(p, q), lambda: metric.distance(q, p),
+        lambda: metric.pairwise_distances([p, q]), lambda: metric.pairwise_distances([q, p]),
+        lambda: metric.cross_distances([p], [q]), lambda: metric.cross_distances([q], [p]),
+        lambda: DistanceMatrix.build({"n": p, "q": q}),
+        lambda: evaluation.rank_candidates(p, {"n": q, "q": q}),
+        lambda: evaluation.rank_candidates(q, {"n": p, "q": q}),
+        lambda: evaluation.run_experiment({"n": p, "q": q}, {"n": q, "q": q}),
+        lambda: evaluation.run_experiment({"n": q, "q": q}, {"n": p, "q": q}),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^mass {re.escape(text)} is not a finite number >= 0$"):
+            call()
