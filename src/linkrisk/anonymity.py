@@ -2,11 +2,12 @@
 
 A profile's neighborhood at radius d is the positions `<= d` (`_within`) of
 one row of sqrt-JS distances in sorted key order: a row of `DistanceMatrix`
-(the packed upper triangle of its `.dmat` file, computed or loaded) or the
-one source row `_row` computes; keys replace positions only to be shown.  A
-profile is anonymous to the extent that many peers sit within a small radius
-of it; the matching bound turns that neighborhood size and radius into an
-upper limit on a distance-based adversary's linking likelihood.
+(the packed upper triangle of its `.dmat` file, computed or loaded), the one
+row `_load_row` reads and verifies from a `.dmat` file without loading the
+matrix, or the one source row `_row` computes; keys replace positions only
+to be shown.  A profile is anonymous to the extent that many peers sit within
+a small radius of it; the matching bound turns that neighborhood size and
+radius into an upper limit on a distance-based adversary's linking likelihood.
 """
 
 from __future__ import annotations
@@ -86,42 +87,67 @@ class DistanceMatrix:
 
     def row(self, key: str) -> np.ndarray:
         """The distances from `key` to every profile, in key order; O(n)."""
-        i = self.index_of(key)
+        return self._row_at(self.index_of(key))
+
+    def _row_at(self, i: int) -> np.ndarray:
+        """Row i, gathered from the packed triangle."""
+        return self._rows(i, i + 1)[0]
+
+    def _rows(self, lo: int, hi: int) -> np.ndarray:
+        """Full rows lo..hi-1 as one block, gathered from the packed triangle.
+
+        Columns below lo are read from the rows above the block; a row's
+        part right of the diagonal is one slice, and its part between lo and
+        the diagonal mirrors the rows of the block above it.
+        """
         n = len(self.keys)
-        row = np.empty(n, dtype=np.float64)
-        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
-        row[i] = 0.0
-        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
-        return row
+        block = np.zeros((hi - lo, n), dtype=np.float64)
+        above = _packed_index(n, np.arange(lo), lo)  # entry (j, lo) for each row j < lo
+        block[:, :lo] = self.tri[above[:, None] + np.arange(hi - lo)].T
+        for r, i in enumerate(range(lo, hi)):
+            block[r, lo:i] = block[:r, i]
+            block[r, i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+        return block
+
+    def _row_digests(self) -> List[str]:
+        """The sha256 of each full row, gathered 32 rows at a time, never as the n x n square."""
+        n = len(self.keys)
+        return [_sha256(row) for lo in range(0, n, 32) for row in self._rows(lo, min(n, lo + 32))]
 
     def save(self, path) -> None:
-        """Write a JSON header line plus the little-endian float64 upper triangle."""
-        payload = self.tri.astype("<f8", copy=False).tobytes()
+        """Write a version 3 JSON header line plus the little-endian float64 upper triangle.
+
+        The header holds one sha256 per full row (`_row_digests`); its
+        checksum covers the header alone.
+        """
         header = {
             "format": "linkrisk-dmat",
-            "version": 2,
+            "version": 3,
             "n": len(self.keys),
             "keys": self.keys,
             "ordering": "row-major-upper",
             "dtype": "<f8",
+            "row_sha256": self._row_digests(),
         }
-        header["checksum"] = _dmat_checksum(header, payload)
+        header["checksum"] = _dmat_checksum(header)
         with open(path, "wb") as fh:
             fh.write(_encode_json(header).encode("utf-8"))
             fh.write(b"\n")
-            fh.write(payload)
+            fh.write(np.ascontiguousarray(self.tri, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "DistanceMatrix":
-        """Read a version 2 `.dmat` file: exactly the float64 distances `save` wrote.
+        """Read a version 3 `.dmat` file: exactly the float64 distances `save` wrote.
 
-        A version 1 (float32) file, or any inconsistency between header and
-        payload, raises a one-line ValueError naming the file.
+        Every row is verified against its `row_sha256` entry, so every
+        payload byte is (each lies in two rows), then every distance against
+        [0, 1].  A version 1 or 2 file, or any inconsistency between header
+        and payload, raises a one-line ValueError naming the file.
         """
-        keys, tri = _read_dmat(path)
-        # _read_dmat ran the constructor's key and distance checks, naming the file
-        matrix = cls.__new__(cls)
-        matrix.keys, matrix.tri, matrix._square = keys, tri, None
+        matrix, row_sha256 = _read_dmat(path)
+        if matrix._row_digests() != row_sha256:
+            raise ValueError(f"{path}: checksum mismatch")
+        _check_distances(matrix.tri, f"{path}: ")
         return matrix
 
 
@@ -140,12 +166,14 @@ def _check_distances(tri: np.ndarray, prefix: str = "") -> None:
         raise ValueError(f"{prefix}distance {bad} is not in [0, 1]")
 
 
-def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
-    """Keys and float64 upper triangle of a `.dmat` file, after every check.
+def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
+    """A `.dmat` file's matrix, not yet verified, with its row digests.
 
     One read; the payload stays a view of the file's bytes.  Checks run in
-    order: format, version, dtype and ordering, keys, n, size, checksum,
-    distance range.
+    order: format, version, dtype and ordering, keys, n, payload size, the
+    header checksum, then the row digests' field.  The payload itself is not
+    yet hashed or range-checked: `DistanceMatrix.load` verifies every row,
+    `_load_row` one.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -160,12 +188,13 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
         raise ValueError(f"{path}: not a linkrisk distance matrix")
     version = header.get("version")
-    if type(version) is int and version == 1:
-        raise ValueError(f"{path}: .dmat version 1 (float32) is no longer read; re-run linkrisk distances")
-    if type(version) is not int or version != 2:  # bool is not a version
+    if type(version) is int and version in (1, 2):
+        label = "1 (float32)" if version == 1 else "2"
+        raise ValueError(f"{path}: .dmat version {label} is no longer read; re-run linkrisk distances")
+    if type(version) is not int or version != 3:  # bool is not a version
         raise ValueError(f"{path}: unsupported .dmat version {version!r}")
     if header.get("dtype") != "<f8" or header.get("ordering") != "row-major-upper":
-        raise ValueError(f"{path}: version 2 needs dtype <f8 and ordering row-major-upper")
+        raise ValueError(f"{path}: version 3 needs dtype <f8 and ordering row-major-upper")
     n, keys = header.get("n"), header.get("keys")
     _check_keys(keys, f"{path}: ")
     if type(n) is not int or n != len(keys):
@@ -173,20 +202,44 @@ def _read_dmat(path) -> Tuple[List[str], np.ndarray]:
     expected = n * (n - 1) // 2 * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    if _dmat_checksum(header, payload) != header.get("checksum"):
+    if _dmat_checksum(header) != header.get("checksum"):
         raise ValueError(f"{path}: checksum mismatch")
-    tri = np.frombuffer(payload, dtype="<f8")
-    _check_distances(tri, f"{path}: ")
-    return keys, tri
+    row_sha256 = header.get("row_sha256")
+    if not (isinstance(row_sha256, list) and len(row_sha256) == n
+            and all(map(isinstance, row_sha256, repeat(str)))):
+        raise ValueError(f"{path}: row_sha256 must be a list of {n} strings")
+    matrix = DistanceMatrix.__new__(DistanceMatrix)  # the constructor's key check ran above, naming the file
+    matrix.keys, matrix.tri, matrix._square = keys, np.frombuffer(payload, dtype="<f8"), None
+    return matrix, row_sha256
 
 
-def _dmat_checksum(header: dict, payload) -> str:
-    """sha256 over the canonical header without its checksum, a newline, and the payload."""
+def _load_row(path, subject: str) -> Tuple[List[str], np.ndarray]:
+    """The keys of a `.dmat` file and the subject's row, verified against its own digest.
+
+    Mirrors `_row` for a stored matrix: the header is checked in full, then
+    the subject's n distances, and only they, are hashed and range-checked,
+    as every answer from this row depends on them and on nothing else.  A
+    corrupted value in another row goes unseen here; `DistanceMatrix.load`
+    refuses it.
+    """
+    matrix, row_sha256 = _read_dmat(path)
+    i = matrix.index_of(subject)
+    row = matrix._row_at(i)
+    if _sha256(row) != row_sha256[i]:
+        raise ValueError(f"{path}: checksum mismatch")
+    _check_distances(row, f"{path}: ")
+    return matrix.keys, row
+
+
+def _sha256(values: np.ndarray) -> str:
+    """Hex sha256 of one full row as little-endian float64 bytes, the 0.0 diagonal included."""
+    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8")).hexdigest()
+
+
+def _dmat_checksum(header: dict) -> str:
+    """sha256 over the canonical header without its checksum; its row digests cover the payload."""
     fields = {k: v for k, v in header.items() if k != "checksum"}
-    digest = hashlib.sha256(_encode_json(fields).encode("utf-8"))
-    digest.update(b"\n")
-    digest.update(payload)
-    return "sha256:" + digest.hexdigest()
+    return "sha256:" + hashlib.sha256(_encode_json(fields).encode("utf-8")).hexdigest()
 
 
 def _packed_index(n: int, i, j):

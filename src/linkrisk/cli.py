@@ -5,10 +5,12 @@ eval, synth, framework.  Exit codes: 0 success, 1 runtime error, 2 usage error.
 A handler that writes files returns its manifest record (inputs, params,
 outputs), and `dispatch` writes it, with the command's name, as the one
 manifest.json of the output directory.  Options may come from a line-oriented
-key=value file via --config; explicit flags win.  `anonymity --models` computes
-the subject's row alone, not the community matrix.  Only distances and eval,
-the commands that compute matrices, take `--workers`; it has no effect: one
-single-threaded vectorized kernel computes distances.
+key=value file via --config; explicit flags win.  `anonymity --matrix` reads
+and verifies the subject's row alone against its digest, not the whole
+`.dmat` payload, and `anonymity --models` computes that row alone, not the
+community matrix.  Only distances and eval, the commands that compute
+matrices, take `--workers`; it has no effect: one single-threaded vectorized
+kernel computes distances.
 """
 
 from __future__ import annotations
@@ -196,7 +198,7 @@ def _cmd_anonymity(args) -> None:
     if args.matrix:
         if args.models or args.community:
             raise ValueError("give either --matrix or --models with --community, not both")
-        members = anonymity.convergent_subset(anonymity.DistanceMatrix.load(args.matrix), args.subject, args.d)
+        keys, row = anonymity._load_row(args.matrix, args.subject)  # one row verified, not the n^2/2 payload
     else:
         if not args.models or not args.community:
             raise ValueError("need either --matrix or both --models and --community")
@@ -204,8 +206,8 @@ def _cmd_anonymity(args) -> None:
         if args.subject not in models:
             raise ValueError(f"unknown profile {args.subject!r}")
         keys, row = anonymity._row(lm.as_distribution(models[args.subject]), models)  # n distances, not n^2/2
-        members = [keys[j] for j in anonymity._within(row, args.d)]
-    report = {"subject": args.subject, "d": args.d, "k": len(members), "members": list(members)}
+    members = [keys[j] for j in anonymity._within(row, args.d)]
+    report = {"subject": args.subject, "d": args.d, "k": len(members), "members": members}
     if args.k is not None:
         report["kd_anonymous"] = len(members) >= args.k
         report["requested_k"] = args.k

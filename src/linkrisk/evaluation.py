@@ -276,7 +276,7 @@ def run_experiment(
         for s, t, d in zip(source, target, matching)
     ])
     # anonymous neighborhood: source-side profiles within the matching distance
-    sizes = np.array([len(_within(within_a.row(link.source), d)) for link, d in zip(links, matching)])
+    sizes = np.array([len(_within(within_a._row_at(s), d)) for s, d in zip(source, matching)])
     rows = []
     for link, s, d in zip(links, source, matching):
         avg_other = (float(cross[s].sum()) - float(d)) / (nb - 1)

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -318,7 +320,7 @@ def test_matrix_v2_roundtrip_is_exact(tmp_path):
     path = tmp_path / "c.dmat"
     m.save(path)
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-    assert (header["version"], header["dtype"]) == (2, "<f8")
+    assert (header["version"], header["dtype"]) == (3, "<f8")
     loaded = DistanceMatrix.load(path)
     assert loaded.keys == m.keys
     assert np.array_equal(loaded.values, m.values)
@@ -340,10 +342,50 @@ def test_matrix_loads_version_1_float32_file(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {_v1_refusal(path)}\n")
 
 
+def _v2_refusal(path):
+    return f"{path}: .dmat version 2 is no longer read; re-run linkrisk distances"
+
+
+def _v2_bytes(keys, tri):
+    """A version 2 file as earlier releases wrote it: one checksum over header and payload, no digests."""
+    payload = np.asarray(tri, dtype="<f8").tobytes()
+    header = {"format": "linkrisk-dmat", "version": 2, "n": len(keys), "keys": keys,
+              "ordering": "row-major-upper", "dtype": "<f8"}
+    canonical = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["checksum"] = "sha256:" + hashlib.sha256(canonical + b"\n" + payload).hexdigest()
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+
+
+def test_matrix_refuses_version_2_file(tmp_path, capsys):
+    """A version 2 file is refused before its payload is read, by the loader and by `anonymity --matrix`."""
+    path = tmp_path / "v2.dmat"
+    path.write_bytes(_v2_bytes(["a", "b", "c"], [0.1, 0.25, 0.7]))
+    with mock.patch.object(anonymity.np, "frombuffer", side_effect=AssertionError("payload read")):
+        with pytest.raises(ValueError) as info:
+            DistanceMatrix.load(path)
+        code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.25"])
+    assert str(info.value) == _v2_refusal(path)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {_v2_refusal(path)}\n")
+
+
+def _signed(header):
+    """`header` with its checksum recomputed, so the header itself is consistent."""
+    return {**header, "checksum": anonymity._dmat_checksum(header)}
+
+
 def _with_payload(header, values):
-    """A header and payload for `values` whose checksum holds, so only the values are wrong."""
-    payload = np.asarray(values, dtype="<f8").tobytes()
-    return {**header, "checksum": anonymity._dmat_checksum(header, payload)}, payload
+    """A header and payload for `values` whose checksum holds, so only the values are wrong.
+
+    Each row's digest is rebuilt for the new values, and the checksum for
+    that header.
+    """
+    tri = np.asarray(values, dtype="<f8")
+    n = header["n"]
+    square, upper = np.zeros((n, n), dtype="<f8"), np.triu_indices(n, k=1)
+    square[upper] = square.T[upper] = tri
+    digests = [hashlib.sha256(row.tobytes()).hexdigest() for row in square]
+    return _signed({**header, "row_sha256": digests}), tri.tobytes()
 
 
 # (header, payload) edits of a valid 3-key file and the message each must raise
@@ -377,7 +419,7 @@ DMAT_CORRUPTIONS = [
         id="dtype-mismatch",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": 3}, p), "unsupported .dmat version 3",
+        lambda h, p: ({**h, "version": 4}, p), "unsupported .dmat version 4",
         id="unknown-version",
     ),
     pytest.param(
@@ -387,6 +429,29 @@ DMAT_CORRUPTIONS = [
     pytest.param(
         lambda h, p: ({**h, "version": 1}, p), "version 1 (float32) is no longer read; re-run linkrisk distances",
         id="version-1",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "version": 2}, p), ".dmat version 2 is no longer read; re-run linkrisk distances",
+        id="version-2",
+    ),
+    pytest.param(
+        lambda h, p: (_signed({**h, "row_sha256": h["row_sha256"][:-1]}), p),
+        "row_sha256 must be a list of 3 strings",
+        id="row-digests-short",
+    ),
+    pytest.param(
+        lambda h, p: (_signed({**h, "row_sha256": [h["row_sha256"][0], 1, h["row_sha256"][2]]}), p),
+        "row_sha256 must be a list of 3 strings",
+        id="row-digest-not-string",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "row_sha256": [h["row_sha256"][1], *h["row_sha256"][1:]]}, p), "checksum mismatch",
+        id="row-digest-tampered",
+    ),
+    pytest.param(
+        lambda h, p: (_signed({**h, "row_sha256": [*h["row_sha256"][:2], h["row_sha256"][0]]}), p),
+        "checksum mismatch",
+        id="row-digest-re-signed",
     ),
     pytest.param(
         lambda h, p: ({**h, "n": True, "keys": ["a"]}, b""), "n = True but the header lists 1 keys",
@@ -467,7 +532,8 @@ def test_load_rows_validates_header_and_payload(tmp_path, capsys, change, messag
     with pytest.raises(ValueError) as from_load:
         DistanceMatrix.load(path)
     assert str(from_load.value) == str(info.value)
-    code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.5"])
+    # a query verifies its own row: c's holds payload entries 1 and 2, every entry a case changes
+    code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "c", "--d", "0.5"])
     assert code == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
 
@@ -526,9 +592,9 @@ def _v1_bytes(keys, tri):
 
 
 @st.composite
-def packed_matrices(draw):
+def packed_matrices(draw, min_n=0):
     """Unique Unicode keys and the upper triangle of a matrix with entries in [0, 1]."""
-    n = draw(st.integers(min_value=0, max_value=40))
+    n = draw(st.integers(min_value=min_n, max_value=40))
     keys = draw(st.lists(st.text(max_size=6), min_size=n, max_size=n, unique=True))
     tri = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n * (n - 1) // 2,
                         max_size=n * (n - 1) // 2))
@@ -545,6 +611,13 @@ def test_dmat_roundtrip_and_rows_property(case):
         m.save(path)
         loaded = DistanceMatrix.load(path)
         rows = DistanceMatrix.load(path)
+        with open(path, "rb") as fh:
+            header = json.loads(fh.readline())
+        for i, key in enumerate(keys):
+            assert header["row_sha256"][i] == hashlib.sha256(m.values[i].astype("<f8").tobytes()).hexdigest()
+            row_keys, row = anonymity._load_row(path, key)
+            assert row_keys == keys and row.dtype == np.float64
+            assert np.array_equal(row, loaded.row(key))
     assert loaded.keys == keys and rows.keys == keys
     assert np.array_equal(loaded.values, m.values)
     for i, key in enumerate(keys):
@@ -569,6 +642,43 @@ def test_dmat_version_1_rows_property(case, cut):
                 pytest.raises(ValueError) as info:
             DistanceMatrix.load(path)
     assert str(info.value) == _v1_refusal(path)
+
+
+def _query(path, subject, d):
+    """`anonymity --matrix` run in-process: exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(["anonymity", "--matrix", str(path), f"--subject={subject}", f"--d={d!r}"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(packed_matrices(min_n=2), st.data())
+def test_a_flipped_payload_byte_is_refused_by_load_and_by_each_row_it_lies_in(case, data):
+    """A query verifies its own row: a flip there is `checksum mismatch`, a flip elsewhere changes nothing."""
+    keys, tri = case
+    entry = data.draw(st.integers(0, len(tri) - 1), label="entry")
+    byte, mask = data.draw(st.integers(0, 7), label="byte"), data.draw(st.integers(1, 255), label="mask")
+    subject = data.draw(st.sampled_from(keys), label="subject")
+    d = data.draw(st.floats(min_value=0.0, max_value=1.0), label="d")
+    i, j = (int(axis[entry]) for axis in np.triu_indices(len(keys), k=1))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.dmat")
+        DistanceMatrix(keys, tri).save(path)
+        clean = _query(path, subject, d)
+        assert clean[0] == 0
+        with open(path, "rb") as fh:
+            blob = bytearray(fh.read())
+        blob[blob.index(b"\n") + 1 + 8 * entry + byte] ^= mask
+        with open(path, "wb") as fh:
+            fh.write(blob)
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            DistanceMatrix.load(path)
+        flipped = _query(path, subject, d)
+    if subject in (keys[i], keys[j]):
+        assert flipped == (1, "", f"error: {path}: checksum mismatch\n")
+    else:
+        assert flipped == clean
 
 
 # keys as callers might pass them: repeats and non-strings included
