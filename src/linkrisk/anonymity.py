@@ -90,29 +90,16 @@ class DistanceMatrix:
         return self._row_at(self.index_of(key))
 
     def _row_at(self, i: int) -> np.ndarray:
-        """Row i, gathered from the packed triangle."""
-        return self._rows(i, i + 1)[0]
-
-    def _rows(self, lo: int, hi: int) -> np.ndarray:
-        """Full rows lo..hi-1 as one block, gathered from the packed triangle.
-
-        Columns below lo are read from the rows above the block; a row's
-        part right of the diagonal is one slice, and its part between lo and
-        the diagonal mirrors the rows of the block above it.
-        """
+        """Full row i, the one row gather: column i of the rows above, 0.0, then row i's own slice."""
         n = len(self.keys)
-        block = np.zeros((hi - lo, n), dtype=np.float64)
-        above = _packed_index(n, np.arange(lo), lo)  # entry (j, lo) for each row j < lo
-        block[:, :lo] = self.tri[above[:, None] + np.arange(hi - lo)].T
-        for r, i in enumerate(range(lo, hi)):
-            block[r, lo:i] = block[:r, i]
-            block[r, i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
-        return block
+        row = np.zeros(n, dtype=np.float64)
+        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
+        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+        return row
 
     def _row_digests(self) -> List[str]:
-        """The sha256 of each full row, gathered 32 rows at a time, never as the n x n square."""
-        n = len(self.keys)
-        return [_sha256(row) for lo in range(0, n, 32) for row in self._rows(lo, min(n, lo + 32))]
+        """The sha256 of each full row, gathered one row at a time, never as the n x n square."""
+        return [_sha256(self._row_at(i)) for i in range(len(self.keys))]
 
     def save(self, path) -> None:
         """Write a version 3 JSON header line plus the little-endian float64 upper triangle.
@@ -141,8 +128,8 @@ class DistanceMatrix:
 
         Every row is verified against its `row_sha256` entry, so every
         payload byte is (each lies in two rows), then every distance against
-        [0, 1].  A version 1 or 2 file, or any inconsistency between header
-        and payload, raises a one-line ValueError naming the file.
+        [0, 1].  A file of any other version, or any inconsistency between
+        header and payload, raises a one-line ValueError naming the file.
         """
         matrix, row_sha256 = _read_dmat(path)
         if matrix._row_digests() != row_sha256:
@@ -171,9 +158,9 @@ def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
 
     One read; the payload stays a view of the file's bytes.  Checks run in
     order: format, version, dtype and ordering, keys, n, payload size, the
-    header checksum, then the row digests' field.  The payload itself is not
-    yet hashed or range-checked: `DistanceMatrix.load` verifies every row,
-    `_load_row` one.
+    header checksum, then the row digests' field; every version but 3 is
+    refused by one rule.  The payload itself is not yet hashed or
+    range-checked: `DistanceMatrix.load` verifies every row, `_load_row` one.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -188,11 +175,8 @@ def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
     if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
         raise ValueError(f"{path}: not a linkrisk distance matrix")
     version = header.get("version")
-    if type(version) is int and version in (1, 2):
-        label = "1 (float32)" if version == 1 else "2"
-        raise ValueError(f"{path}: .dmat version {label} is no longer read; re-run linkrisk distances")
     if type(version) is not int or version != 3:  # bool is not a version
-        raise ValueError(f"{path}: unsupported .dmat version {version!r}")
+        raise ValueError(f"{path}: .dmat version {version!r} is not read; re-run linkrisk distances")
     if header.get("dtype") != "<f8" or header.get("ordering") != "row-major-upper":
         raise ValueError(f"{path}: version 3 needs dtype <f8 and ordering row-major-upper")
     n, keys = header.get("n"), header.get("keys")

@@ -353,16 +353,17 @@ def _check_values(obj: dict, where: str, kind) -> None:
 
 
 def _read_scenario(source) -> Dict[str, object]:
-    """The scenario JSON file at path `source`, or `source` itself when it is a dict."""
+    """The scenario JSON file at path `source` (a leading BOM dropped), or `source` itself when it is a dict.
+    A file that is not UTF-8 or not JSON raises a one-line ValueError naming it."""
     if isinstance(source, dict):
         return source
     try:
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8-sig") as fh:
             return json.load(fh)
-    except RecursionError as exc:  # deeply nested JSON
-        raise ValueError(f"scenario is not valid JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught first
         raise ValueError(f"{source}: {exc}") from None
+    except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
+        raise ValueError(f"{source}: not valid JSON ({exc})") from None
 
 
 def run_scenario(source) -> Dict[str, object]:

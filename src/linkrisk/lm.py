@@ -137,19 +137,17 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
 
     Lines end at line feeds and are decoded as UTF-8 one at a time; a
     leading BOM is dropped.  A bad line, a second record for a profile, or
-    a community or global record (stored by earlier releases) raises
-    ValueError("line N: ...").  So do counts whose sum is beyond the float
-    range, which no distribution has.
+    a record of any kind but "profile" (community and global records were
+    stored by earlier releases) raises ValueError("line N: ...").  So do
+    counts whose sum is beyond the float range, which no distribution has.
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     for line_no, rec in _store_records(path):
         if not isinstance(rec, dict) or "key" not in rec or not isinstance(rec.get("counts"), dict):
             raise ValueError(f"line {line_no}: model record needs 'key' and a 'counts' object")
         kind, key, counts = rec.get("kind"), rec["key"], rec["counts"]  # JSON object keys are strings already
-        if kind in ("community", "global"):
-            raise ValueError(f"line {line_no}: {kind} models are no longer stored; re-run linkrisk build-models")
         if kind != "profile":
-            raise ValueError(f"line {line_no}: unknown model kind {kind!r}")
+            raise ValueError(f"line {line_no}: model kind {kind!r} is not read; re-run linkrisk build-models")
         if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
             raise ValueError(f"line {line_no}: profile key must be a list of two strings")
         if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count

@@ -326,8 +326,8 @@ def test_matrix_v2_roundtrip_is_exact(tmp_path):
     assert np.array_equal(loaded.values, m.values)
 
 
-def _v1_refusal(path):
-    return f"{path}: .dmat version 1 (float32) is no longer read; re-run linkrisk distances"
+def _refusal(path, version):
+    return f"{path}: .dmat version {version!r} is not read; re-run linkrisk distances"
 
 
 def test_matrix_loads_version_1_float32_file(tmp_path, capsys):
@@ -336,14 +336,10 @@ def test_matrix_loads_version_1_float32_file(tmp_path, capsys):
     path.write_bytes(_v1_bytes(["a", "b", "c"], [0.1, 0.25, 0.7]))
     with pytest.raises(ValueError) as info:
         DistanceMatrix.load(path)
-    assert str(info.value) == _v1_refusal(path)
+    assert str(info.value) == _refusal(path, 1)
     code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.25"])
     assert code == 1
-    assert capsys.readouterr() == ("", f"error: {_v1_refusal(path)}\n")
-
-
-def _v2_refusal(path):
-    return f"{path}: .dmat version 2 is no longer read; re-run linkrisk distances"
+    assert capsys.readouterr() == ("", f"error: {_refusal(path, 1)}\n")
 
 
 def _v2_bytes(keys, tri):
@@ -364,9 +360,9 @@ def test_matrix_refuses_version_2_file(tmp_path, capsys):
         with pytest.raises(ValueError) as info:
             DistanceMatrix.load(path)
         code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.25"])
-    assert str(info.value) == _v2_refusal(path)
+    assert str(info.value) == _refusal(path, 2)
     assert code == 1
-    assert capsys.readouterr() == ("", f"error: {_v2_refusal(path)}\n")
+    assert capsys.readouterr() == ("", f"error: {_refusal(path, 2)}\n")
 
 
 def _signed(header):
@@ -419,19 +415,23 @@ DMAT_CORRUPTIONS = [
         id="dtype-mismatch",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": 4}, p), "unsupported .dmat version 4",
+        lambda h, p: ({**h, "version": 4}, p), ".dmat version 4 is not read; re-run linkrisk distances",
         id="unknown-version",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": True}, p), "unsupported .dmat version True",
+        lambda h, p: ({**h, "version": True}, p), ".dmat version True is not read; re-run linkrisk distances",
         id="boolean-version",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": 1}, p), "version 1 (float32) is no longer read; re-run linkrisk distances",
+        lambda h, p: ({**h, "version": "3"}, p), ".dmat version '3' is not read; re-run linkrisk distances",
+        id="string-version",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "version": 1}, p), ".dmat version 1 is not read; re-run linkrisk distances",
         id="version-1",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": 2}, p), ".dmat version 2 is no longer read; re-run linkrisk distances",
+        lambda h, p: ({**h, "version": 2}, p), ".dmat version 2 is not read; re-run linkrisk distances",
         id="version-2",
     ),
     pytest.param(
@@ -550,7 +550,7 @@ def test_load_rows_rejects_corruption_and_junk(tmp_path):
     with pytest.raises(ValueError, match="not a linkrisk distance matrix"):
         DistanceMatrix.load(path)
     path.write_bytes(b'{"format":"linkrisk-dmat"}')  # no newline at all
-    with pytest.raises(ValueError, match="unsupported .dmat version None"):
+    with pytest.raises(ValueError, match="^" + re.escape(_refusal(path, None)) + "$"):
         DistanceMatrix.load(path)
 
 
@@ -629,6 +629,17 @@ def test_dmat_roundtrip_and_rows_property(case):
 
 
 @settings(max_examples=80, deadline=None)
+@given(packed_matrices())
+def test_each_gathered_row_is_bit_for_bit_the_square_row(case):
+    """`_row_at`, the one row gather behind `row`, the digests and `_load_row`, against `values`' scatter."""
+    m = DistanceMatrix(*case)
+    for i in range(len(m.keys)):
+        row = m._row_at(i)
+        assert row.dtype == np.float64 and row.shape == (len(m.keys),)
+        assert row.tobytes() == m.values[i].tobytes()
+
+
+@settings(max_examples=80, deadline=None)
 @given(packed_matrices(), st.integers(min_value=0, max_value=5))
 def test_dmat_version_1_rows_property(case, cut):
     """Every version 1 file, even a truncated one, is refused before its payload is read."""
@@ -641,7 +652,7 @@ def test_dmat_version_1_rows_property(case, cut):
         with mock.patch.object(anonymity.np, "frombuffer", side_effect=AssertionError("payload read")), \
                 pytest.raises(ValueError) as info:
             DistanceMatrix.load(path)
-    assert str(info.value) == _v1_refusal(path)
+    assert str(info.value) == _refusal(path, 1)
 
 
 def _query(path, subject, d):

@@ -429,6 +429,24 @@ def test_config_file_with_a_byte_order_mark_reads_its_first_key(tmp_path, capsys
     assert manifest["outputs"]["profiles_kept"] == 3
 
 
+def test_scenario_with_a_byte_order_mark_reports_like_the_plain_file(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+    plain.write_text(json.dumps(_FULL_SCENARIO), encoding="utf-8")
+    marked.write_text("\ufeff" + json.dumps(_FULL_SCENARIO), encoding="utf-8")
+    code, report, err = run(capsys, "framework", "run", str(plain))
+    assert (code, err) == (0, "")
+    assert run(capsys, "framework", "run", str(marked)) == (0, report, "")
+
+
+def test_truncated_scenario_names_the_file(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_text('{"attributes": [', encoding="utf-8")
+    code, out, err = run(capsys, "framework", "run", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: not valid JSON (")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("option", ["--stopwords", "--smilies"])
 def test_word_list_with_a_byte_order_mark_keeps_its_first_entry(tmp_path, capsys, option):
     src = tmp_path / "in.jsonl"
@@ -1406,7 +1424,7 @@ def test_a_store_with_a_community_or_global_record_is_refused(tmp_path, capsys, 
     else:
         argv += ["--community", "alpha", "--out", str(tmp_path / "out")]
     kind = json.loads(record)["kind"]
-    message = f"error: line 2: {kind} models are no longer stored; re-run linkrisk build-models\n"
+    message = f"error: line 2: model kind {kind!r} is not read; re-run linkrisk build-models\n"
     assert run(capsys, *argv) == (1, "", message)
     assert not (tmp_path / "out").exists()
 
@@ -1417,7 +1435,7 @@ def test_a_community_record_that_contradicts_the_profiles_is_refused(tmp_path, c
                 '{"counts":{"x":1,"z":3},"key":["u1","alpha"],"kind":"profile"}\n')
     path = tmp_path / "models.jsonl"
     path.write_text(profiles + '{"counts":{"y":100},"key":"alpha","kind":"community"}\n', encoding="utf-8")
-    message = "error: line 3: community models are no longer stored; re-run linkrisk build-models\n"
+    message = "error: line 3: model kind 'community' is not read; re-run linkrisk build-models\n"
     assert run(capsys, "top-unigrams", "--models", str(path), "--key", "alpha") == (1, "", message)
     path.write_text(profiles, encoding="utf-8")
     for flags in (("--key", "alpha"), ("--kind", "global")):
@@ -1460,7 +1478,7 @@ def test_top_unigrams_equal_counts_summed_from_the_profile_store(tmp_path, capsy
      "line 1: not valid JSON ("),
     (("anonymity", "--matrix", "{file}", "--subject", "u0", "--d", "0.5"),
      "{file}: not a linkrisk distance matrix\n"),
-    (("framework", "run", "{file}"), "scenario is not valid JSON ("),
+    (("framework", "run", "{file}"), "{file}: not valid JSON ("),
 ], ids=["ingest", "eval", "build-models", "top-unigrams", "distances", "anonymity-models", "anonymity-matrix",
         "framework-run"])
 def test_deeply_nested_json_exits_one_with_one_line(tmp_path, capsys, command, message):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -213,10 +214,12 @@ def test_load_models_rejects_a_repeated_record(tmp_path, record, message):
 
 def test_load_models_rejects_an_unknown_kind(tmp_path):
     path = tmp_path / "models.jsonl"
-    path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n'
-                    '{"kind":"author","key":"u","counts":{"a":1}}\n', encoding="utf-8")
-    with pytest.raises(ValueError, match="^line 2: unknown model kind 'author'$"):
-        lm.load_models(path)
+    for kind in ("author", "profle", None):
+        path.write_text('{"kind":"profile","key":["u","c"],"counts":{"a":1}}\n'
+                        + json.dumps({"kind": kind, "key": "u", "counts": {"a": 1}}) + "\n", encoding="utf-8")
+        message = f"line 2: model kind {kind!r} is not read; re-run linkrisk build-models"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            lm.load_models(path)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,8 @@
 """Every file-reading command fails cleanly on a mutated input.
 
 The inputs of a 12-user pipeline (the comments, `profiles.jsonl`,
-`models.jsonl`, `alpha.dmat`, a `--config` file and a word list) are mutated
+`models.jsonl`, `alpha.dmat`, a `--config` file, a word list and a
+`framework run` scenario) are mutated
 one to three times: byte flips, truncation, cut spans, inserted fragments,
 and shuffled or duplicated lines.  The mutated file goes through
 `cli.dispatch` in every command form that reads it, the config file through
@@ -11,15 +12,17 @@ starting `error: `; no exception escapes.
 
 import contextlib
 import io
+import json
 import random
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from linkrisk import cli
+from test_cli import _FULL_SCENARIO  # every optional field: a prior object, a perturbation, a table kappa, a seed
 
 _FRAGMENTS = [b"1e400", b"null", b"-1", b'"x"', b"\xef\xbb\xbf", b"\xff",
               b"[", b"]", b"{", b"}", b"[[[[", b"\n", b"\r\n"]
@@ -44,13 +47,15 @@ def pipeline(tmp_path_factory):
     comments.write_bytes((work / "alpha.jsonl").read_bytes() + (work / "beta.jsonl").read_bytes())
     (work / "opts.conf").write_text(_CONFIG, encoding="utf-8")
     (work / "words.txt").write_text(_WORDS, encoding="utf-8")
+    (work / "scenario.json").write_text(json.dumps(_FULL_SCENARIO, indent=2), encoding="utf-8")
     steps = [["ingest", "--input", comments, "--min-comments", 1, "--min-profiles", 1, "--out", work],
              ["build-models", "--profiles", work / "profiles.jsonl", "--out", work],
              ["distances", "--models", work / "models.jsonl", "--community", "alpha", "--out", work]]
     assert [_run(argv)[0] for argv in steps] == [0, 0, 0]
     paths = {"comments": comments, "profiles": work / "profiles.jsonl", "models": work / "models.jsonl",
-             "dmat": work / "alpha.dmat", "config": work / "opts.conf", "words": work / "words.txt"}
-    assert [_run(argv) for _, argv in _forms(paths, work / "intact")] == [(0, "")] * 8
+             "dmat": work / "alpha.dmat", "config": work / "opts.conf", "words": work / "words.txt",
+             "scenario": work / "scenario.json"}
+    assert [_run(argv) for _, argv in _forms(paths, work / "intact")] == [(0, "")] * 9
     return paths
 
 
@@ -71,6 +76,7 @@ def _forms(paths, out):
                                 "--config", paths["config"], "--out", out / "matrix"]),
         ({"models", "config"}, ["anonymity", "--models", paths["models"], "--community", "alpha", *query]),
         ({"dmat", "config"}, ["anonymity", "--matrix", paths["dmat"], *query]),
+        ({"scenario", "config"}, ["framework", "--config", paths["config"], "run", paths["scenario"]]),
     ]
 
 
@@ -104,8 +110,9 @@ def _mutate(data: bytes, kind: str, at: int, arg) -> bytes:
 
 
 @settings(max_examples=250, deadline=None)
-@given(name=st.sampled_from(["comments", "profiles", "models", "dmat", "config", "words"]),
+@given(name=st.sampled_from(["comments", "profiles", "models", "dmat", "config", "words", "scenario"]),
        mutations=_MUTATIONS)
+@example(name="scenario", mutations=[("insert", 0, b"\xef\xbb\xbf")])
 def test_a_mutated_input_exits_zero_or_with_one_error_line(pipeline, name, mutations):
     data = pipeline[name].read_bytes()
     for mutation in mutations:
