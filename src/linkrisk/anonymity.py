@@ -1,13 +1,14 @@
 """Convergence radii, anonymity subsets, matching, and adversary choice bounds.
 
 A profile's neighborhood at radius d is the positions `<= d` (`_within`) of
-one row of sqrt-JS distances in sorted key order: a row of `DistanceMatrix`
-(the packed upper triangle of its `.dmat` file, computed or loaded), the one
-row `_load_row` reads and verifies from a `.dmat` file without loading the
-matrix, or the one source row `_row` computes; keys replace positions only
-to be shown.  A profile is anonymous to the extent that many peers sit within
-a small radius of it; the matching bound turns that neighborhood size and
-radius into an upper limit on a distance-based adversary's linking likelihood.
+one row of sqrt-JS distances in sorted key order: a row `_row_at` gathers
+from a packed upper triangle (a `DistanceMatrix`'s, or one of
+`run_experiment`'s), the one row `_load_row` reads from a `.dmat` file and
+verifies against its digest of the keys and that row, or the one source row
+`_row` computes; keys replace positions only to be shown.  A profile is
+anonymous to the extent that many peers sit within a small radius of it;
+the matching bound turns that neighborhood size and radius into an upper
+limit on a distance-based adversary's linking likelihood.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import repeat
-from typing import List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -87,36 +88,25 @@ class DistanceMatrix:
 
     def row(self, key: str) -> np.ndarray:
         """The distances from `key` to every profile, in key order; O(n)."""
-        return self._row_at(self.index_of(key))
-
-    def _row_at(self, i: int) -> np.ndarray:
-        """Full row i, the one row gather: column i of the rows above, 0.0, then row i's own slice."""
-        n = len(self.keys)
-        row = np.zeros(n, dtype=np.float64)
-        row[:i] = self.tri[_packed_index(n, np.arange(i), i)]
-        row[i + 1:] = self.tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
-        return row
-
-    def _row_digests(self) -> List[str]:
-        """The sha256 of each full row, gathered one row at a time, never as the n x n square."""
-        return [_sha256(self._row_at(i)) for i in range(len(self.keys))]
+        return _row_at(self.tri, len(self.keys), self.index_of(key))
 
     def save(self, path) -> None:
-        """Write a version 3 JSON header line plus the little-endian float64 upper triangle.
+        """Write a version 4 JSON header line plus the little-endian float64 upper triangle.
 
-        The header holds one sha256 per full row (`_row_digests`); its
-        checksum covers the header alone.
+        The header holds one sha256 per full row, each over the keys and that
+        row (`_row_digests`), so together they cover the keys and every
+        payload byte; rows are gathered one at a time, never as the square.
         """
+        n = len(self.keys)
         header = {
             "format": "linkrisk-dmat",
-            "version": 3,
-            "n": len(self.keys),
+            "version": 4,
+            "n": n,
             "keys": self.keys,
             "ordering": "row-major-upper",
             "dtype": "<f8",
-            "row_sha256": self._row_digests(),
+            "row_sha256": _row_digests(self.keys, (_row_at(self.tri, n, i) for i in range(n))),
         }
-        header["checksum"] = _dmat_checksum(header)
         with open(path, "wb") as fh:
             fh.write(_encode_json(header).encode("utf-8"))
             fh.write(b"\n")
@@ -124,17 +114,19 @@ class DistanceMatrix:
 
     @classmethod
     def load(cls, path) -> "DistanceMatrix":
-        """Read a version 3 `.dmat` file: exactly the float64 distances `save` wrote.
+        """Read a version 4 `.dmat` file: exactly the keys and float64 distances `save` wrote.
 
-        Every row is verified against its `row_sha256` entry, so every
-        payload byte is (each lies in two rows), then every distance against
-        [0, 1].  A file of any other version, or any inconsistency between
-        header and payload, raises a one-line ValueError naming the file.
+        Every row is verified against its `row_sha256` entry, so the keys and
+        every payload byte are (each lies in two rows), then every distance
+        against [0, 1].  Any other version, or any inconsistency between header
+        and payload, raises a one-line ValueError naming the file.
         """
-        matrix, row_sha256 = _read_dmat(path)
-        if matrix._row_digests() != row_sha256:
+        keys, tri, row_sha256 = _read_dmat(path)
+        if _row_digests(keys, (_row_at(tri, len(keys), i) for i in range(len(keys)))) != row_sha256:
             raise ValueError(f"{path}: checksum mismatch")
-        _check_distances(matrix.tri, f"{path}: ")
+        _check_distances(tri, f"{path}: ")
+        matrix = cls.__new__(cls)  # _read_dmat ran the constructor's key check, naming the file
+        matrix.keys, matrix.tri, matrix._square = keys, tri, None
         return matrix
 
 
@@ -153,14 +145,15 @@ def _check_distances(tri: np.ndarray, prefix: str = "") -> None:
         raise ValueError(f"{prefix}distance {bad} is not in [0, 1]")
 
 
-def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
-    """A `.dmat` file's matrix, not yet verified, with its row digests.
+def _read_dmat(path) -> Tuple[List[str], np.ndarray, List[str]]:
+    """A `.dmat` file's keys, packed triangle and row digests, none yet verified against the others.
 
-    One read; the payload stays a view of the file's bytes.  Checks run in
-    order: format, version, dtype and ordering, keys, n, payload size, the
-    header checksum, then the row digests' field; every version but 3 is
-    refused by one rule.  The payload itself is not yet hashed or
-    range-checked: `DistanceMatrix.load` verifies every row, `_load_row` one.
+    One read; the triangle stays a view of the file's bytes.  Checks run in
+    order: format, version, dtype and ordering, keys, n, payload size, then
+    the row digests' field; every version but 4 is refused by one rule,
+    before the payload is read.  Neither the keys nor the payload is hashed
+    or range-checked here: `DistanceMatrix.load` verifies every row,
+    `_load_row` one.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -175,10 +168,10 @@ def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
     if not isinstance(header, dict) or header.get("format") != "linkrisk-dmat":
         raise ValueError(f"{path}: not a linkrisk distance matrix")
     version = header.get("version")
-    if type(version) is not int or version != 3:  # bool is not a version
+    if type(version) is not int or version != 4:  # bool is not a version
         raise ValueError(f"{path}: .dmat version {version!r} is not read; re-run linkrisk distances")
     if header.get("dtype") != "<f8" or header.get("ordering") != "row-major-upper":
-        raise ValueError(f"{path}: version 3 needs dtype <f8 and ordering row-major-upper")
+        raise ValueError(f"{path}: version 4 needs dtype <f8 and ordering row-major-upper")
     n, keys = header.get("n"), header.get("keys")
     _check_keys(keys, f"{path}: ")
     if type(n) is not int or n != len(keys):
@@ -186,44 +179,50 @@ def _read_dmat(path) -> Tuple[DistanceMatrix, List[str]]:
     expected = n * (n - 1) // 2 * 8
     if len(payload) != expected:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    if _dmat_checksum(header) != header.get("checksum"):
-        raise ValueError(f"{path}: checksum mismatch")
     row_sha256 = header.get("row_sha256")
     if not (isinstance(row_sha256, list) and len(row_sha256) == n
             and all(map(isinstance, row_sha256, repeat(str)))):
         raise ValueError(f"{path}: row_sha256 must be a list of {n} strings")
-    matrix = DistanceMatrix.__new__(DistanceMatrix)  # the constructor's key check ran above, naming the file
-    matrix.keys, matrix.tri, matrix._square = keys, np.frombuffer(payload, dtype="<f8"), None
-    return matrix, row_sha256
+    return keys, np.frombuffer(payload, dtype="<f8"), row_sha256
 
 
 def _load_row(path, subject: str) -> Tuple[List[str], np.ndarray]:
     """The keys of a `.dmat` file and the subject's row, verified against its own digest.
 
-    Mirrors `_row` for a stored matrix: the header is checked in full, then
-    the subject's n distances, and only they, are hashed and range-checked,
-    as every answer from this row depends on them and on nothing else.  A
-    corrupted value in another row goes unseen here; `DistanceMatrix.load`
-    refuses it.
+    Mirrors `_row` for a stored matrix: the header fields are checked, then
+    the keys and the subject's n distances, and only they, are hashed, and
+    those distances range-checked, as every answer from this row depends on
+    them and on nothing else.  A corrupted value or digest of another row
+    goes unseen here; `DistanceMatrix.load` refuses it.
     """
-    matrix, row_sha256 = _read_dmat(path)
-    i = matrix.index_of(subject)
-    row = matrix._row_at(i)
-    if _sha256(row) != row_sha256[i]:
+    keys, tri, row_sha256 = _read_dmat(path)
+    if subject not in keys:
+        raise ValueError(f"unknown profile {subject!r}")
+    i = keys.index(subject)
+    row = _row_at(tri, len(keys), i)
+    if _row_digests(keys, [row]) != [row_sha256[i]]:
         raise ValueError(f"{path}: checksum mismatch")
     _check_distances(row, f"{path}: ")
-    return matrix.keys, row
+    return keys, row
 
 
-def _sha256(values: np.ndarray) -> str:
-    """Hex sha256 of one full row as little-endian float64 bytes, the 0.0 diagonal included."""
-    return hashlib.sha256(np.ascontiguousarray(values, dtype="<f8")).hexdigest()
+def _row_digests(keys: List[str], rows: Iterable[np.ndarray]) -> List[str]:
+    """Per row, the hex sha256 of the keys as canonical JSON, then that full row as little-endian float64."""
+    keyed = hashlib.sha256(_encode_json(keys).encode("utf-8"))  # hashed once, copied per row
+    digests = []
+    for row in rows:
+        hasher = keyed.copy()
+        hasher.update(np.ascontiguousarray(row, dtype="<f8"))
+        digests.append(hasher.hexdigest())
+    return digests
 
 
-def _dmat_checksum(header: dict) -> str:
-    """sha256 over the canonical header without its checksum; its row digests cover the payload."""
-    fields = {k: v for k, v in header.items() if k != "checksum"}
-    return "sha256:" + hashlib.sha256(_encode_json(fields).encode("utf-8")).hexdigest()
+def _row_at(tri: np.ndarray, n: int, i: int) -> np.ndarray:
+    """Full row i of an n x n matrix's packed triangle, the one row gather: column i above, 0.0, row i's slice."""
+    row = np.zeros(n, dtype=np.float64)
+    row[:i] = tri[_packed_index(n, np.arange(i), i)]
+    row[i + 1:] = tri[_packed_index(n, i, i + 1):_packed_index(n, i, n)]
+    return row
 
 
 def _packed_index(n: int, i, j):

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from . import lm, metric
-from .anonymity import DistanceMatrix, _row, _within
+from .anonymity import _row, _row_at, _within
 from .corpus import RawComment, _encode_json, _write_csv, _write_json
 
 __all__ = [
@@ -263,8 +263,7 @@ def run_experiment(
 
     a, b = metric._prepare(dists_a, dists_b)
     cross = metric.cross_distances(a, b)
-    within_a = DistanceMatrix(keys_a, metric.pairwise_distances(a))
-    within_b = DistanceMatrix(keys_b, metric.pairwise_distances(b))
+    within_a, within_b = metric.pairwise_distances(a), metric.pairwise_distances(b)  # packed triangles
 
     source = np.array([index_a[link.source] for link in links], dtype=np.intp)
     target = np.array([index_b[link.target] for link in links], dtype=np.intp)
@@ -276,7 +275,7 @@ def run_experiment(
         for s, t, d in zip(source, target, matching)
     ])
     # anonymous neighborhood: source-side profiles within the matching distance
-    sizes = np.array([len(_within(within_a._row_at(s), d)) for s, d in zip(source, matching)])
+    sizes = np.array([len(_within(_row_at(within_a, len(keys_a), s), d)) for s, d in zip(source, matching)])
     rows = []
     for link, s, d in zip(links, source, matching):
         avg_other = (float(cross[s].sum()) - float(d)) / (nb - 1)
@@ -284,8 +283,8 @@ def run_experiment(
     below = sum(1 for r in rows if r.below_diagonal)
     return ExperimentResult(
         links=links,
-        stats_within_a=_stats(within_a.tri),
-        stats_within_b=_stats(within_b.tri),
+        stats_within_a=_stats(within_a),
+        stats_within_b=_stats(within_b),
         stats_across=_stats(cross.ravel()),
         scatter=rows,
         fraction_below=below / len(rows),

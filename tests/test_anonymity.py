@@ -320,7 +320,7 @@ def test_matrix_v2_roundtrip_is_exact(tmp_path):
     path = tmp_path / "c.dmat"
     m.save(path)
     header = json.loads(path.read_bytes().split(b"\n", 1)[0])
-    assert (header["version"], header["dtype"]) == (3, "<f8")
+    assert (header["version"], header["dtype"]) == (4, "<f8")
     loaded = DistanceMatrix.load(path)
     assert loaded.keys == m.keys
     assert np.array_equal(loaded.values, m.values)
@@ -365,23 +365,45 @@ def test_matrix_refuses_version_2_file(tmp_path, capsys):
     assert capsys.readouterr() == ("", f"error: {_refusal(path, 2)}\n")
 
 
-def _signed(header):
-    """`header` with its checksum recomputed, so the header itself is consistent."""
-    return {**header, "checksum": anonymity._dmat_checksum(header)}
+def _v3_bytes(keys, tri):
+    """A version 3 file as earlier releases wrote it: a digest per bare row and a header checksum."""
+    payload = np.asarray(tri, dtype="<f8").tobytes()
+    n = len(keys)
+    square, upper = np.zeros((n, n), dtype="<f8"), np.triu_indices(n, k=1)
+    square[upper] = square.T[upper] = tri
+    header = {"format": "linkrisk-dmat", "version": 3, "n": n, "keys": keys, "ordering": "row-major-upper",
+              "dtype": "<f8", "row_sha256": [hashlib.sha256(row.tobytes()).hexdigest() for row in square]}
+    canonical = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    header["checksum"] = "sha256:" + hashlib.sha256(canonical).hexdigest()
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n" + payload
+
+
+def test_matrix_refuses_version_3_file(tmp_path, capsys):
+    """A version 3 file is refused before its payload is read, by the loader and by `anonymity --matrix`."""
+    path = tmp_path / "v3.dmat"
+    path.write_bytes(_v3_bytes(["a", "b", "c"], [0.1, 0.25, 0.7]))
+    with mock.patch.object(anonymity.np, "frombuffer", side_effect=AssertionError("payload read")):
+        with pytest.raises(ValueError) as info:
+            DistanceMatrix.load(path)
+        code = cli.dispatch(["anonymity", "--matrix", str(path), "--subject", "a", "--d", "0.25"])
+    assert str(info.value) == _refusal(path, 3)
+    assert code == 1
+    assert capsys.readouterr() == ("", f"error: {_refusal(path, 3)}\n")
+
+
+def _row_digest(keys, row):
+    """The version 4 digest of one full row: sha256 of the keys as canonical JSON, then the row's float64 bytes."""
+    keys_json = json.dumps(keys, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(keys_json + np.asarray(row, dtype="<f8").tobytes()).hexdigest()
 
 
 def _with_payload(header, values):
-    """A header and payload for `values` whose checksum holds, so only the values are wrong.
-
-    Each row's digest is rebuilt for the new values, and the checksum for
-    that header.
-    """
+    """A header and payload for `values` whose row digests hold, so only the values are wrong."""
     tri = np.asarray(values, dtype="<f8")
     n = header["n"]
     square, upper = np.zeros((n, n), dtype="<f8"), np.triu_indices(n, k=1)
     square[upper] = square.T[upper] = tri
-    digests = [hashlib.sha256(row.tobytes()).hexdigest() for row in square]
-    return _signed({**header, "row_sha256": digests}), tri.tobytes()
+    return {**header, "row_sha256": [_row_digest(header["keys"], row) for row in square]}, tri.tobytes()
 
 
 # (header, payload) edits of a valid 3-key file and the message each must raise
@@ -407,7 +429,7 @@ DMAT_CORRUPTIONS = [
         id="long-payload",
     ),
     pytest.param(
-        lambda h, p: ({**h, "keys": ["a", "b", "z"]}, p), "checksum mismatch",
+        lambda h, p: ({**h, "keys": ["a", "z", "c"]}, p), "checksum mismatch",
         id="header-tampered",
     ),
     pytest.param(
@@ -415,7 +437,7 @@ DMAT_CORRUPTIONS = [
         id="dtype-mismatch",
     ),
     pytest.param(
-        lambda h, p: ({**h, "version": 4}, p), ".dmat version 4 is not read; re-run linkrisk distances",
+        lambda h, p: ({**h, "version": 5}, p), ".dmat version 5 is not read; re-run linkrisk distances",
         id="unknown-version",
     ),
     pytest.param(
@@ -435,31 +457,26 @@ DMAT_CORRUPTIONS = [
         id="version-2",
     ),
     pytest.param(
-        lambda h, p: (_signed({**h, "row_sha256": h["row_sha256"][:-1]}), p),
+        lambda h, p: ({**h, "version": 3}, p), ".dmat version 3 is not read; re-run linkrisk distances",
+        id="version-3",
+    ),
+    pytest.param(
+        lambda h, p: ({**h, "row_sha256": h["row_sha256"][:-1]}, p),
         "row_sha256 must be a list of 3 strings",
         id="row-digests-short",
     ),
     pytest.param(
-        lambda h, p: (_signed({**h, "row_sha256": [h["row_sha256"][0], 1, h["row_sha256"][2]]}), p),
+        lambda h, p: ({**h, "row_sha256": [h["row_sha256"][0], 1, h["row_sha256"][2]]}, p),
         "row_sha256 must be a list of 3 strings",
         id="row-digest-not-string",
     ),
     pytest.param(
-        lambda h, p: ({**h, "row_sha256": [h["row_sha256"][1], *h["row_sha256"][1:]]}, p), "checksum mismatch",
+        lambda h, p: ({**h, "row_sha256": [*h["row_sha256"][:2], h["row_sha256"][0]]}, p), "checksum mismatch",
         id="row-digest-tampered",
-    ),
-    pytest.param(
-        lambda h, p: (_signed({**h, "row_sha256": [*h["row_sha256"][:2], h["row_sha256"][0]]}), p),
-        "checksum mismatch",
-        id="row-digest-re-signed",
     ),
     pytest.param(
         lambda h, p: ({**h, "n": True, "keys": ["a"]}, b""), "n = True but the header lists 1 keys",
         id="boolean-n",
-    ),
-    pytest.param(
-        lambda h, p: ({k: v for k, v in h.items() if k != "checksum"}, p), "checksum mismatch",
-        id="no-checksum",
     ),
     pytest.param(
         lambda h, p: _with_payload(h, [0.2, np.nan, 0.5]), "distance nan is not in [0, 1]",
@@ -614,7 +631,7 @@ def test_dmat_roundtrip_and_rows_property(case):
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         for i, key in enumerate(keys):
-            assert header["row_sha256"][i] == hashlib.sha256(m.values[i].astype("<f8").tobytes()).hexdigest()
+            assert header["row_sha256"][i] == _row_digest(keys, m.values[i])
             row_keys, row = anonymity._load_row(path, key)
             assert row_keys == keys and row.dtype == np.float64
             assert np.array_equal(row, loaded.row(key))
@@ -634,7 +651,7 @@ def test_each_gathered_row_is_bit_for_bit_the_square_row(case):
     """`_row_at`, the one row gather behind `row`, the digests and `_load_row`, against `values`' scatter."""
     m = DistanceMatrix(*case)
     for i in range(len(m.keys)):
-        row = m._row_at(i)
+        row = anonymity._row_at(m.tri, len(m.keys), i)
         assert row.dtype == np.float64 and row.shape == (len(m.keys),)
         assert row.tobytes() == m.values[i].tobytes()
 
@@ -690,6 +707,58 @@ def test_a_flipped_payload_byte_is_refused_by_load_and_by_each_row_it_lies_in(ca
         assert flipped == (1, "", f"error: {path}: checksum mismatch\n")
     else:
         assert flipped == clean
+
+
+def _digest_rows_changed(header, clean):
+    """The rows whose `row_sha256` entry `header` changes, if that is all it changes; else None."""
+    if not isinstance(header, dict) or {**header, "row_sha256": None} != {**clean, "row_sha256": None}:
+        return None
+    digests = header.get("row_sha256")
+    if not (isinstance(digests, list) and len(digests) == len(clean["row_sha256"])
+            and all(isinstance(x, str) for x in digests)):
+        return None
+    return {i for i, (x, y) in enumerate(zip(digests, clean["row_sha256"])) if x != y}
+
+
+def test_a_flipped_header_bit_is_refused_or_changes_no_answer(tmp_path):
+    """Every bit of the header line, its newline included, flipped in turn.
+
+    `load` and each query refuse with one line or answer as on the clean
+    file, and a flip that changes nothing but other rows' digests leaves a
+    query's answer as it was: a query hashes the keys and its own row only.
+    """
+    keys = ["a", "b\nc", "\u00e9t\u00e9", "z"]
+    tri = np.array([0.2, 0.6, 0.5, 0.3, 0.9, 0.4])
+    path = tmp_path / "m.dmat"
+    DistanceMatrix(keys, tri).save(path)
+    blob = path.read_bytes()
+    cut = blob.index(b"\n")
+    clean_header = json.loads(blob[:cut])
+    clean = [_query(path, subject, 0.5) for subject in keys]
+    assert all(code == 0 for code, _, _ in clean)
+    for pos in range(cut + 1):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[pos] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                loaded = DistanceMatrix.load(path)
+            except ValueError as refusal:
+                assert "\n" not in str(refusal)
+            else:
+                assert loaded.keys == keys and np.array_equal(loaded.tri, tri)
+            try:
+                changed = _digest_rows_changed(json.loads(bytes(flipped).split(b"\n", 1)[0]), clean_header)
+            except ValueError:  # not UTF-8 or not JSON
+                changed = None
+            for i, subject in enumerate(keys):
+                answer = _query(path, subject, 0.5)
+                if changed is not None and i not in changed:
+                    assert answer == clean[i], (pos, bit, subject)
+                elif answer != clean[i]:
+                    code, out, err = answer
+                    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, \
+                        (pos, bit, subject, answer)
 
 
 # keys as callers might pass them: repeats and non-strings included

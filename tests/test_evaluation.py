@@ -451,6 +451,18 @@ def test_edge_cases_are_checked_before_any_distance_is_computed(monkeypatch):
             evaluation.run_experiment(ma or default_a, mb or default_b, links, ks=ks)
 
 
+def test_int_keys_give_the_reports_of_their_string_forms():
+    """Keys need only sort and compare equal: single-digit ints sort like their strings, so the reports agree."""
+    rng = np.random.default_rng(68)
+    ma, mb = ({i: random_distribution(rng) for i in range(1, 8)} for _ in range(2))
+    by_int = evaluation.run_experiment(ma, mb, ks=(1, 2, 5))
+    by_str = evaluation.run_experiment({str(k): v for k, v in ma.items()}, {str(k): v for k, v in mb.items()},
+                                       ks=(1, 2, 5))
+    for field in ("precisions", "bin_reports", "stats_within_a", "stats_within_b", "stats_across",
+                  "anon_sizes", "fraction_below"):
+        assert getattr(by_int, field) == getattr(by_str, field), field
+
+
 def test_each_matrix_is_computed_once_per_call(monkeypatch):
     calls = {"cross": 0, "pairwise": 0}
     cross, pairwise = metric.cross_distances, metric.pairwise_distances

@@ -90,7 +90,7 @@ def test_tracer_counts_the_matrix_store_commands(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     # A gap in the tracer, not a property of the queries: each reads one row with anonymity._load_row,
     # which spans.py does not wrap, so the queries are counted by cli.calls alone.  When the tracer
-    # wraps _load_row as the query's load (ROADMAP item 8), this is len(queries) again.
+    # wraps _load_row as the query's load (ROADMAP item 2), this is len(queries) again.
     assert layer["anonymity.load_calls"] == 0
     assert layer["anonymity.dmat_bytes"] == os.path.getsize(dmat)
     assert layer["lm.store_bytes"] == os.path.getsize(models)
