@@ -127,8 +127,10 @@ def _chunk_token(chunk: str, smilies, stopwords) -> str:
 class _ChunkTokens(dict):
     """Chunk -> `_chunk_token` of one config, filled in as chunks are seen.
 
-    Equal tokens are stored as one shared string.  Past `_TAIL_CACHE_MAX`
-    chunks the table is emptied and fills again.
+    Equal tokens are stored as one shared string.  A chunk that is its own
+    token is keyed by that shared string too, so a plain word is held once,
+    not as a key and an equal value.  Past `_TAIL_CACHE_MAX` chunks the
+    table is emptied and fills again.
     """
 
     def __init__(self, smilies, stopwords):
@@ -142,13 +144,21 @@ class _ChunkTokens(dict):
             self.clear()
             self._shared.clear()
         token = _chunk_token(chunk, self._smilies, self._stopwords)
-        token = self[chunk] = self._shared.setdefault(token, token)
+        if token == chunk:
+            chunk = token = self._shared.setdefault(chunk, chunk)
+        else:
+            token = self._shared.setdefault(token, token)
+        self[chunk] = token
         return token
 
 
-@dataclass
+@dataclass(slots=True)
 class RawComment:
-    """One comment as read from the input stream."""
+    """One comment as read from the input stream.
+
+    Slotted: ingest holds every comment until it is normalized, and a
+    per-instance attribute dict would add to each one.
+    """
 
     author_id: str
     community_id: str
@@ -245,10 +255,13 @@ def ingest_jsonl(path, lenient: bool = False) -> IngestResult:
     string; `created_at` is optional, a JSON integer or null (a boolean,
     string or float makes the line bad).  In strict mode the first bad line
     raises ValueError with its line number; in lenient mode bad lines are
-    collected as (line_number, message) pairs and skipped.
+    collected as (line_number, message) pairs and skipped.  Equal author
+    and community names come back as one shared string across all
+    comments, so the result holds each distinct name once.
     """
     comments: List[RawComment] = []
     errors: List[Tuple[int, str]] = []
+    names: Dict[str, str] = {}
     for line_no, rec in _store_records(path, errors if lenient else None):
         try:
             if not isinstance(rec, dict):
@@ -262,9 +275,10 @@ def ingest_jsonl(path, lenient: bool = False) -> IngestResult:
             created = rec.get("created_at")
             if created is not None and (isinstance(created, bool) or not isinstance(created, int)):
                 raise ValueError("'created_at' must be an integer or null")
+            author, community = rec["author"], rec["community"]
             comments.append(RawComment(
-                author_id=rec["author"],
-                community_id=rec["community"],
+                author_id=names.setdefault(author, author),
+                community_id=names.setdefault(community, community),
                 body=rec["body"],
                 created_at=created,
             ))

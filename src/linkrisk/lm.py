@@ -29,9 +29,24 @@ __all__ = [
 
 @dataclass
 class UnigramModel:
-    """Token counts for one profile or community; `total` is their sum."""
+    """Token counts for one profile or community; `total` is their sum.
+
+    A model refuses a bad count when it is made: each count must be a
+    non-negative `int` (a bool is not a count), and their sum must be
+    within the float range, which every distribution needs.  So
+    `save_models` cannot write a store that `load_models` refuses.
+    """
 
     counts: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        counts = self.counts.values()
+        if not all(type(c) is int and c >= 0 for c in counts):
+            raise ValueError("counts must be non-negative integers")
+        try:
+            float(sum(counts))
+        except OverflowError:
+            raise ValueError("counts sum beyond the float range") from None
 
     @property
     def total(self) -> int:
@@ -139,7 +154,7 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
     leading BOM is dropped.  A bad line, a second record for a profile, or
     a record of any kind but "profile" (community and global records were
     stored by earlier releases) raises ValueError("line N: ...").  So do
-    counts whose sum is beyond the float range, which no distribution has.
+    counts that `UnigramModel` refuses, with its message after the prefix.
     """
     profiles: Dict[ProfileKey, UnigramModel] = {}
     for line_no, rec in _store_records(path):
@@ -150,14 +165,12 @@ def _load_profile_models(path) -> Dict[ProfileKey, UnigramModel]:
             raise ValueError(f"line {line_no}: model kind {kind!r} is not read; re-run linkrisk build-models")
         if not (isinstance(key, list) and len(key) == 2 and all(isinstance(p, str) for p in key)):
             raise ValueError(f"line {line_no}: profile key must be a list of two strings")
-        if not all(type(c) is int and c >= 0 for c in counts.values()):  # bool is not a count
-            raise ValueError(f"line {line_no}: counts must be non-negative integers")
         try:
-            float(sum(counts.values()))
-        except OverflowError:
-            raise ValueError(f"line {line_no}: counts sum beyond the float range") from None
+            model = UnigramModel(counts=counts)
+        except ValueError as exc:
+            raise ValueError(f"line {line_no}: {exc}") from None
         key = tuple(key)
         if key in profiles:
             raise ValueError(f"line {line_no}: duplicate profile {key!r}")
-        profiles[key] = UnigramModel(counts=counts)
+        profiles[key] = model
     return profiles

@@ -237,6 +237,29 @@ def test_raw_comment_validates_keys():
         corpus.RawComment(author_id="a", community_id="", body="")
 
 
+def test_ingest_shares_author_and_community_names():
+    lines = [json.dumps({"author": "some_author", "community": "some_community", "body": body})
+             for body in ("first", "second")]
+    first, second = _ingest("\n".join(lines)).comments
+    assert not hasattr(first, "__dict__")
+    assert first.author_id is second.author_id and first.community_id is second.community_id
+
+
+def test_ingest_holds_under_300_bytes_per_comment(tmp_path):
+    corp = evaluation.synth_corpus(n_users=50, topics=5, comments_per_user=20)
+    path = tmp_path / "comments.jsonl"
+    path.write_text(evaluation.comments_to_jsonl(corp.comments_a + corp.comments_b), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        result = corpus.ingest_jsonl(path)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # body string included: about 220 bytes a comment as a slotted record with
+    # shared names, about 360 with an attribute dict and a copy of each name
+    assert held / len(result.comments) < 300
+
+
 # --- aggregation and filtering ----------------------------------------------
 
 
@@ -643,6 +666,18 @@ def test_a_bounded_memo_changes_no_output(cfg, monkeypatch):
     assert len(sizes) > len(words)  # the memo was emptied and filled again
     # each insert finds fewer entries than the bound, so the memo never holds more
     assert max(sizes) < 2 and len(bounded._chunk_tokens) <= 2
+
+
+def test_the_memo_holds_a_plain_word_once(cfg):
+    memo = corpus._ChunkTokens(cfg.smilies, cfg.stopwords)
+    word = "".join(["ki", "wi"])  # made at run time, so no interned literal stands in for it
+    assert memo[word] is word
+    assert memo["kiwi!"] is memo["kiwi?"] is word
+    late = corpus._ChunkTokens(cfg.smilies, cfg.stopwords)
+    token = late["mango!"]
+    assert late["".join(["man", "go"])] is token
+    keys = [key for key in late if key == "mango"]
+    assert keys == ["mango"] and keys[0] is token  # key and token are one string
 
 
 def test_the_memo_leaves_equality_hash_and_repr_alone(cfg):

@@ -59,6 +59,17 @@ def test_total_is_the_sum_of_the_counts():
         lm.UnigramModel(counts={}, total=0)
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"a": 3, "b": -1}, "counts must be non-negative integers"),
+    ({"a": True}, "counts must be non-negative integers"),
+    ({"a": 1.5}, "counts must be non-negative integers"),
+    ({"a": 2**1023, "b": 2**1023}, "counts sum beyond the float range"),
+], ids=["negative", "bool", "fractional", "float-range"])
+def test_a_model_refuses_a_bad_count(counts, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        lm.UnigramModel(counts=counts)
+
+
 def test_to_distribution_values():
     model = lm.UnigramModel.from_tokens(["a", "a", "b"])
     dist = lm.to_distribution(model)
